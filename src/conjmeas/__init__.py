@@ -30,7 +30,6 @@ from .measurement import (
     outcome_probability,
     post_state,
     sample_outcome,
-    validate_completeness,
 )
 from .metrics import (
     StageStatistics,

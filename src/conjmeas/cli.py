@@ -4,7 +4,8 @@ Subcommands: figures, summary, variances, sweep.  Angles may be given as
 exact fractions of pi ("pi/6", "2pi/3") or as plain radians; spins as
 half-integers ("1/2", "0.5", "7").
 
-Exit codes: 0 success, 2 invalid configuration, 3 numeric-contract failure.
+Exit codes: 0 success, 2 invalid configuration, 3 numeric-contract failure
+or any other measurement-model error.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 import sys
 from pathlib import Path
 
-from .errors import NumericContractError, ValidationError
+from .errors import MeasurementModelError, NumericContractError, ValidationError
 from .runner import (
     ExperimentConfig,
     Table,
@@ -134,6 +135,9 @@ def main(argv=None) -> int:
         return 2
     except NumericContractError as exc:
         print(f"numeric contract violated: {exc}", file=sys.stderr)
+        return 3
+    except MeasurementModelError as exc:
+        print(f"measurement model error: {exc}", file=sys.stderr)
         return 3
     return 0
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -30,6 +31,17 @@ class PureStateEnsemble:
     @property
     def n(self) -> int:
         return self.states.shape[0]
+
+    @cached_property
+    def populations(self) -> np.ndarray:
+        """Read-only (N, dim) array |psi_a(sigma)|², computed once per ensemble.
+
+        Stored column-major: the kernels read it transposed, one contiguous
+        row per basis state.
+        """
+        pops = np.asfortranarray(self.states.real**2 + self.states.imag**2)
+        pops.flags.writeable = False
+        return pops
 
 
 def sample_haar(dim: int, n: int, seed: int) -> PureStateEnsemble:

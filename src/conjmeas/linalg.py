@@ -110,15 +110,6 @@ def polar_decompose(M, allow_singular: bool = True) -> PolarParts:
     return PolarParts(U, N)
 
 
-def is_density_matrix(rho) -> bool:
-    rho = np.asarray(rho, dtype=complex)
-    try:
-        check_density_matrix(rho)
-    except (NotDensityMatrixError, ValueError):
-        return False
-    return True
-
-
 def check_density_matrix(rho) -> np.ndarray:
     """Validate Hermiticity, positivity and unit trace of a density matrix."""
     rho = as_operator(rho)

@@ -95,10 +95,6 @@ def completeness_residual(kraus) -> float:
     return linalg.max_abs(acc - np.eye(d))
 
 
-# keep the diagnostic available under its contract name
-validate_completeness = completeness_residual
-
-
 def outcome_probability(rho, kraus: KrausSet, label) -> float:
     """Born probability Tr(rho M†M) for one outcome, clipped to [0, 1]."""
     rho = linalg.check_density_matrix(rho)

@@ -4,6 +4,17 @@ All information quantities are in bits (base-2 logarithms).  The single
 likelihood kernel :func:`likelihood_info_gain` serves every stage: the
 per-outcome weights are ``<A†A>_a`` for whichever operator A maps the
 initial state to the (unnormalized) branch state.
+
+Every per-branch quantity comes from one kernel,
+:func:`branch_weights_and_moduli`, which returns the weight ``<A†A>`` and
+the modulus ``|<psi|A|psi>|`` for each state.  When A is diagonal (every
+off-diagonal entry exactly zero, as for the spin-probe operators and their
+compositions) both depend only on the populations P = |psi|²: with
+a = diag(A) they are the columns of one real product P @ [|a|², Re a, Im a],
+O(N·d) per branch.  Any other operator takes the dense path,
+:func:`branch_weights_and_amplitudes`, at O(N·d²) per branch.
+Reductions over the N states are numpy means and sums, so results do not
+depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -17,9 +28,10 @@ from .ensemble import PureStateEnsemble
 from .errors import (
     DimensionMismatchError,
     InvalidWeightsError,
+    UnknownLabelError,
     ZeroProbabilityOutcomeError,
 )
-from .measurement import KrausSet
+from .measurement import KrausSet, _label_key
 from .tolerances import TOL
 
 
@@ -35,10 +47,17 @@ def likelihood_info_gain(weights) -> float:
     clipped at zero.
     """
     w = np.asarray(weights, dtype=float)
-    if w.size == 0 or np.any(w < 0) or not np.any(w > 0):
+    w_min = w.min() if w.size else -1.0
+    if w_min < 0 or not w.max() > 0:
         raise InvalidWeightsError("weights must be nonnegative with a positive sum")
     mw = w.mean()
-    wlw = np.where(w > 0, w * np.log2(np.where(w > 0, w, 1.0)), 0.0).mean()
+    # 0 log 0 = 0; the unmasked log2 is faster and gives the same values
+    if w_min > 0:
+        w_log_w = np.log2(w)
+    else:
+        w_log_w = np.log2(w, out=np.zeros_like(w), where=w > 0)
+    w_log_w *= w
+    wlw = w_log_w.mean()
     gain = (wlw - mw * np.log2(mw)) / mw
     if gain < -1e-10:
         raise InvalidWeightsError(f"information kernel returned {gain:.3e}")
@@ -60,7 +79,8 @@ class StageStatistics:
     For a first-stage measurement ``probability`` is p(m); for a two-stage
     run it is the joint p(m, mu) and ``conditional`` holds p(mu | m).
     Outcomes with probability below the floor are flagged undefined and
-    excluded (with zero weight) from the means.
+    excluded (with zero weight) from the means; with none defined, the
+    means are NaN.
     """
 
     labels: tuple
@@ -71,6 +91,8 @@ class StageStatistics:
     conditional: np.ndarray | None = None
 
     def _mean(self, values: np.ndarray) -> float:
+        if not self.defined.any():
+            return float("nan")
         w = np.where(self.defined, self.probability, 0.0)
         return float(np.sum(w * np.where(self.defined, values, 0.0)) / np.sum(w))
 
@@ -83,7 +105,11 @@ class StageStatistics:
         return self._mean(self.fidelity)
 
     def get(self, label):
-        idx = self.labels.index(float(label))
+        keys = [_label_key(l) for l in self.labels]
+        key = _label_key(label)
+        if key not in keys:
+            raise UnknownLabelError(f"no outcome labelled {label!r}")
+        idx = keys.index(key)
         return (
             self.probability[idx],
             self.info_gain[idx],
@@ -92,11 +118,37 @@ class StageStatistics:
 
 
 def branch_weights_and_amplitudes(states: np.ndarray, op: np.ndarray):
-    """Per-state branch weight <A†A> and transition amplitude <psi|A|psi>."""
+    """Per-state branch weight <A†A> and transition amplitude <psi|A|psi>.
+
+    The dense path, for any operator A.
+    """
     out = states @ op.T
     w = np.einsum("ad,ad->a", out.conj(), out).real
     amp = np.einsum("ad,ad->a", states.conj(), out)
     return w, amp
+
+
+def _is_diagonal(op: np.ndarray) -> bool:
+    """True when every off-diagonal entry of ``op`` is exactly zero."""
+    return np.count_nonzero(op) == np.count_nonzero(np.diagonal(op))
+
+
+def branch_weights_and_moduli(ens: PureStateEnsemble, op: np.ndarray):
+    """Per-state branch weight <A†A> and amplitude modulus |<psi|A|psi>|.
+
+    A diagonal operator takes the populations path; any other operator the
+    dense :func:`branch_weights_and_amplitudes`.
+    """
+    if not _is_diagonal(op):
+        w, amp = branch_weights_and_amplitudes(ens.states, op)
+        return w, np.abs(amp)
+    a = np.diagonal(op)
+    coeffs = np.stack([a.real**2 + a.imag**2, a.real, a.imag])
+    w, re, im = coeffs @ ens.populations.T
+    re *= re
+    im *= im
+    re += im
+    return w, np.sqrt(re, out=re)
 
 
 def _branch_statistics(labels, composed_ops, ens: PureStateEnsemble):
@@ -106,7 +158,7 @@ def _branch_statistics(labels, composed_ops, ens: PureStateEnsemble):
     fid = np.zeros(n_out)
     defined = np.zeros(n_out, dtype=bool)
     for i, op in enumerate(composed_ops):
-        w, amp = branch_weights_and_amplitudes(ens.states, op)
+        w, amp_mod = branch_weights_and_moduli(ens, op)
         p = w.mean()
         prob[i] = p
         if p <= TOL.prob_floor:
@@ -116,7 +168,7 @@ def _branch_statistics(labels, composed_ops, ens: PureStateEnsemble):
         defined[i] = True
         info[i] = likelihood_info_gain(w)
         # F = Σ_a p(a|outcome) |<psi|A|psi>| / sqrt(w_a)  =  mean(|amp| sqrt(w)) / mean(w)
-        fid[i] = float(np.mean(np.abs(amp) * np.sqrt(w)) / p)
+        fid[i] = float(np.mean(amp_mod * np.sqrt(w)) / p)
     return labels, prob, info, fid, defined
 
 
@@ -142,15 +194,15 @@ def two_stage_statistics(
     if kraus.dim != ens.dim or second.dim != ens.dim:
         raise DimensionMismatchError("measurement and ensemble dimensions differ")
     M = kraus.operator(first_label)
-    composed = [C @ M for C in second.operators]
-    labels, prob, info, fid, defined = _branch_statistics(
-        second.labels, composed, ens
-    )
-    p_first = branch_weights_and_amplitudes(ens.states, M)[0].mean()
+    p_first = branch_weights_and_moduli(ens, M)[0].mean()
     if p_first <= TOL.prob_floor:
         raise ZeroProbabilityOutcomeError(
             f"first-stage outcome {first_label} has probability {p_first:.3e}"
         )
+    composed = [C @ M for C in second.operators]
+    labels, prob, info, fid, defined = _branch_statistics(
+        second.labels, composed, ens
+    )
     return StageStatistics(
         labels, prob, info, fid, defined, conditional=prob / p_first
     )
@@ -159,10 +211,13 @@ def two_stage_statistics(
 def optimal_fidelity(kraus: KrausSet, ens: PureStateEnsemble, label) -> float:
     """Fidelity the outcome would have had under the positive-part measurement.
 
-    mean_a[ sqrt(<N²>) <N> ] / mean_a <N²>  with N = sqrt(M†M).
+    mean_a[ sqrt(<N²>) <N> ] / mean_a <N²>  with N = sqrt(M†M); for a
+    diagonal M, N = diag|a| directly.
     """
     M = kraus.operator(label)
-    N = linalg.positive_sqrt(linalg.dagger(M) @ M)
-    w, _ = branch_weights_and_amplitudes(ens.states, N)
-    n_exp = np.real(np.einsum("ad,dc,ac->a", ens.states.conj(), N, ens.states))
+    if _is_diagonal(M):
+        N = np.diag(np.abs(np.diagonal(M)))
+    else:
+        N = linalg.positive_sqrt(linalg.dagger(M) @ M)
+    w, n_exp = branch_weights_and_moduli(ens, N)
     return float(np.mean(np.sqrt(w) * n_exp) / np.mean(w))

@@ -23,7 +23,7 @@ from . import linalg, metrics
 from .ensemble import PureStateEnsemble
 from .errors import KappaOutOfBoundError, NonInvertibleOperatorError
 from .measurement import KrausSet
-from .metrics import branch_weights_and_amplitudes
+from .metrics import branch_weights_and_moduli
 from .tolerances import TOL
 
 AUTO = "auto"
@@ -138,8 +138,7 @@ def conjugate_preferred_closed_form(
     """
     M = kraus.operator(label)
     N2 = linalg.dagger(M) @ M
-    w4, _ = branch_weights_and_amplitudes(ens.states, N2)  # <N^4>
-    n2 = np.real(np.einsum("ad,dc,ac->a", ens.states.conj(), N2, ens.states))
+    w4, n2 = branch_weights_and_moduli(ens, N2)  # <N^4>, <N^2>
     fid = float(np.mean(np.sqrt(w4) * n2) / np.mean(w4))
     info = metrics.likelihood_info_gain(w4)
     return fid, info
@@ -151,6 +150,6 @@ def conditional_success_probability(
     """Probability of the preferred second outcome given the first outcome."""
     M = kraus.operator(label)
     composed = spec.preferred_operator @ M
-    w_joint, _ = branch_weights_and_amplitudes(ens.states, composed)
-    w_first, _ = branch_weights_and_amplitudes(ens.states, M)
+    w_joint, _ = branch_weights_and_moduli(ens, composed)
+    w_first, _ = branch_weights_and_moduli(ens, M)
     return float(w_joint.mean() / w_first.mean())

@@ -17,6 +17,7 @@ import numpy as np
 from . import __version__
 from .ensemble import (
     PureStateEnsemble,
+    expectation_values,
     sample_haar,
     spin_moments_closed_form,
     spin_z,
@@ -97,7 +98,14 @@ def write_json(tables: dict, path, meta: dict) -> None:
 
 @dataclass(frozen=True)
 class SpinRunResult:
-    """Everything the figure and summary jobs need from one configuration."""
+    """Everything the figure and summary jobs need from one configuration.
+
+    An outcome whose probability is below the floor is undefined: its
+    second stage is skipped and its per-outcome values and grid row are
+    NaN.  The primed values of an outcome are NaN too when none of its
+    second-stage branches is defined.  The means give every NaN value zero
+    weight.
+    """
 
     labels: tuple
     p_m: np.ndarray
@@ -111,21 +119,24 @@ class SpinRunResult:
     info_grid: np.ndarray
     joint_grid: np.ndarray           # p(m, mu)
 
+    def _mean(self, values: np.ndarray) -> float:
+        return float(np.sum(np.where(np.isnan(values), 0.0, self.p_m * values)))
+
     @property
     def mean_fidelity(self) -> float:
-        return float(np.sum(self.p_m * self.fidelity_m))
+        return self._mean(self.fidelity_m)
 
     @property
     def mean_info(self) -> float:
-        return float(np.sum(self.p_m * self.info_m))
+        return self._mean(self.info_m)
 
     @property
     def mean_fidelity_prime(self) -> float:
-        return float(np.sum(self.p_m * self.fidelity_prime_m))
+        return self._mean(self.fidelity_prime_m)
 
     @property
     def mean_info_prime(self) -> float:
-        return float(np.sum(self.p_m * self.info_prime_m))
+        return self._mean(self.info_prime_m)
 
 
 def compute_spin_run(spin: SpinProbeConfig, ens: PureStateEnsemble) -> SpinRunResult:
@@ -133,14 +144,16 @@ def compute_spin_run(spin: SpinProbeConfig, ens: PureStateEnsemble) -> SpinRunRe
     second = conjugate_probe_set(spin)
     stats1 = stage_statistics(forward, ens)
     n = len(forward.labels)
-    p_pref = np.zeros(n)
-    f_prime = np.zeros(n)
-    i_prime = np.zeros(n)
-    f_opt = np.zeros(n)
+    p_pref = np.full(n, np.nan)
+    f_prime = np.full(n, np.nan)
+    i_prime = np.full(n, np.nan)
+    f_opt = np.full(n, np.nan)
     f_grid = np.full((n, n), np.nan)
     i_grid = np.full((n, n), np.nan)
-    joint = np.zeros((n, n))
+    joint = np.full((n, n), np.nan)
     for i, m in enumerate(forward.labels):
+        if not stats1.defined[i]:
+            continue
         ts = two_stage_statistics(forward, m, second, ens)
         p_pref[i] = ts.conditional[i]
         f_prime[i] = ts.mean_fidelity
@@ -236,12 +249,8 @@ def run_variances(s_list, samples: int, seed: int) -> Table:
         dim = int(2 * moments.s) + 1
         ens = sample_haar(dim, samples, seed + k)
         sz = spin_z(s)
-        ev = np.real(
-            np.einsum("ad,dc,ac->a", ens.states.conj(), sz, ens.states)
-        )
-        ev2 = np.real(
-            np.einsum("ad,dc,ac->a", ens.states.conj(), sz @ sz, ens.states)
-        )
+        ev = expectation_values(ens, sz)
+        ev2 = expectation_values(ens, sz @ sz)
         p0 = np.abs(ens.states[:, 0]) ** 2
         p1 = np.abs(ens.states[:, 1]) ** 2
         quantities = {

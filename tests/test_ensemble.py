@@ -167,3 +167,10 @@ def test_save_states_roundtrip(tmp_path, ens2_small):
     assert data.shape == (ens2_small.n, 4)
     rebuilt = data[:, 0::2] + 1j * data[:, 1::2]
     np.testing.assert_allclose(rebuilt, ens2_small.states, atol=1e-15)
+
+
+def test_populations_cached_and_read_only(ens2_small):
+    pops = ens2_small.populations
+    np.testing.assert_allclose(pops, np.abs(ens2_small.states) ** 2, rtol=1e-15, atol=0)
+    assert pops is ens2_small.populations
+    assert not pops.flags.writeable

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from conjmeas import linalg
+from conjmeas import linalg, metrics
 from conjmeas.ensemble import PureStateEnsemble, sample_haar, spin_z
-from conjmeas.errors import DimensionMismatchError, InvalidWeightsError
+from conjmeas.errors import DimensionMismatchError, InvalidWeightsError, UnknownLabelError
 from conjmeas.measurement import KrausSet
 from conjmeas.metrics import (
     branch_weights_and_amplitudes,
@@ -224,3 +224,104 @@ def test_weak_measurement_information_law(ens2_big):
         )
         v_i = float(np.mean((ev - ev.mean()) ** 2))
         assert stats.info_gain[i] == pytest.approx(2.0 * v_i / LN2, rel=0.05)
+
+
+# Tolerances of the populations path against the dense path, from float64
+# roundoff: both evaluate the same sums in a different order.
+POP_RTOL = 1e-13   # p and F, relative
+POP_ATOL_INFO = 1e-12   # I, absolute
+
+
+def random_diagonal_kraus(rng, dim, n_out, zero_entry=False, unitary_outcome=False):
+    """Random complete set of diagonal operators, optionally with special outcomes."""
+    diags = rng.standard_normal((n_out, dim)) + 1j * rng.standard_normal((n_out, dim))
+    if zero_entry:
+        diags[0, dim // 2] = 0.0
+    if unitary_outcome:
+        # one outcome proportional to a unitary: c·diag(e^{i phi})
+        diags[-1] = 0.8 * np.exp(1j * rng.uniform(-np.pi, np.pi, dim))
+        rest = np.sqrt(np.sum(np.abs(diags[:-1]) ** 2, axis=0) / (1.0 - 0.64))
+        diags[:-1] /= rest
+    else:
+        diags /= np.sqrt(np.sum(np.abs(diags) ** 2, axis=0))
+    return KrausSet(tuple(np.diag(a) for a in diags), tuple(range(n_out)))
+
+
+def all_statistics(first, second, ens):
+    """p, F, I of both stages and optimal_fidelity, as one flat dict of arrays."""
+    s1 = stage_statistics(first, ens)
+    out = {"p": s1.probability, "F": s1.fidelity, "I": s1.info_gain}
+    grids = [two_stage_statistics(first, m, second, ens) for m in first.labels]
+    out["p2"] = np.array([ts.probability for ts in grids])
+    out["F2"] = np.array([ts.fidelity for ts in grids])
+    out["I2"] = np.array([ts.info_gain for ts in grids])
+    out["Fopt"] = np.array([optimal_fidelity(first, ens, m) for m in first.labels])
+    return out
+
+
+class TestPopulationsKernel:
+    """The populations path against the dense path on diagonal Kraus sets."""
+
+    def compare(self, monkeypatch, first, second, ens):
+        fast = all_statistics(first, second, ens)
+        monkeypatch.setattr(metrics, "_is_diagonal", lambda op: False)
+        dense = all_statistics(first, second, ens)
+        for key in ("p", "F", "p2", "F2", "Fopt"):
+            np.testing.assert_allclose(fast[key], dense[key], rtol=POP_RTOL, atol=0, err_msg=key)
+        for key in ("I", "I2"):
+            np.testing.assert_allclose(fast[key], dense[key], rtol=0, atol=POP_ATOL_INFO, err_msg=key)
+
+    @pytest.mark.parametrize("dim", [2, 16])
+    @pytest.mark.parametrize("zero_entry", [False, True])
+    def test_random_diagonal_sets(self, monkeypatch, dim, zero_entry):
+        rng = np.random.default_rng(1000 + dim + zero_entry)
+        first = random_diagonal_kraus(rng, dim, 4, zero_entry=zero_entry, unitary_outcome=True)
+        second = random_diagonal_kraus(rng, dim, 3)
+        self.compare(monkeypatch, first, second, sample_haar(dim, 1500, 7 + dim))
+
+    def test_unitary_spin_probe(self, monkeypatch, ens2_small):
+        # at theta = 0 every probe operator is a multiple of a diagonal unitary
+        cfg = SpinProbeConfig(s=0.5, j=2, g=0.3, theta=0.0)
+        self.compare(monkeypatch, build_forward(cfg), conjugate_probe_set(cfg), ens2_small)
+
+    def test_spin_probe_wide_system(self, monkeypatch):
+        cfg = SpinProbeConfig(s=7.5, j=2, g=0.25, theta=math.pi / 6)
+        ens = sample_haar(16, 1500, 3)
+        self.compare(monkeypatch, build_forward(cfg), conjugate_probe_set(cfg), ens)
+
+    def test_path_choice(self, monkeypatch, ens2_small):
+        calls = []
+        dense = metrics.branch_weights_and_amplitudes
+        monkeypatch.setattr(
+            metrics, "branch_weights_and_amplitudes",
+            lambda states, op: calls.append(op) or dense(states, op),
+        )
+        diagonal = np.diag([0.6, 0.8j])
+        general = np.array([[0.6, 1e-300], [0.0, 0.8]])
+        metrics.branch_weights_and_moduli(ens2_small, diagonal)
+        assert calls == []
+        w, amp = metrics.branch_weights_and_moduli(ens2_small, general)
+        assert len(calls) == 1
+        w_ref, amp_ref = dense(ens2_small.states, general)
+        np.testing.assert_array_equal(w, w_ref)
+        np.testing.assert_array_equal(amp, np.abs(amp_ref))
+
+
+class TestStageStatisticsGet:
+    @pytest.fixture(scope="class")
+    def stats(self, ens2_small):
+        cfg = SpinProbeConfig(s=0.5, j=2, g=0.3, theta=0.9)
+        return stage_statistics(build_forward(cfg), ens2_small)
+
+    def test_exact_and_rounded_labels(self, stats):
+        i = stats.labels.index(2.0)
+        expected = (stats.probability[i], stats.info_gain[i], stats.fidelity[i])
+        assert stats.get(2) == expected
+        assert stats.get(2 + 1e-12) == expected
+        assert stats.get(np.float32(2.0)) == expected
+
+    def test_unknown_label(self, stats):
+        with pytest.raises(UnknownLabelError):
+            stats.get(5)
+        with pytest.raises(UnknownLabelError):
+            stats.get(0.3)

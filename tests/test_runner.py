@@ -4,10 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from conjmeas import cli
 from conjmeas.cli import main, parse_angle, parse_half_integer
+from conjmeas.ensemble import sample_haar
+from conjmeas.errors import ZeroProbabilityOutcomeError
 from conjmeas.runner import (
     ExperimentConfig,
     Table,
+    compute_spin_run,
     run_figures,
     run_summary,
     run_sweep,
@@ -17,6 +21,7 @@ from conjmeas.runner import (
     write_json,
 )
 from conjmeas.spin_probe import SpinProbeConfig
+from conjmeas.tolerances import TOL
 
 SMALL = ExperimentConfig(
     SpinProbeConfig(s=0.5, j=3, g=0.25, theta=math.pi / 6), samples=2000, seed=11
@@ -246,3 +251,69 @@ class TestCli:
             assert (out1 / f"{name}.csv").read_bytes() == (
                 out2 / f"{name}.csv"
             ).read_bytes()
+
+
+class TestUndefinedFirstStageOutcomes:
+    # outcome -40 has p ≈ 3e-24, below the probability floor
+    CFG = ExperimentConfig(
+        SpinProbeConfig(s=0.5, j=40, g=0.05, theta=math.pi / 6), samples=2000, seed=5
+    )
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        ens = sample_haar(self.CFG.spin.dim, self.CFG.samples, self.CFG.seed)
+        return compute_spin_run(self.CFG.spin, ens)
+
+    def test_undefined_rows_are_nan(self, run):
+        undefined = run.p_m <= TOL.prob_floor
+        defined = ~undefined
+        assert undefined.any() and defined.any()
+        for values in (run.fidelity_m, run.info_m, run.fidelity_opt_m, run.p_preferred_m):
+            assert np.all(np.isnan(values[undefined]))
+            assert np.all(np.isfinite(values[defined]))
+        for values in (run.fidelity_prime_m, run.info_prime_m):
+            assert np.all(np.isnan(values[undefined]))
+        for grid in (run.fidelity_grid, run.info_grid, run.joint_grid):
+            assert np.all(np.isnan(grid[undefined]))
+
+    def test_primed_values_without_defined_branch(self, run):
+        # defined first outcomes whose joint p(m, mu) are all below the floor
+        nan_prime = np.isnan(run.fidelity_prime_m) & (run.p_m > TOL.prob_floor)
+        assert nan_prime.any()
+        assert np.all(np.isnan(run.fidelity_grid[nan_prime]))
+        assert np.all(np.isnan(run.info_prime_m[nan_prime]))
+
+    def test_means_leave_undefined_out(self, run):
+        d = run.p_m > TOL.prob_floor
+        assert run.mean_fidelity == pytest.approx(np.sum(run.p_m[d] * run.fidelity_m[d]), rel=1e-14)
+        assert run.mean_info == pytest.approx(np.sum(run.p_m[d] * run.info_m[d]), rel=1e-14)
+        d = ~np.isnan(run.fidelity_prime_m)
+        assert run.mean_fidelity_prime == pytest.approx(
+            np.sum(run.p_m[d] * run.fidelity_prime_m[d]), rel=1e-14
+        )
+        assert run.mean_info_prime == pytest.approx(np.sum(run.p_m[d] * run.info_prime_m[d]), rel=1e-14)
+        assert 0.0 < run.mean_fidelity < run.mean_fidelity_prime <= 1.0
+        assert 0.0 < run.mean_info < run.mean_info_prime
+
+    def test_cli_summary_runs(self, tmp_path, capsys):
+        args = ["summary", "--j", "40", "--g", "0.05", "--samples", "2000", "--out", str(tmp_path)]
+        assert main(args) == 0
+        assert "mean_fidelity = " in capsys.readouterr().out
+
+    def test_fully_defined_means_are_plain_sums(self):
+        ens = sample_haar(2, 2000, 11)
+        run = compute_spin_run(SMALL.spin, ens)
+        assert not np.isnan(run.fidelity_prime_m).any()
+        assert run.mean_fidelity == float(np.sum(run.p_m * run.fidelity_m))
+        assert run.mean_info == float(np.sum(run.p_m * run.info_m))
+        assert run.mean_fidelity_prime == float(np.sum(run.p_m * run.fidelity_prime_m))
+        assert run.mean_info_prime == float(np.sum(run.p_m * run.info_prime_m))
+
+
+def test_cli_maps_model_errors_to_exit_code_3(tmp_path, capsys, monkeypatch):
+    def failing(cfg):
+        raise ZeroProbabilityOutcomeError("outcome 1 has probability 0")
+
+    monkeypatch.setattr(cli, "run_summary", failing)
+    assert main(["summary", "--j", "3", "--samples", "1000", "--out", str(tmp_path)]) == 3
+    assert "outcome 1 has probability 0" in capsys.readouterr().err
