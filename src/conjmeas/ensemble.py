@@ -4,6 +4,12 @@ The sampler draws state vectors uniformly with respect to the unitarily
 invariant (Fubini-Study) measure by normalizing complex Gaussian vectors.
 The closed-form spin moments give an independent oracle for the sampled
 ensemble averages.
+
+Every quadratic form <psi|B|psi> is real-linear in two per-state features:
+the populations P_i = |psi_i|² and the coherences z_ij = conj(psi_i) psi_j
+for i < j, stored as [Re z | Im z].  :func:`form_coefficients` turns B into
+real coefficient rows on those features and :func:`quadratic_forms`
+evaluates them for the whole sample as one real product.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import numpy as np
 
 from . import linalg
 from .errors import NotHermitianError
+from .tolerances import TOL
 
 _GAUSS_SCALE = np.sqrt(0.5)
 
@@ -42,6 +49,26 @@ class PureStateEnsemble:
         pops = np.asfortranarray(self.states.real**2 + self.states.imag**2)
         pops.flags.writeable = False
         return pops
+
+    @cached_property
+    def coherences(self) -> np.ndarray:
+        """Read-only (N, dim·(dim-1)) array [Re z | Im z], computed once per ensemble.
+
+        z_ij = conj(psi_i) psi_j for the pairs i < j in ``np.triu_indices``
+        order.  Stored column-major like the populations.  Only forms with
+        off-diagonal coefficients read it, so an ensemble that only meets
+        diagonal operators never allocates these N·dim·(dim-1) floats.
+        """
+        x = np.asfortranarray(self.states.real)
+        y = np.asfortranarray(self.states.imag)
+        rows, cols = np.triu_indices(self.dim, 1)
+        k = rows.size
+        coh = np.empty((self.n, 2 * k), order="F")
+        for c, (i, j) in enumerate(zip(rows, cols)):
+            coh[:, c] = x[:, i] * x[:, j] + y[:, i] * y[:, j]
+            coh[:, k + c] = x[:, i] * y[:, j] - y[:, i] * x[:, j]
+        coh.flags.writeable = False
+        return coh
 
 
 def sample_haar(dim: int, n: int, seed: int) -> PureStateEnsemble:
@@ -76,12 +103,50 @@ def ensemble_average(ens: PureStateEnsemble, f) -> float:
     return float(np.mean([float(f(psi)) for psi in ens.states]))
 
 
+def form_coefficients(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real coefficient rows of <psi|B|psi> on the populations and coherences.
+
+    Returns ``(on_populations, on_coherences)`` of shapes (2, d) and
+    (2, d(d-1)); row 0 gives Re <psi|B|psi> and row 1 gives Im <psi|B|psi>.
+    With z = conj(psi_i) psi_j, the pair (i, j) contributes
+    z B_ij + conj(z) B_ji, whose real and imaginary parts are
+    Re z Re(B_ij + B_ji) - Im z Im(B_ij - B_ji) and
+    Re z Im(B_ij + B_ji) + Im z Re(B_ij - B_ji).
+    """
+    rows, cols = np.triu_indices(B.shape[0], 1)
+    upper, lower = B[rows, cols], B[cols, rows]
+    s, t = upper + lower, upper - lower
+    a = np.diagonal(B)
+    on_populations = np.stack([a.real, a.imag])
+    on_coherences = np.stack(
+        [np.concatenate([s.real, -t.imag]), np.concatenate([s.imag, t.real])]
+    )
+    return on_populations, on_coherences
+
+
+def quadratic_forms(
+    ens: PureStateEnsemble, on_populations: np.ndarray, on_coherences=None
+) -> np.ndarray:
+    """Evaluate k real coefficient rows on every state: a (k, N) array.
+
+    ``on_populations @ P.T``, plus ``on_coherences @ [Re z | Im z].T`` when
+    coherence rows are given; leave them out for a diagonal operator, so the
+    coherences are never built.
+    """
+    forms = on_populations @ ens.populations.T
+    if on_coherences is not None:
+        forms += on_coherences @ ens.coherences.T
+    return forms
+
+
 def expectation_values(ens: PureStateEnsemble, A) -> np.ndarray:
     """Vector of quantum expectations <psi_a|A|psi_a> over the sample."""
     A = linalg.as_operator(A)
-    if linalg.max_abs(A - linalg.dagger(A)) > 1e-10:
+    if linalg.max_abs(A - linalg.dagger(A)) > TOL.hermiticity:
         raise NotHermitianError("observable is not Hermitian")
-    return np.real(np.einsum("ad,dc,ac->a", ens.states.conj(), A, ens.states))
+    on_populations, on_coherences = form_coefficients(A)
+    on_coherences = None if linalg.is_diagonal(A) else on_coherences[:1]
+    return quadratic_forms(ens, on_populations[:1], on_coherences)[0]
 
 
 def variance_vi(ens: PureStateEnsemble, A) -> float:

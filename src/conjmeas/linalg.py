@@ -6,6 +6,8 @@ with complex entries.  They are pure: inputs are never modified.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .errors import (
@@ -17,17 +19,11 @@ from .errors import (
 from .tolerances import TOL
 
 
-class PolarParts:
+class PolarParts(NamedTuple):
     """Left polar factorization M = unitary @ positive."""
 
-    __slots__ = ("unitary", "positive")
-
-    def __init__(self, unitary: np.ndarray, positive: np.ndarray):
-        self.unitary = unitary
-        self.positive = positive
-
-    def __iter__(self):
-        return iter((self.unitary, self.positive))
+    unitary: np.ndarray
+    positive: np.ndarray
 
 
 def as_operator(M) -> np.ndarray:
@@ -46,6 +42,11 @@ def dagger(M: np.ndarray) -> np.ndarray:
 
 def max_abs(M: np.ndarray) -> float:
     return float(np.max(np.abs(M))) if M.size else 0.0
+
+
+def is_diagonal(M: np.ndarray) -> bool:
+    """True when every off-diagonal entry of ``M`` is exactly zero."""
+    return np.count_nonzero(M) == np.count_nonzero(np.diagonal(M))
 
 
 def _check_hermitian(H: np.ndarray, tol: float = TOL.hermiticity) -> np.ndarray:

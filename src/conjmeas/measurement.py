@@ -106,8 +106,17 @@ def outcome_probability(rho, kraus: KrausSet, label) -> float:
 
 
 def outcome_distribution(rho, kraus: KrausSet) -> np.ndarray:
-    p = np.array([outcome_probability(rho, kraus, l) for l in kraus.labels])
-    return p
+    """Born probabilities Re Tr(M rho M†) of every outcome, clipped to [0, 1].
+
+    rho is validated once; all outcomes come from one product over the
+    stacked operators.
+    """
+    rho = linalg.check_density_matrix(rho)
+    if kraus.dim != rho.shape[0]:
+        raise DimensionMismatchError("state and operator dimensions differ")
+    ops = np.stack(kraus.operators)
+    p = np.einsum("mij,jk,mik->m", ops, rho, ops.conj()).real
+    return np.clip(p, 0.0, 1.0)
 
 
 def post_state(rho, kraus: KrausSet, label) -> np.ndarray:

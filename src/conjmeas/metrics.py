@@ -7,14 +7,20 @@ initial state to the (unnormalized) branch state.
 
 Every per-branch quantity comes from one kernel,
 :func:`branch_weights_and_moduli`, which returns the weight ``<A†A>`` and
-the modulus ``|<psi|A|psi>|`` for each state.  When A is diagonal (every
-off-diagonal entry exactly zero, as for the spin-probe operators and their
-compositions) both depend only on the populations P = |psi|²: with
-a = diag(A) they are the columns of one real product P @ [|a|², Re a, Im a],
-O(N·d) per branch.  Any other operator takes the dense path,
-:func:`branch_weights_and_amplitudes`, at O(N·d²) per branch.
-Reductions over the N states are numpy means and sums, so results do not
-depend on the BLAS thread count.
+the modulus ``|<psi|A|psi>|`` for each state.  Both are quadratic forms in
+psi, hence real-linear in two per-state features of the ensemble (see
+:mod:`conjmeas.ensemble`): the populations P_i = |psi_i|² (N×d floats,
+cached on first use) and the coherences z_ij = conj(psi_i) psi_j, i < j,
+stored as [Re z | Im z] (N·d(d-1) floats, built only when a non-diagonal
+operator is first evaluated).  A diagonal operator (every off-diagonal
+entry exactly zero, as for the spin-probe operators and their
+compositions) reads the populations alone: with a = diag(A) the three rows
+[|a|², Re a, Im a] give w, Re amp and Im amp in one (3×d)·(d×N) product.
+Any other operator adds the coherence rows of A†A and A, one more
+(3×d(d-1))·(d(d-1)×N) product.  The dense O(N·d²)
+:func:`branch_weights_and_amplitudes` is the reference the tests compare
+against.  Reductions over the N states are numpy means and sums, so
+results do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .ensemble import PureStateEnsemble
+from .ensemble import PureStateEnsemble, form_coefficients, quadratic_forms
 from .errors import (
     DimensionMismatchError,
     InvalidWeightsError,
@@ -78,9 +84,9 @@ class StageStatistics:
 
     For a first-stage measurement ``probability`` is p(m); for a two-stage
     run it is the joint p(m, mu) and ``conditional`` holds p(mu | m).
-    Outcomes with probability below the floor are flagged undefined and
-    excluded (with zero weight) from the means; with none defined, the
-    means are NaN.
+    Outcomes whose probability (p(m), or p(mu | m) for a two-stage run) is
+    at or below the floor are flagged undefined and excluded (with zero
+    weight) from the means; with none defined, the means are NaN.
     """
 
     labels: tuple
@@ -120,7 +126,10 @@ class StageStatistics:
 def branch_weights_and_amplitudes(states: np.ndarray, op: np.ndarray):
     """Per-state branch weight <A†A> and transition amplitude <psi|A|psi>.
 
-    The dense path, for any operator A.
+    The dense O(N·d²) evaluation, for any operator A.  The library computes
+    both from the per-state features instead
+    (:func:`branch_weights_and_moduli`); this stays as the reference the
+    tests compare against.
     """
     out = states @ op.T
     w = np.einsum("ad,ad->a", out.conj(), out).real
@@ -128,30 +137,37 @@ def branch_weights_and_amplitudes(states: np.ndarray, op: np.ndarray):
     return w, amp
 
 
-def _is_diagonal(op: np.ndarray) -> bool:
-    """True when every off-diagonal entry of ``op`` is exactly zero."""
-    return np.count_nonzero(op) == np.count_nonzero(np.diagonal(op))
-
-
 def branch_weights_and_moduli(ens: PureStateEnsemble, op: np.ndarray):
     """Per-state branch weight <A†A> and amplitude modulus |<psi|A|psi>|.
 
-    A diagonal operator takes the populations path; any other operator the
-    dense :func:`branch_weights_and_amplitudes`.
+    Both are quadratic forms, evaluated as three real rows on the ensemble
+    features: from the populations alone for a diagonal operator, and from
+    the populations and coherences otherwise.
     """
-    if not _is_diagonal(op):
-        w, amp = branch_weights_and_amplitudes(ens.states, op)
-        return w, np.abs(amp)
-    a = np.diagonal(op)
-    coeffs = np.stack([a.real**2 + a.imag**2, a.real, a.imag])
-    w, re, im = coeffs @ ens.populations.T
+    if linalg.is_diagonal(op):
+        a = np.diagonal(op)
+        coeffs = np.stack([a.real**2 + a.imag**2, a.real, a.imag])
+        w, re, im = quadratic_forms(ens, coeffs)
+    else:
+        h_pop, h_coh = form_coefficients(linalg.dagger(op) @ op)
+        a_pop, a_coh = form_coefficients(op)
+        w, re, im = quadratic_forms(
+            ens, np.vstack([h_pop[:1], a_pop]), np.vstack([h_coh[:1], a_coh])
+        )
+        # w = ||A psi||² >= 0; the form can land a few ulps below zero
+        np.maximum(w, 0.0, out=w)
     re *= re
     im *= im
     re += im
     return w, np.sqrt(re, out=re)
 
 
-def _branch_statistics(labels, composed_ops, ens: PureStateEnsemble):
+def _branch_statistics(labels, composed_ops, ens: PureStateEnsemble, p_given=1.0):
+    """Per-branch statistics; a branch is undefined when p / p_given is at the floor.
+
+    ``p_given`` is the probability of the outcome the branches are
+    conditioned on (1 for a first stage), so the floor applies to p(mu | m).
+    """
     n_out = len(composed_ops)
     prob = np.zeros(n_out)
     info = np.zeros(n_out)
@@ -161,7 +177,7 @@ def _branch_statistics(labels, composed_ops, ens: PureStateEnsemble):
         w, amp_mod = branch_weights_and_moduli(ens, op)
         p = w.mean()
         prob[i] = p
-        if p <= TOL.prob_floor:
+        if p / p_given <= TOL.prob_floor:
             info[i] = np.nan
             fid[i] = np.nan
             continue
@@ -201,7 +217,7 @@ def two_stage_statistics(
         )
     composed = [C @ M for C in second.operators]
     labels, prob, info, fid, defined = _branch_statistics(
-        second.labels, composed, ens
+        second.labels, composed, ens, p_given=p_first
     )
     return StageStatistics(
         labels, prob, info, fid, defined, conditional=prob / p_first
@@ -215,7 +231,7 @@ def optimal_fidelity(kraus: KrausSet, ens: PureStateEnsemble, label) -> float:
     diagonal M, N = diag|a| directly.
     """
     M = kraus.operator(label)
-    if _is_diagonal(M):
+    if linalg.is_diagonal(M):
         N = np.diag(np.abs(np.diagonal(M)))
     else:
         N = linalg.positive_sqrt(linalg.dagger(M) @ M)

@@ -23,7 +23,6 @@ from . import linalg, metrics
 from .ensemble import PureStateEnsemble
 from .errors import KappaOutOfBoundError, NonInvertibleOperatorError
 from .measurement import KrausSet
-from .metrics import branch_weights_and_moduli
 from .tolerances import TOL
 
 AUTO = "auto"
@@ -50,9 +49,8 @@ class SecondStageSpec:
         return self.kraus.operator(self.preferred_label)
 
 
-def _complement_or_none(preferred: np.ndarray) -> np.ndarray | None:
-    """Positive root of I - P†P, or None when the complement vanishes."""
-    gap = np.eye(preferred.shape[0]) - linalg.dagger(preferred) @ preferred
+def _complement_root(gap: np.ndarray) -> np.ndarray | None:
+    """Positive root of a completeness gap (PSD up to roundoff), or None when it vanishes."""
     gap = 0.5 * (gap + linalg.dagger(gap))
     if float(np.linalg.eigvalsh(gap)[-1]) < TOL.prob_floor:
         return None
@@ -75,7 +73,9 @@ def build_reversing(kraus: KrausSet, label) -> SecondStageSpec:
         )
     lam = float(s[-1])  # sqrt of min eigenvalue of M†M
     preferred = lam * np.linalg.inv(M)
-    complement = _complement_or_none(preferred)
+    complement = _complement_root(
+        np.eye(M.shape[0]) - linalg.dagger(preferred) @ preferred
+    )
     labels = (0.0,) if complement is None else (0.0, 1.0)
     ops = (preferred,) if complement is None else (preferred, complement)
     return SecondStageSpec(
@@ -102,18 +102,16 @@ def build_conjugate_minimal(kraus: KrausSet, label, kappa=AUTO) -> SecondStageSp
     if kappa == AUTO:
         kappa = 1.0 / np.sqrt(nmax2)
     kappa = complex(kappa)
-    if abs(kappa) ** 2 > (1.0 + 1e-12) / nmax2:
+    if abs(kappa) ** 2 > (1.0 + TOL.kappa_slack) / nmax2:
         raise KappaOutOfBoundError(
             f"|kappa|²={abs(kappa) ** 2:.6g} exceeds bound {1.0 / nmax2:.6g}"
         )
     preferred = kappa * linalg.dagger(M)
-    gap = np.eye(M.shape[0]) - abs(kappa) ** 2 * (N @ N)
-    gap = 0.5 * (gap + linalg.dagger(gap))
-    if float(np.linalg.eigvalsh(gap)[-1]) < TOL.prob_floor:
+    root = _complement_root(np.eye(M.shape[0]) - abs(kappa) ** 2 * (N @ N))
+    if root is None:
         ops, labels = (preferred,), (0.0,)
     else:
-        complement = linalg.positive_sqrt(gap) @ linalg.dagger(U)
-        ops, labels = (preferred, complement), (0.0, 1.0)
+        ops, labels = (preferred, root @ linalg.dagger(U)), (0.0, 1.0)
     return SecondStageSpec(
         kind=SecondStageKind.CONJUGATE,
         source_outcome=float(label),
@@ -138,7 +136,7 @@ def conjugate_preferred_closed_form(
     """
     M = kraus.operator(label)
     N2 = linalg.dagger(M) @ M
-    w4, n2 = branch_weights_and_moduli(ens, N2)  # <N^4>, <N^2>
+    w4, n2 = metrics.branch_weights_and_moduli(ens, N2)  # <N^4>, <N^2>
     fid = float(np.mean(np.sqrt(w4) * n2) / np.mean(w4))
     info = metrics.likelihood_info_gain(w4)
     return fid, info
@@ -150,6 +148,6 @@ def conditional_success_probability(
     """Probability of the preferred second outcome given the first outcome."""
     M = kraus.operator(label)
     composed = spec.preferred_operator @ M
-    w_joint, _ = branch_weights_and_moduli(ens, composed)
-    w_first, _ = branch_weights_and_moduli(ens, M)
+    w_joint, _ = metrics.branch_weights_and_moduli(ens, composed)
+    w_first, _ = metrics.branch_weights_and_moduli(ens, M)
     return float(w_joint.mean() / w_first.mean())

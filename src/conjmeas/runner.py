@@ -102,8 +102,8 @@ class SpinRunResult:
 
     An outcome whose probability is below the floor is undefined: its
     second stage is skipped and its per-outcome values and grid row are
-    NaN.  The primed values of an outcome are NaN too when none of its
-    second-stage branches is defined.  The means give every NaN value zero
+    NaN.  A second-stage branch is undefined when p(mu | m) is below the
+    floor; its grid entries are NaN.  The means give every NaN value zero
     weight.
     """
 

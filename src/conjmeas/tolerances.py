@@ -20,6 +20,7 @@ class Tolerances:
     prob_sum: float = 1e-8          # Σ p_m = 1 check
     singular_ratio: float = 1e-10   # σ_min/σ_max cutoff for the invertible polar path
     invertible_ratio: float = 1e-8  # σ_min/σ_max required to invert a Kraus operator
+    kappa_slack: float = 1e-12      # relative excess allowed on |κ|² ≤ 1/max eig(M†M)
 
 
 TOL = Tolerances()

@@ -7,6 +7,7 @@ from scipy import stats
 
 from conjmeas.ensemble import (
     ensemble_average,
+    expectation_values,
     sample_haar,
     save_states,
     spin_moments_closed_form,
@@ -174,3 +175,23 @@ def test_populations_cached_and_read_only(ens2_small):
     np.testing.assert_allclose(pops, np.abs(ens2_small.states) ** 2, rtol=1e-15, atol=0)
     assert pops is ens2_small.populations
     assert not pops.flags.writeable
+
+
+def test_coherences_cached_and_read_only():
+    ens = sample_haar(3, 50, 9)
+    coh = ens.coherences
+    assert coh is ens.coherences
+    assert coh.shape == (50, 6) and coh.flags.f_contiguous and not coh.flags.writeable
+    i, j = np.triu_indices(3, 1)
+    z = ens.states[:, i].conj() * ens.states[:, j]
+    np.testing.assert_allclose(coh, np.hstack([z.real, z.imag]), rtol=0, atol=1e-16)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_expectation_values_match_dense_form(dim):
+    rng = np.random.default_rng(dim)
+    ens = sample_haar(dim, 300, 4)
+    B = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    for A in (B + B.conj().T, np.diag(np.diagonal(B).real)):
+        dense = np.einsum("ad,dc,ac->a", ens.states.conj(), A, ens.states).real
+        np.testing.assert_allclose(expectation_values(ens, A), dense, rtol=0, atol=1e-14)

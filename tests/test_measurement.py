@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from conjmeas import linalg
 from conjmeas.errors import (
     CompletenessError,
+    DimensionMismatchError,
     UnknownLabelError,
     ZeroProbabilityOutcomeError,
 )
@@ -150,6 +152,23 @@ class TestOptimalPart:
                 outcome_distribution(rho, positive),
                 atol=1e-10,
             )
+
+
+def test_distribution_is_one_product_and_one_check(monkeypatch):
+    rng = np.random.default_rng(8)
+    probe = build_forward(SpinProbeConfig(s=1.5, j=2, g=0.3, theta=0.7))
+    # rotate the diagonal probe into a non-diagonal set: V M V†
+    V, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    kraus = KrausSet(tuple(V @ M @ V.conj().T for M in probe.operators), probe.labels)
+    rho = random_density_matrix(rng, 4)
+    per_label = [outcome_probability(rho, kraus, m) for m in kraus.labels]
+    checks = []
+    check = linalg.check_density_matrix
+    monkeypatch.setattr(linalg, "check_density_matrix", lambda r: checks.append(1) or check(r))
+    np.testing.assert_allclose(outcome_distribution(rho, kraus), per_label, rtol=0, atol=1e-15)
+    assert len(checks) == 1
+    with pytest.raises(DimensionMismatchError):
+        outcome_distribution(np.eye(2) / 2, kraus)
 
 
 class TestSampling:

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conjmeas import linalg, metrics
-from conjmeas.ensemble import PureStateEnsemble, sample_haar, spin_z
+from conjmeas.ensemble import PureStateEnsemble, expectation_values, sample_haar, spin_z
 from conjmeas.errors import DimensionMismatchError, InvalidWeightsError, UnknownLabelError
 from conjmeas.measurement import KrausSet
 from conjmeas.metrics import (
@@ -15,6 +17,13 @@ from conjmeas.metrics import (
     stage_statistics,
     two_stage_statistics,
 )
+from conjmeas.reversal import (
+    build_conjugate_minimal,
+    build_reversing,
+    conditional_success_probability,
+    conjugate_preferred_closed_form,
+)
+from conjmeas.runner import compute_spin_run
 from conjmeas.spin_probe import SpinProbeConfig, build_forward, conjugate_probe_set
 
 LN2 = math.log(2.0)
@@ -259,17 +268,33 @@ def all_statistics(first, second, ens):
     return out
 
 
+def dense_moduli(ens, op):
+    """The dense reference in place of the form kernel."""
+    w, amp = branch_weights_and_amplitudes(ens.states, op)
+    return w, np.abs(amp)
+
+
+def use_dense_reference(monkeypatch):
+    """Route every branch (and optimal_fidelity's N) through the dense path."""
+    monkeypatch.setattr(metrics, "branch_weights_and_moduli", dense_moduli)
+    monkeypatch.setattr(linalg, "is_diagonal", lambda op: False)
+
+
+def assert_close_to_dense(fast, dense):
+    for key in fast:
+        if key.startswith("I"):
+            np.testing.assert_allclose(fast[key], dense[key], rtol=0, atol=POP_ATOL_INFO, err_msg=key)
+        else:
+            np.testing.assert_allclose(fast[key], dense[key], rtol=POP_RTOL, atol=0, err_msg=key)
+
+
 class TestPopulationsKernel:
     """The populations path against the dense path on diagonal Kraus sets."""
 
     def compare(self, monkeypatch, first, second, ens):
         fast = all_statistics(first, second, ens)
-        monkeypatch.setattr(metrics, "_is_diagonal", lambda op: False)
-        dense = all_statistics(first, second, ens)
-        for key in ("p", "F", "p2", "F2", "Fopt"):
-            np.testing.assert_allclose(fast[key], dense[key], rtol=POP_RTOL, atol=0, err_msg=key)
-        for key in ("I", "I2"):
-            np.testing.assert_allclose(fast[key], dense[key], rtol=0, atol=POP_ATOL_INFO, err_msg=key)
+        use_dense_reference(monkeypatch)
+        assert_close_to_dense(fast, all_statistics(first, second, ens))
 
     @pytest.mark.parametrize("dim", [2, 16])
     @pytest.mark.parametrize("zero_entry", [False, True])
@@ -289,22 +314,112 @@ class TestPopulationsKernel:
         ens = sample_haar(16, 1500, 3)
         self.compare(monkeypatch, build_forward(cfg), conjugate_probe_set(cfg), ens)
 
-    def test_path_choice(self, monkeypatch, ens2_small):
+    def test_path_choice(self, monkeypatch):
         calls = []
         dense = metrics.branch_weights_and_amplitudes
         monkeypatch.setattr(
             metrics, "branch_weights_and_amplitudes",
             lambda states, op: calls.append(op) or dense(states, op),
         )
-        diagonal = np.diag([0.6, 0.8j])
+        # a diagonal-only run never builds the coherences
+        cfg = SpinProbeConfig(s=0.5, j=2, g=0.3, theta=0.9)
+        ens = sample_haar(2, 500, 17)
+        compute_spin_run(cfg, ens)
+        expectation_values(ens, spin_z(0.5))
+        assert "coherences" not in vars(ens)
+        # an operator with one tiny off-diagonal entry takes the form path
         general = np.array([[0.6, 1e-300], [0.0, 0.8]])
-        metrics.branch_weights_and_moduli(ens2_small, diagonal)
+        w, amp = metrics.branch_weights_and_moduli(ens, general)
+        assert "coherences" in vars(ens)
         assert calls == []
-        w, amp = metrics.branch_weights_and_moduli(ens2_small, general)
-        assert len(calls) == 1
-        w_ref, amp_ref = dense(ens2_small.states, general)
-        np.testing.assert_array_equal(w, w_ref)
-        np.testing.assert_array_equal(amp, np.abs(amp_ref))
+        w_ref, amp_ref = dense(ens.states, general)
+        np.testing.assert_allclose(w, w_ref, rtol=POP_RTOL, atol=0)
+        np.testing.assert_allclose(amp, np.abs(amp_ref), rtol=POP_RTOL, atol=0)
+
+
+def random_general_kraus(rng, dim, n_out):
+    """Random complete non-diagonal set; the last outcome is 0.8 times a unitary."""
+    G = rng.standard_normal((n_out - 1, dim, dim)) + 1j * rng.standard_normal((n_out - 1, dim, dim))
+    S = np.einsum("kji,kjl->il", G.conj(), G)
+    w, V = np.linalg.eigh(S)
+    ops = [0.6 * g @ (V / np.sqrt(w)) @ V.conj().T for g in G]
+    Q, R = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    ops.append(0.8 * Q * (np.diagonal(R) / np.abs(np.diagonal(R))))
+    return KrausSet(tuple(ops), tuple(range(n_out)))
+
+
+def general_statistics(kraus, ens):
+    """Every ensemble statistic of a general set and its two second stages."""
+    s1 = stage_statistics(kraus, ens)
+    out = {"p": s1.probability, "F": s1.fidelity, "I": s1.info_gain}
+    for key in ("p2", "F2", "I2", "Fopt", "F_closed", "I_closed", "p_success"):
+        out[key] = []
+    for m in kraus.labels:
+        for spec in (build_conjugate_minimal(kraus, m), build_reversing(kraus, m)):
+            ts = two_stage_statistics(kraus, m, spec.kraus, ens)
+            out["p2"] += list(ts.probability)
+            out["F2"] += list(ts.fidelity)
+            out["I2"] += list(ts.info_gain)
+            out["p_success"].append(conditional_success_probability(kraus, m, ens, spec))
+        f_closed, i_closed = conjugate_preferred_closed_form(kraus, m, ens)
+        out["F_closed"].append(f_closed)
+        out["I_closed"].append(i_closed)
+        out["Fopt"].append(optimal_fidelity(kraus, ens, m))
+    return {k: np.asarray(v) for k, v in out.items()}
+
+
+PROPERTY_ENSEMBLES = {d: sample_haar(d, 200, 50 + d) for d in (2, 3, 4)}
+
+
+class TestFormKernel:
+    """The quadratic-form path against the dense path on non-diagonal sets."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_random_general_sets(self, monkeypatch, dim):
+        rng = np.random.default_rng(2000 + dim)
+        kraus = random_general_kraus(rng, dim, 4)
+        assert not any(linalg.is_diagonal(M) for M in kraus.operators)
+        # the conjugate complement sqrt(I - |kappa|² N²) U† is singular, and
+        # the unitary outcome has no complement at all
+        conj = build_conjugate_minimal(kraus, 0.0)
+        sv = np.linalg.svd(conj.kraus.operators[1], compute_uv=False)
+        assert sv[-1] < 1e-6 * sv[0]
+        assert len(build_reversing(kraus, 3.0).kraus) == 1
+        ens = sample_haar(dim, 1500, 31 + dim)
+        fast = general_statistics(kraus, ens)
+        use_dense_reference(monkeypatch)
+        assert_close_to_dense(fast, general_statistics(kraus, ens))
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_null_states_give_zero_weight(self, dim):
+        # every state lies in the kernel of A = I - v v†, where the form's
+        # roundoff scatters around zero; w = ||A psi||² must not go negative
+        rng = np.random.default_rng(70 + dim)
+        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        v /= np.linalg.norm(v)
+        phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 200))
+        ens = PureStateEnsemble(dim, phases[:, None] * v[None, :], seed=0)
+        w, amp = metrics.branch_weights_and_moduli(ens, np.eye(dim) - np.outer(v, v.conj()))
+        assert np.all(w >= 0) and w.max() < 1e-15
+        assert amp.max() < 1e-15
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(2, 4),
+        entries=st.lists(st.floats(-2.0, 2.0), min_size=32, max_size=32),
+    )
+    def test_property_against_dense(self, dim, entries):
+        e = np.asarray(entries)
+        op = (e[: dim * dim] + 1j * e[16 : 16 + dim * dim]).reshape(dim, dim)
+        ens = PROPERTY_ENSEMBLES[dim]
+        w, amp = metrics.branch_weights_and_moduli(ens, op)
+        w_ref, amp_ref = branch_weights_and_amplitudes(ens.states, op)
+        scale = max(1.0, float(np.sum(np.abs(op) ** 2)))
+        assert np.all(w >= 0)
+        # Cauchy-Schwarz: |<psi|A|psi>|² <= ||A psi||²
+        assert np.all(amp**2 <= w + 1e-14 * scale)
+        np.testing.assert_allclose(w, w_ref, rtol=0, atol=1e-14 * scale)
+        np.testing.assert_allclose(amp, np.abs(amp_ref), rtol=0, atol=1e-14 * scale)
 
 
 class TestStageStatisticsGet:

@@ -276,12 +276,17 @@ class TestUndefinedFirstStageOutcomes:
         for grid in (run.fidelity_grid, run.info_grid, run.joint_grid):
             assert np.all(np.isnan(grid[undefined]))
 
-    def test_primed_values_without_defined_branch(self, run):
-        # defined first outcomes whose joint p(m, mu) are all below the floor
-        nan_prime = np.isnan(run.fidelity_prime_m) & (run.p_m > TOL.prob_floor)
-        assert nan_prime.any()
-        assert np.all(np.isnan(run.fidelity_grid[nan_prime]))
-        assert np.all(np.isnan(run.info_prime_m[nan_prime]))
+    def test_primed_values_of_defined_outcomes(self, run):
+        # the second stage is floored on p(mu | m), so a first outcome just
+        # above the floor, whose joint p(m, mu) all lie below it, keeps
+        # defined branches and finite primed values
+        defined = run.p_m > TOL.prob_floor
+        near_floor = defined & np.all(run.joint_grid <= TOL.prob_floor, axis=1)
+        assert near_floor.any()
+        for values in (run.fidelity_prime_m, run.info_prime_m):
+            assert np.all(np.isfinite(values[defined]))
+        assert np.all((run.fidelity_prime_m[defined] >= 0) & (run.fidelity_prime_m[defined] <= 1 + 1e-12))
+        assert np.all(run.info_prime_m[defined] >= 0)
 
     def test_means_leave_undefined_out(self, run):
         d = run.p_m > TOL.prob_floor
