@@ -28,6 +28,7 @@ from .runner import (
     write_json,
 )
 from .spin_probe import SpinProbeConfig
+from .tolerances import TOL
 
 
 def parse_angle(text: str) -> float:
@@ -49,7 +50,7 @@ def parse_half_integer(text: str) -> float:
         value = float(num) / float(den)
     else:
         value = float(t)
-    if abs(2 * value - round(2 * value)) > 1e-9:
+    if abs(2 * value - round(2 * value)) > TOL.half_integer:
         raise argparse.ArgumentTypeError(f"{text!r} is not a half-integer")
     return value
 

@@ -92,14 +92,19 @@ def ensemble_average(ens: PureStateEnsemble, f) -> float:
     """Arithmetic mean of ``f(state)`` over the sample.
 
     ``f`` may either map one state vector to a scalar, or map the whole
-    ``(N, dim)`` array to an array of N values (vectorized fast path).
+    ``(N, dim)`` array to an array of N values (vectorized fast path).  The
+    fast path is used when it returns N values.  It is skipped when
+    N == dim, where a per-state ``f`` can return N values by accident
+    (``psi[0]`` is then a whole row).
     """
-    try:
-        vals = np.asarray(f(ens.states), dtype=float)
-        if vals.shape == (ens.n,):
-            return float(vals.mean())
-    except Exception:
-        pass
+    if ens.n != ens.dim:
+        try:
+            vals = np.asarray(f(ens.states), dtype=float)
+        except (TypeError, ValueError, IndexError):
+            pass
+        else:
+            if vals.shape == (ens.n,):
+                return float(vals.mean())
     return float(np.mean([float(f(psi)) for psi in ens.states]))
 
 

@@ -23,7 +23,7 @@ from .tolerances import TOL
 
 def _label_key(label: float) -> int:
     key = int(round(2 * float(label)))
-    if abs(2 * float(label) - key) > 1e-9:
+    if abs(2 * float(label) - key) > TOL.half_integer:
         raise UnknownLabelError(f"label {label!r} is not a half-integer")
     return key
 

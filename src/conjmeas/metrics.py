@@ -21,6 +21,16 @@ Any other operator adds the coherence rows of A†A and A, one more
 :func:`branch_weights_and_amplitudes` is the reference the tests compare
 against.  Reductions over the N states are numpy means and sums, so
 results do not depend on the BLAS thread count.
+
+:func:`two_stage_statistics` serves any second stage, one first outcome at
+a time.  For the Hermitian-conjugate second stage {M_mu†} of a diagonal
+set (the spin probe's T_mu(pi - theta) = (-1)^{j+mu} T_mu(theta)†, up to a
+phase that changes no statistic), :func:`conjugate_two_stage_statistics`
+does the whole grid with one branch per unordered pair {m, mu}: branch
+(mu, m) is M_m† M_mu = (M_mu† M_m)†, whose weights and amplitude moduli
+equal those of (m, mu) on every state because diagonal operators commute,
+so p, I and F are symmetric and each pair is evaluated once and mirrored.
+Branches still stream one at a time over the N states.
 """
 
 from __future__ import annotations
@@ -35,6 +45,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidWeightsError,
     UnknownLabelError,
+    ValidationError,
     ZeroProbabilityOutcomeError,
 )
 from .measurement import KrausSet, _label_key
@@ -65,7 +76,7 @@ def likelihood_info_gain(weights) -> float:
     w_log_w *= w
     wlw = w_log_w.mean()
     gain = (wlw - mw * np.log2(mw)) / mw
-    if gain < -1e-10:
+    if gain < TOL.info_roundoff:
         raise InvalidWeightsError(f"information kernel returned {gain:.3e}")
     return float(max(gain, 0.0))
 
@@ -182,10 +193,14 @@ def _branch_statistics(labels, composed_ops, ens: PureStateEnsemble, p_given=1.0
             fid[i] = np.nan
             continue
         defined[i] = True
-        info[i] = likelihood_info_gain(w)
-        # F = Σ_a p(a|outcome) |<psi|A|psi>| / sqrt(w_a)  =  mean(|amp| sqrt(w)) / mean(w)
-        fid[i] = float(np.mean(amp_mod * np.sqrt(w)) / p)
+        info[i], fid[i] = _info_and_fidelity(w, amp_mod, p)
     return labels, prob, info, fid, defined
+
+
+def _info_and_fidelity(w, amp_mod, p):
+    """I and F of one branch from its weights, amplitude moduli and p = mean(w)."""
+    # F = Σ_a p(a|outcome) |<psi|A|psi>| / sqrt(w_a)  =  mean(|amp| sqrt(w)) / mean(w)
+    return likelihood_info_gain(w), float(np.mean(amp_mod * np.sqrt(w)) / p)
 
 
 def stage_statistics(kraus: KrausSet, ens: PureStateEnsemble) -> StageStatistics:
@@ -222,6 +237,63 @@ def two_stage_statistics(
     return StageStatistics(
         labels, prob, info, fid, defined, conditional=prob / p_first
     )
+
+
+def conjugate_two_stage_statistics(
+    kraus: KrausSet, first: StageStatistics, ens: PureStateEnsemble
+) -> tuple:
+    """Two-stage statistics of the Hermitian-conjugate second stage {M_mu†}.
+
+    ``first`` is ``stage_statistics(kraus, ens)``; its p(m) conditions the
+    second stage.  Returns, for every first outcome m, what
+    ``two_stage_statistics(kraus, m, {M_mu†}, ens)`` returns, or None when
+    m is undefined.  For diagonal M the branches (m, mu) and (mu, m) are
+    M_mu† M_m and its adjoint, with the same weights and amplitude moduli
+    on every state, so p, I and F are symmetric in (m, mu): each unordered
+    pair is evaluated once, when a row that needs it is defined, and
+    mirrored.  I and F are skipped only when neither orientation is
+    defined; definedness stays per row, on p(mu | m).
+    """
+    if kraus.dim != ens.dim:
+        raise DimensionMismatchError("measurement and ensemble dimensions differ")
+    if first.labels != kraus.labels:
+        raise ValidationError("first-stage statistics belong to another measurement")
+    if not all(linalg.is_diagonal(M) for M in kraus.operators):
+        raise ValidationError("the pair evaluation needs diagonal Kraus operators")
+    ops = kraus.operators
+    n = len(ops)
+    p_first = first.probability
+    prob = np.full((n, n), np.nan)
+    info = np.full((n, n), np.nan)
+    fid = np.full((n, n), np.nan)
+    for i in range(n):
+        for k in range(i, n):
+            if not (first.defined[i] or first.defined[k]):
+                continue
+            w, amp_mod = branch_weights_and_moduli(ens, linalg.dagger(ops[k]) @ ops[i])
+            p = w.mean()
+            prob[i, k] = prob[k, i] = p
+            if any(first.defined[r] and p / p_first[r] > TOL.prob_floor for r in (i, k)):
+                info[i, k], fid[i, k] = _info_and_fidelity(w, amp_mod, p)
+                info[k, i], fid[k, i] = info[i, k], fid[i, k]
+    rows = []
+    for i in range(n):
+        if not first.defined[i]:
+            rows.append(None)
+            continue
+        conditional = prob[i] / p_first[i]
+        defined = conditional > TOL.prob_floor
+        rows.append(
+            StageStatistics(
+                kraus.labels,
+                prob[i],
+                np.where(defined, info[i], np.nan),
+                np.where(defined, fid[i], np.nan),
+                defined,
+                conditional=conditional,
+            )
+        )
+    return tuple(rows)
 
 
 def optimal_fidelity(kraus: KrausSet, ens: PureStateEnsemble, label) -> float:

@@ -22,13 +22,17 @@ from .ensemble import (
     spin_moments_closed_form,
     spin_z,
 )
-from .metrics import optimal_fidelity, stage_statistics, two_stage_statistics
+from .metrics import (
+    conjugate_two_stage_statistics,
+    optimal_fidelity,
+    stage_statistics,
+)
 from .spin_probe import (
     SpinProbeConfig,
     build_forward,
-    conjugate_probe_set,
     regime_diagnostics,
 )
+from .tolerances import TOL
 
 MIN_FIGURE_SAMPLES = 1000
 
@@ -140,9 +144,15 @@ class SpinRunResult:
 
 
 def compute_spin_run(spin: SpinProbeConfig, ens: PureStateEnsemble) -> SpinRunResult:
+    """First stage T_m(theta), then the conjugate stage T_mu(pi - theta).
+
+    T_mu(pi - theta) = (-1)^{j+mu} T_mu(theta)†, and a branch's statistics
+    do not depend on a global phase, so the second stage is evaluated as
+    the Hermitian conjugate {T_mu†} (one evaluation per unordered pair).
+    """
     forward = build_forward(spin)
-    second = conjugate_probe_set(spin)
     stats1 = stage_statistics(forward, ens)
+    conjugate = conjugate_two_stage_statistics(forward, stats1, ens)
     n = len(forward.labels)
     p_pref = np.full(n, np.nan)
     f_prime = np.full(n, np.nan)
@@ -151,10 +161,9 @@ def compute_spin_run(spin: SpinProbeConfig, ens: PureStateEnsemble) -> SpinRunRe
     f_grid = np.full((n, n), np.nan)
     i_grid = np.full((n, n), np.nan)
     joint = np.full((n, n), np.nan)
-    for i, m in enumerate(forward.labels):
-        if not stats1.defined[i]:
+    for i, (m, ts) in enumerate(zip(forward.labels, conjugate)):
+        if ts is None:
             continue
-        ts = two_stage_statistics(forward, m, second, ens)
         p_pref[i] = ts.conditional[i]
         f_prime[i] = ts.mean_fidelity
         i_prime[i] = ts.mean_info
@@ -175,6 +184,15 @@ def compute_spin_run(spin: SpinProbeConfig, ens: PureStateEnsemble) -> SpinRunRe
         info_grid=i_grid,
         joint_grid=joint,
     )
+
+
+def _improves(value, reference) -> bool:
+    """True when ``value`` beats ``reference`` by more than roundoff.
+
+    Exact ties occur (at theta = 0 or pi every I is 0; for s = 1/2,
+    I(m, 0) = I(m)), and a strict ``>`` alone would decide them by roundoff.
+    """
+    return bool(value > reference + TOL.improvement)
 
 
 def run_figures(cfg: ExperimentConfig) -> dict:
@@ -208,8 +226,8 @@ def run_figures(cfg: ExperimentConfig) -> dict:
                     float(res.joint_grid[i, k] / res.p_m[i]),
                     float(res.fidelity_grid[i, k]),
                     float(res.info_grid[i, k]),
-                    bool(res.fidelity_grid[i, k] > res.fidelity_m[i]),
-                    bool(res.info_grid[i, k] > res.info_m[i]),
+                    _improves(res.fidelity_grid[i, k], res.fidelity_m[i]),
+                    _improves(res.info_grid[i, k], res.info_m[i]),
                 )
             )
     return {"fig1": fig1, "fig2": fig2, "fig3": fig3, "fig4": fig4}
@@ -227,8 +245,8 @@ def run_summary(cfg: ExperimentConfig) -> dict:
         "mean_info": i,
         "mean_fidelity_conj": fp,
         "mean_info_conj": ip,
-        "fidelity_improves": fp > f,
-        "info_improves": ip > i,
+        "fidelity_improves": _improves(fp, f),
+        "info_improves": _improves(ip, i),
         "weakness": report.weakness,
         "phase": report.phase,
     }

@@ -26,7 +26,7 @@ from .tolerances import TOL
 def _half_int(x, name: str) -> int:
     """Return 2x as an exact integer."""
     doubled = 2 * float(x)
-    if abs(doubled - round(doubled)) > 1e-9:
+    if abs(doubled - round(doubled)) > TOL.half_integer:
         raise ValueError(f"{name} must be a half-integer, got {x}")
     return int(round(doubled))
 
@@ -198,9 +198,9 @@ class RegimeReport:
 
     weakness: float              # (2/3) g² s(s+1) j sin²θ, should be << 1
     phase: float                 # |2 g j cos θ|, compare to pi
-    weak_enough: bool            # weakness below 0.1
+    weak_enough: bool            # weakness below TOL.weak_cut
     epsilon_norms: dict          # per-outcome max |epsilon|
-    disturbance_outcomes: tuple | None = None  # m with (1-F)/(1-F_opt) > 4
+    disturbance_outcomes: tuple | None = None  # m with (1-F)/(1-F_opt) > TOL.disturbance_ratio
 
 
 def regime_diagnostics(
@@ -226,13 +226,13 @@ def regime_diagnostics(
                 # operator proportional to a unitary: no removable disturbance
                 # at all, the limiting ratio condition holds trivially
                 marked.append(m)
-            elif (1.0 - stats.fidelity[i]) / (1.0 - f_opt) > 4.0:
+            elif (1.0 - stats.fidelity[i]) / (1.0 - f_opt) > TOL.disturbance_ratio:
                 marked.append(m)
         disturbed = tuple(marked)
     return RegimeReport(
         weakness=weakness,
         phase=phase,
-        weak_enough=weakness < 0.1,
+        weak_enough=weakness < TOL.weak_cut,
         epsilon_norms=eps_norms,
         disturbance_outcomes=disturbed,
     )

@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+import conjmeas
 from conjmeas import linalg
 from conjmeas.ensemble import sample_haar
 from conjmeas.measurement import completeness_residual
@@ -34,6 +35,9 @@ from conjmeas.spin_probe import (
 )
 
 LN2 = math.log(2.0)
+
+# the directory this process imports conjmeas from
+SRC_DIR = os.path.dirname(os.path.dirname(conjmeas.__file__))
 
 
 class TestCriterion1HeadlineScalars:
@@ -249,6 +253,7 @@ class TestCriterion10Determinism:
             env = dict(os.environ)
             env["OMP_NUM_THREADS"] = threads
             env["OPENBLAS_NUM_THREADS"] = threads
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC_DIR, env.get("PYTHONPATH"))))
             subprocess.run(
                 [
                     sys.executable,

@@ -75,6 +75,20 @@ class TestEnsembleAverage:
         )
         assert vec == pytest.approx(loop, abs=1e-12)
 
+    def test_per_state_function_when_n_equals_dim(self):
+        # on the (3, 3) array psi[0] is a whole row, so |psi[0]|² has the
+        # shape of a vectorized result; it must still be taken per state
+        ens = sample_haar(3, 3, 5)
+        got = ensemble_average(ens, lambda psi: abs(psi[0]) ** 2)
+        assert got == pytest.approx(np.mean(np.abs(ens.states[:, 0]) ** 2), abs=1e-15)
+
+    def test_errors_of_a_vectorized_function_propagate(self, ens2_small):
+        def f(states):
+            raise ZeroDivisionError("inside f")
+
+        with pytest.raises(ZeroDivisionError):
+            ensemble_average(ens2_small, f)
+
 
 class TestVariances:
     def test_identity_has_no_variance(self, ens2_big):

@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 from conjmeas import linalg, metrics
 from conjmeas.ensemble import PureStateEnsemble, expectation_values, sample_haar, spin_z
-from conjmeas.errors import DimensionMismatchError, InvalidWeightsError, UnknownLabelError
+from conjmeas.errors import (
+    DimensionMismatchError,
+    InvalidWeightsError,
+    UnknownLabelError,
+    ValidationError,
+)
 from conjmeas.measurement import KrausSet
 from conjmeas.metrics import (
     branch_weights_and_amplitudes,
@@ -190,6 +195,47 @@ class TestTwoStageStatistics:
                 out = A @ rho @ A.conj().T / w[a]
                 f += post[a] * linalg.fidelity(rho, out)
             assert ts.fidelity[k] == pytest.approx(f, abs=1e-10)
+
+
+class TestConjugateTwoStageStatistics:
+    """The pair evaluation against per-m two_stage_statistics on {M_mu†}."""
+
+    @pytest.mark.parametrize("dim", [2, 5])
+    def test_random_diagonal_sets(self, dim):
+        # the zero entry leaves branches with zero weight on some states, and
+        # the unitary outcome gives branches with I = 0 and F = 1
+        rng = np.random.default_rng(2000 + dim)
+        kraus = random_diagonal_kraus(rng, dim, 5, zero_entry=True, unitary_outcome=True)
+        ens = sample_haar(dim, 1500, 40 + dim)
+        first = stage_statistics(kraus, ens)
+        adjoint = KrausSet(tuple(linalg.dagger(M) for M in kraus.operators), kraus.labels)
+        rows = metrics.conjugate_two_stage_statistics(kraus, first, ens)
+        for m, ts in zip(kraus.labels, rows):
+            ref = two_stage_statistics(kraus, m, adjoint, ens)
+            np.testing.assert_array_equal(ts.defined, ref.defined)
+            for got, want in (
+                (ts.probability, ref.probability),
+                (ts.conditional, ref.conditional),
+                (ts.fidelity, ref.fidelity),
+                ([ts.mean_fidelity], [ref.mean_fidelity]),
+            ):
+                np.testing.assert_allclose(got, want, rtol=POP_RTOL, atol=0)
+            for got, want in ((ts.info_gain, ref.info_gain), ([ts.mean_info], [ref.mean_info])):
+                np.testing.assert_allclose(got, want, rtol=0, atol=POP_ATOL_INFO)
+
+    def test_rejects_non_diagonal_and_foreign_first_stage(self, ens2_small, paper_cfg):
+        kraus = build_forward(paper_cfg)
+        first = stage_statistics(kraus, ens2_small)
+        rng = np.random.default_rng(5)
+        general = random_general_kraus(rng, 2, 3)
+        with pytest.raises(ValidationError):
+            metrics.conjugate_two_stage_statistics(
+                general, stage_statistics(general, ens2_small), ens2_small
+            )
+        with pytest.raises(ValidationError):
+            metrics.conjugate_two_stage_statistics(general, first, ens2_small)
+        with pytest.raises(DimensionMismatchError):
+            metrics.conjugate_two_stage_statistics(kraus, first, sample_haar(3, 100, 1))
 
 
 class TestOptimalFidelity:

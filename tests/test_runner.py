@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conjmeas import cli
+from conjmeas import cli, metrics
 from conjmeas.cli import main, parse_angle, parse_half_integer
 from conjmeas.ensemble import sample_haar
 from conjmeas.errors import ZeroProbabilityOutcomeError
@@ -20,7 +20,8 @@ from conjmeas.runner import (
     write_csv,
     write_json,
 )
-from conjmeas.spin_probe import SpinProbeConfig
+from conjmeas.metrics import stage_statistics, two_stage_statistics
+from conjmeas.spin_probe import SpinProbeConfig, build_forward, conjugate_probe_set
 from conjmeas.tolerances import TOL
 
 SMALL = ExperimentConfig(
@@ -90,8 +91,29 @@ class TestFigures:
             m, mu, _, fid, info, f_flag, i_flag = row
             fig2_row = next(r for r in figures["fig2"].rows if r[0] == m)
             fig3_row = next(r for r in figures["fig3"].rows if r[0] == m)
-            assert f_flag == (fid > fig2_row[1])
-            assert i_flag == (info > fig3_row[1])
+            assert f_flag == (fid > fig2_row[1] + TOL.improvement)
+            assert i_flag == (info > fig3_row[1] + TOL.improvement)
+
+    def test_flags_at_theta_zero(self):
+        # every probe operator is a multiple of one diagonal unitary: I = 0 on
+        # both stages (a tie that roundoff would otherwise decide), while the
+        # conjugate stage undoes the phase, F(m, mu) = 1 > F(m)
+        cfg = ExperimentConfig(
+            SpinProbeConfig(s=0.5, j=7, g=0.25, theta=0.0), samples=20_000, seed=7
+        )
+        fig4 = run_figures(cfg)["fig4"]
+        assert not any(fig4.column("info_improves"))
+        assert all(fig4.column("fidelity_improves"))
+        summary = run_summary(cfg)
+        assert not summary["info_improves"]
+        assert summary["fidelity_improves"]
+
+    def test_no_info_improvement_at_mu_zero(self, figures):
+        # for s = 1/2, |a_{0 sigma}| does not depend on sigma, so
+        # w(m, 0) is proportional to w(m) and I(m, 0) = I(m) exactly
+        rows = [r for r in figures["fig4"].rows if r[1] == 0.0]
+        assert len(rows) == 7
+        assert not any(r[6] for r in rows)
 
 
 class TestSummary:
@@ -313,6 +335,85 @@ class TestUndefinedFirstStageOutcomes:
         assert run.mean_info == float(np.sum(run.p_m * run.info_m))
         assert run.mean_fidelity_prime == float(np.sum(run.p_m * run.fidelity_prime_m))
         assert run.mean_info_prime == float(np.sum(run.p_m * run.info_prime_m))
+
+
+class TestConjugatePairEvaluation:
+    """compute_spin_run against per-m two_stage_statistics on the T(pi - theta) set."""
+
+    @staticmethod
+    def reference(spin, ens):
+        forward = build_forward(spin)
+        second = conjugate_probe_set(spin)
+        stats1 = stage_statistics(forward, ens)
+        n = len(forward.labels)
+        ref = {k: np.full(n, np.nan) for k in ("p_pref", "f_prime", "i_prime")}
+        ref.update({k: np.full((n, n), np.nan) for k in ("joint", "fid", "info")})
+        for i, m in enumerate(forward.labels):
+            if not stats1.defined[i]:
+                continue
+            ts = two_stage_statistics(forward, m, second, ens)
+            ref["p_pref"][i] = ts.conditional[i]
+            ref["f_prime"][i] = ts.mean_fidelity
+            ref["i_prime"][i] = ts.mean_info
+            ref["joint"][i] = ts.probability
+            ref["fid"][i] = ts.fidelity
+            ref["info"][i] = ts.info_gain
+        return ref
+
+    def compare(self, spin, ens, run=None):
+        run = compute_spin_run(spin, ens) if run is None else run
+        ref = self.reference(spin, ens)
+        got = {
+            "p_pref": run.p_preferred_m, "f_prime": run.fidelity_prime_m,
+            "i_prime": run.info_prime_m, "joint": run.joint_grid,
+            "fid": run.fidelity_grid, "info": run.info_grid,
+        }
+        for key, value in got.items():
+            np.testing.assert_array_equal(np.isnan(value), np.isnan(ref[key]), err_msg=key)
+            if key.startswith("i"):
+                np.testing.assert_allclose(value, ref[key], rtol=0, atol=1e-12, err_msg=key)
+            else:
+                np.testing.assert_allclose(value, ref[key], rtol=1e-13, atol=0, err_msg=key)
+        return run
+
+    def test_headline(self, paper_cfg, ens2_big, paper_run):
+        self.compare(paper_cfg, ens2_big, paper_run)
+
+    @pytest.mark.parametrize(
+        "s, j, theta",
+        [(7.5, 2, math.pi / 6), (0.5, 0.5, math.pi / 6), (0.5, 7, 0.0), (0.5, 7, math.pi)],
+    )
+    def test_configurations(self, s, j, theta):
+        spin = SpinProbeConfig(s=s, j=j, g=0.25, theta=theta)
+        self.compare(spin, sample_haar(spin.dim, 2000, 13))
+
+    def test_undefined_outcomes(self):
+        cfg = TestUndefinedFirstStageOutcomes.CFG
+        run = self.compare(cfg.spin, sample_haar(cfg.spin.dim, cfg.samples, cfg.seed))
+        assert np.isnan(run.fidelity_grid).any()
+
+    def test_one_evaluation_per_unordered_pair(self, monkeypatch):
+        counts = {"info": 0, "branch": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                counts[key] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(
+            metrics, "likelihood_info_gain", counted("info", metrics.likelihood_info_gain)
+        )
+        monkeypatch.setattr(
+            metrics, "branch_weights_and_moduli",
+            counted("branch", metrics.branch_weights_and_moduli),
+        )
+        spin = SpinProbeConfig(s=0.5, j=7, g=0.25, theta=math.pi / 6)
+        compute_spin_run(spin, sample_haar(2, 1000, 3))
+        n = len(spin.outcome_labels)
+        assert counts["info"] <= n + n * (n + 1) // 2
+        # first stage, pairs and optimal_fidelity
+        assert counts["branch"] <= n + n * (n + 1) // 2 + n
 
 
 def test_cli_maps_model_errors_to_exit_code_3(tmp_path, capsys, monkeypatch):
