@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .ensemble import (
     PureStateEnsemble,
     SpinMoments,
-    ensemble_average,
     sample_haar,
     save_states,
     spin_moments_closed_form,
@@ -16,9 +15,7 @@ from .ensemble import (
 )
 from .linalg import (
     PolarParts,
-    extreme_eigs,
     fidelity,
-    herm_eig,
     polar_decompose,
     positive_sqrt,
 )
@@ -35,7 +32,6 @@ from .metrics import (
     StageStatistics,
     likelihood_info_gain,
     optimal_fidelity,
-    posterior,
     stage_statistics,
     two_stage_statistics,
 )
@@ -57,7 +53,6 @@ from .runner import (
 from .spin_probe import (
     SpinProbeConfig,
     WeakQuantities,
-    build_conjugate_probe,
     build_forward,
     build_reversing_probe,
     coefficient,

@@ -31,6 +31,16 @@ from .spin_probe import SpinProbeConfig
 from .tolerances import TOL
 
 
+def _ratio(text: str, num: float, den: float) -> float:
+    """num / den, rejecting a zero divisor and a non-finite result."""
+    if den == 0.0:
+        raise argparse.ArgumentTypeError(f"{text!r} divides by zero")
+    value = num / den
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def parse_angle(text: str) -> float:
     t = text.strip().lower().replace(" ", "")
     if "pi" in t:
@@ -39,17 +49,17 @@ def parse_angle(text: str) -> float:
         den = den.lstrip("/")
         factor = float(num) if num not in ("", "+", "-") else (-1.0 if num == "-" else 1.0)
         divisor = float(den) if den else 1.0
-        return factor * math.pi / divisor
-    return float(t)
+        return _ratio(text, factor * math.pi, divisor)
+    return _ratio(text, float(t), 1.0)
 
 
 def parse_half_integer(text: str) -> float:
     t = text.strip()
     if "/" in t:
         num, den = t.split("/")
-        value = float(num) / float(den)
+        value = _ratio(text, float(num), float(den))
     else:
-        value = float(t)
+        value = _ratio(text, float(t), 1.0)
     if abs(2 * value - round(2 * value)) > TOL.half_integer:
         raise argparse.ArgumentTypeError(f"{text!r} is not a half-integer")
     return value

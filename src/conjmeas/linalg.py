@@ -58,23 +58,6 @@ def _check_hermitian(H: np.ndarray, tol: float = TOL.hermiticity) -> np.ndarray:
     return H
 
 
-def herm_eig(H) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
-    eigenvectors as columns, so ``H = V @ diag(w) @ V†``.
-    """
-    H = _check_hermitian(H)
-    w, V = np.linalg.eigh(H)
-    return w, V
-
-
-def extreme_eigs(H) -> tuple[float, float]:
-    """Smallest and largest eigenvalue of a Hermitian matrix."""
-    w, _ = herm_eig(H)
-    return float(w[0]), float(w[-1])
-
-
 def positive_sqrt(P) -> np.ndarray:
     """Positive semidefinite square root of a PSD Hermitian matrix.
 

@@ -63,10 +63,6 @@ class KrausSet:
         if res > TOL.completeness:
             raise CompletenessError(f"completeness residual {res:.3e}")
 
-    @classmethod
-    def from_operators(cls, operators, labels=None) -> "KrausSet":
-        return cls(tuple(operators), None if labels is None else tuple(labels))
-
     @property
     def dim(self) -> int:
         return self.operators[0].shape[0]

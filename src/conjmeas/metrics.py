@@ -26,11 +26,13 @@ results do not depend on the BLAS thread count.
 a time.  For the Hermitian-conjugate second stage {M_mu†} of a diagonal
 set (the spin probe's T_mu(pi - theta) = (-1)^{j+mu} T_mu(theta)†, up to a
 phase that changes no statistic), :func:`conjugate_two_stage_statistics`
-does the whole grid with one branch per unordered pair {m, mu}: branch
-(mu, m) is M_m† M_mu = (M_mu† M_m)†, whose weights and amplitude moduli
-equal those of (m, mu) on every state because diagonal operators commute,
-so p, I and F are symmetric and each pair is evaluated once and mirrored.
-Branches still stream one at a time over the N states.
+returns the whole (m, mu) grid as n×n arrays, with one branch per
+unordered pair {m, mu}: branch (mu, m) is M_m† M_mu = (M_mu† M_m)†, whose
+weights and amplitude moduli equal those of (m, mu) on every state because
+diagonal operators commute, so p, I and F are symmetric and each pair is
+evaluated once and mirrored.  Branches still stream one at a time over the
+N states.  :func:`conditional_mean` reduces a grid row (or a stage) to its
+p-weighted mean over the defined entries.
 """
 
 from __future__ import annotations
@@ -81,12 +83,15 @@ def likelihood_info_gain(weights) -> float:
     return float(max(gain, 0.0))
 
 
-def posterior(weights) -> np.ndarray:
-    """Bayes posterior over the ensemble index: w(a) / Σ w."""
-    w = np.asarray(weights, dtype=float)
-    if w.size == 0 or np.any(w < 0) or not np.any(w > 0):
-        raise InvalidWeightsError("weights must be nonnegative with a positive sum")
-    return w / w.sum()
+def conditional_mean(weights, values, defined):
+    """Weighted mean Σ w v / Σ w over the last axis, over the defined entries only.
+
+    Undefined entries get zero weight, whatever their weight and value (NaN
+    included); where no entry is defined the mean is NaN.
+    """
+    w = np.where(defined, weights, 0.0)
+    with np.errstate(invalid="ignore"):
+        return np.sum(w * np.where(defined, values, 0.0), axis=-1) / np.sum(w, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -108,10 +113,7 @@ class StageStatistics:
     conditional: np.ndarray | None = None
 
     def _mean(self, values: np.ndarray) -> float:
-        if not self.defined.any():
-            return float("nan")
-        w = np.where(self.defined, self.probability, 0.0)
-        return float(np.sum(w * np.where(self.defined, values, 0.0)) / np.sum(w))
+        return float(conditional_mean(self.probability, values, self.defined))
 
     @property
     def mean_info(self) -> float:
@@ -242,17 +244,19 @@ def two_stage_statistics(
 def conjugate_two_stage_statistics(
     kraus: KrausSet, first: StageStatistics, ens: PureStateEnsemble
 ) -> tuple:
-    """Two-stage statistics of the Hermitian-conjugate second stage {M_mu†}.
+    """Two-stage grid of the Hermitian-conjugate second stage {M_mu†}.
 
     ``first`` is ``stage_statistics(kraus, ens)``; its p(m) conditions the
-    second stage.  Returns, for every first outcome m, what
-    ``two_stage_statistics(kraus, m, {M_mu†}, ens)`` returns, or None when
-    m is undefined.  For diagonal M the branches (m, mu) and (mu, m) are
-    M_mu† M_m and its adjoint, with the same weights and amplitude moduli
-    on every state, so p, I and F are symmetric in (m, mu): each unordered
-    pair is evaluated once, when a row that needs it is defined, and
-    mirrored.  I and F are skipped only when neither orientation is
-    defined; definedness stays per row, on p(mu | m).
+    second stage.  Returns the n×n arrays ``(joint, info, fidelity,
+    defined)`` indexed by (m, mu): row m holds the ``probability``,
+    ``info_gain``, ``fidelity`` and ``defined`` of
+    ``two_stage_statistics(kraus, m, {M_mu†}, ens)``.  A branch is defined
+    when p(mu | m) is above the floor, and its I and F are NaN otherwise;
+    every entry in the row of an undefined first outcome is NaN.  For
+    diagonal M the branches (m, mu) and (mu, m) are M_mu† M_m and its
+    adjoint, with the same weights and amplitude moduli on every state, so
+    p, I and F are symmetric in (m, mu): each unordered pair is evaluated
+    once, when a row that needs it is defined, and mirrored.
     """
     if kraus.dim != ens.dim:
         raise DimensionMismatchError("measurement and ensemble dimensions differ")
@@ -263,7 +267,7 @@ def conjugate_two_stage_statistics(
     ops = kraus.operators
     n = len(ops)
     p_first = first.probability
-    prob = np.full((n, n), np.nan)
+    joint = np.full((n, n), np.nan)
     info = np.full((n, n), np.nan)
     fid = np.full((n, n), np.nan)
     for i in range(n):
@@ -272,28 +276,15 @@ def conjugate_two_stage_statistics(
                 continue
             w, amp_mod = branch_weights_and_moduli(ens, linalg.dagger(ops[k]) @ ops[i])
             p = w.mean()
-            prob[i, k] = prob[k, i] = p
+            joint[i, k] = joint[k, i] = p
             if any(first.defined[r] and p / p_first[r] > TOL.prob_floor for r in (i, k)):
                 info[i, k], fid[i, k] = _info_and_fidelity(w, amp_mod, p)
                 info[k, i], fid[k, i] = info[i, k], fid[i, k]
-    rows = []
-    for i in range(n):
-        if not first.defined[i]:
-            rows.append(None)
-            continue
-        conditional = prob[i] / p_first[i]
-        defined = conditional > TOL.prob_floor
-        rows.append(
-            StageStatistics(
-                kraus.labels,
-                prob[i],
-                np.where(defined, info[i], np.nan),
-                np.where(defined, fid[i], np.nan),
-                defined,
-                conditional=conditional,
-            )
-        )
-    return tuple(rows)
+    joint[~first.defined] = np.nan
+    defined = joint / p_first[:, None] > TOL.prob_floor
+    info[~defined] = np.nan
+    fid[~defined] = np.nan
+    return joint, info, fid, defined
 
 
 def optimal_fidelity(kraus: KrausSet, ens: PureStateEnsemble, label) -> float:

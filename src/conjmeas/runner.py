@@ -23,6 +23,7 @@ from .ensemble import (
     spin_z,
 )
 from .metrics import (
+    conditional_mean,
     conjugate_two_stage_statistics,
     optimal_fidelity,
     stage_statistics,
@@ -127,6 +128,25 @@ class SpinRunResult:
         return float(np.sum(np.where(np.isnan(values), 0.0, self.p_m * values)))
 
     @property
+    def disturbance_outcomes(self) -> tuple:
+        """Defined outcomes m that disturb far more than they must.
+
+        m is marked when its fidelity loss 1 - F exceeds
+        ``TOL.disturbance_ratio`` times the loss 1 - F_opt of the
+        positive-part operator, or when 1 - F_opt is at the floor: T_m is
+        then proportional to a unitary, with no removable disturbance at
+        all, and the limiting ratio condition holds trivially.
+        """
+        marked = []
+        for m, f, f_opt in zip(self.labels, self.fidelity_m, self.fidelity_opt_m):
+            if np.isnan(f):
+                continue
+            loss_opt = 1.0 - f_opt
+            if loss_opt <= TOL.prob_floor or (1.0 - f) / loss_opt > TOL.disturbance_ratio:
+                marked.append(m)
+        return tuple(marked)
+
+    @property
     def mean_fidelity(self) -> float:
         return self._mean(self.fidelity_m)
 
@@ -152,36 +172,24 @@ def compute_spin_run(spin: SpinProbeConfig, ens: PureStateEnsemble) -> SpinRunRe
     """
     forward = build_forward(spin)
     stats1 = stage_statistics(forward, ens)
-    conjugate = conjugate_two_stage_statistics(forward, stats1, ens)
-    n = len(forward.labels)
-    p_pref = np.full(n, np.nan)
-    f_prime = np.full(n, np.nan)
-    i_prime = np.full(n, np.nan)
-    f_opt = np.full(n, np.nan)
-    f_grid = np.full((n, n), np.nan)
-    i_grid = np.full((n, n), np.nan)
-    joint = np.full((n, n), np.nan)
-    for i, (m, ts) in enumerate(zip(forward.labels, conjugate)):
-        if ts is None:
-            continue
-        p_pref[i] = ts.conditional[i]
-        f_prime[i] = ts.mean_fidelity
-        i_prime[i] = ts.mean_info
-        f_opt[i] = optimal_fidelity(forward, ens, m)
-        f_grid[i] = ts.fidelity
-        i_grid[i] = ts.info_gain
-        joint[i] = ts.probability
+    joint, info, fid, defined = conjugate_two_stage_statistics(forward, stats1, ens)
+    f_opt = np.array(
+        [
+            optimal_fidelity(forward, ens, m) if ok else np.nan
+            for m, ok in zip(forward.labels, stats1.defined)
+        ]
+    )
     return SpinRunResult(
         labels=forward.labels,
         p_m=stats1.probability,
         fidelity_m=stats1.fidelity,
         info_m=stats1.info_gain,
         fidelity_opt_m=f_opt,
-        p_preferred_m=p_pref,
-        fidelity_prime_m=f_prime,
-        info_prime_m=i_prime,
-        fidelity_grid=f_grid,
-        info_grid=i_grid,
+        p_preferred_m=np.diagonal(joint) / stats1.probability,
+        fidelity_prime_m=conditional_mean(joint, fid, defined),
+        info_prime_m=conditional_mean(joint, info, defined),
+        fidelity_grid=fid,
+        info_grid=info,
         joint_grid=joint,
     )
 
@@ -235,9 +243,12 @@ def run_figures(cfg: ExperimentConfig) -> dict:
 
 def run_summary(cfg: ExperimentConfig) -> dict:
     """Headline scalars and regime diagnostics for one configuration."""
-    ens = sample_haar(cfg.spin.dim, cfg.samples, cfg.seed)
-    res = compute_spin_run(cfg.spin, ens)
-    report = regime_diagnostics(cfg.spin)
+    return _summary(cfg.spin, sample_haar(cfg.spin.dim, cfg.samples, cfg.seed))
+
+
+def _summary(spin: SpinProbeConfig, ens: PureStateEnsemble) -> dict:
+    res = compute_spin_run(spin, ens)
+    report = regime_diagnostics(spin)
     f, i = res.mean_fidelity, res.mean_info
     fp, ip = res.mean_fidelity_prime, res.mean_info_prime
     return {
@@ -290,10 +301,16 @@ SWEEP_AXES = ("g", "j", "theta")
 
 
 def run_sweep(cfg: ExperimentConfig, axis: str, values) -> Table:
-    """Long-format table of the summary metrics along one parameter axis."""
+    """Long-format table of the summary metrics along one parameter axis.
+
+    No axis changes the system spin s, so every point uses the same
+    (dim, samples, seed) ensemble: it is sampled once, before the first
+    point, and each point gives the summary ``run_summary`` would give.
+    """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}")
     t = Table("sweep", ("axis", "value", "metric", "metric_value"))
+    ens = sample_haar(cfg.spin.dim, cfg.samples, cfg.seed)
     for v in values:
         spin = SpinProbeConfig(
             s=cfg.spin.s,
@@ -301,7 +318,7 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values) -> Table:
             g=v if axis == "g" else cfg.spin.g,
             theta=v if axis == "theta" else cfg.spin.theta,
         )
-        summary = run_summary(ExperimentConfig(spin, cfg.samples, cfg.seed))
+        summary = _summary(spin, ens)
         for metric in (
             "mean_fidelity",
             "mean_info",

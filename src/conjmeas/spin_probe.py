@@ -15,10 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .ensemble import PureStateEnsemble
 from .errors import LabelOutOfRangeError, ZeroModulusEntryError
 from .measurement import KrausSet
-from .metrics import optimal_fidelity, stage_statistics
 from .reversal import SecondStageKind, SecondStageSpec
 from .tolerances import TOL
 
@@ -114,27 +112,6 @@ def conjugate_probe_set(cfg: SpinProbeConfig) -> KrausSet:
     return KrausSet(tuple(np.diag(row) for row in diags), cfg.outcome_labels)
 
 
-def build_conjugate_probe(cfg: SpinProbeConfig) -> dict:
-    """Per-outcome conjugate second stage: preferred label mu0 = m.
-
-    The probe set at angle pi - theta satisfies
-    T_m(pi - theta) = (-1)^{j+m} T_m(theta)†, so its outcome m plays the
-    role of the Hermitian conjugate branch with |kappa| = 1.
-    """
-    second = conjugate_probe_set(cfg)
-    family = {}
-    for m in cfg.outcome_labels:
-        sign = (-1) ** ((_half_int(cfg.j, "j") + _half_int(m, "m")) // 2)
-        family[m] = SecondStageSpec(
-            kind=SecondStageKind.CONJUGATE,
-            source_outcome=m,
-            scale=complex(sign),
-            preferred_label=m,
-            kraus=second,
-        )
-    return family
-
-
 def build_reversing_probe(cfg: SpinProbeConfig) -> dict:
     """Per-outcome reversing second stage: preferred label nu0 = -m.
 
@@ -186,7 +163,9 @@ def weak_quantities(cfg: SpinProbeConfig, m) -> WeakQuantities:
     gamma = -cfg.j * math.pi / 2.0 - float(m) * cfg.theta
     residual = np.angle(diag * np.exp(-1j * gamma))
     # wrap into (-pi, pi]
-    residual = np.where(residual <= -math.pi + 1e-15, residual + 2 * math.pi, residual)
+    residual = np.where(
+        residual <= -math.pi + TOL.angle_wrap, residual + 2 * math.pi, residual
+    )
     return WeakQuantities(
         label=float(m), q=q, epsilon=epsilon, gamma=gamma, Gamma_diag=residual
     )
@@ -200,12 +179,15 @@ class RegimeReport:
     phase: float                 # |2 g j cos θ|, compare to pi
     weak_enough: bool            # weakness below TOL.weak_cut
     epsilon_norms: dict          # per-outcome max |epsilon|
-    disturbance_outcomes: tuple | None = None  # m with (1-F)/(1-F_opt) > TOL.disturbance_ratio
 
 
-def regime_diagnostics(
-    cfg: SpinProbeConfig, ens: PureStateEnsemble | None = None
-) -> RegimeReport:
+def regime_diagnostics(cfg: SpinProbeConfig) -> RegimeReport:
+    """Weakness, phase and per-outcome perturbation sizes of one configuration.
+
+    These depend on the configuration alone.  The disturbance window, which
+    needs the per-outcome fidelities of a sampled run, is
+    ``SpinRunResult.disturbance_outcomes`` in :mod:`conjmeas.runner`.
+    """
     s, j, g = float(cfg.s), float(cfg.j), cfg.g
     weakness = (2.0 / 3.0) * g * g * s * (s + 1.0) * j * math.sin(cfg.theta) ** 2
     phase = abs(2.0 * g * j * math.cos(cfg.theta))
@@ -213,26 +195,9 @@ def regime_diagnostics(
     for m in cfg.outcome_labels:
         wq = weak_quantities(cfg, m)
         eps_norms[m] = linalg.max_abs(wq.epsilon)
-    disturbed = None
-    if ens is not None:
-        forward = build_forward(cfg)
-        stats = stage_statistics(forward, ens)
-        marked = []
-        for i, m in enumerate(forward.labels):
-            if not stats.defined[i]:
-                continue
-            f_opt = optimal_fidelity(forward, ens, m)
-            if 1.0 - f_opt <= TOL.prob_floor:
-                # operator proportional to a unitary: no removable disturbance
-                # at all, the limiting ratio condition holds trivially
-                marked.append(m)
-            elif (1.0 - stats.fidelity[i]) / (1.0 - f_opt) > TOL.disturbance_ratio:
-                marked.append(m)
-        disturbed = tuple(marked)
     return RegimeReport(
         weakness=weakness,
         phase=phase,
         weak_enough=weakness < TOL.weak_cut,
         epsilon_norms=eps_norms,
-        disturbance_outcomes=disturbed,
     )

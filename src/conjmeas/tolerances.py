@@ -26,6 +26,7 @@ class Tolerances:
     improvement: float = 1e-12      # margin a conjugate-stage value must beat the first stage by
     weak_cut: float = 0.1           # weakness below this counts as weak enough
     disturbance_ratio: float = 4.0  # (1 - F) / (1 - F_opt) above this marks a disturbing outcome
+    angle_wrap: float = 1e-15       # phases within this of -pi are wrapped to +pi
 
 
 TOL = Tolerances()

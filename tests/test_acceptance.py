@@ -31,7 +31,6 @@ from conjmeas.spin_probe import (
     build_forward,
     build_reversing_probe,
     conjugate_probe_set,
-    regime_diagnostics,
 )
 
 LN2 = math.log(2.0)
@@ -150,9 +149,8 @@ class TestCriterion6StructuralIdentities:
 
 
 class TestCriterion7RegimeCondition:
-    def test_window(self, paper_cfg, ens2_big):
-        report = regime_diagnostics(paper_cfg, ens2_big)
-        assert report.disturbance_outcomes == tuple(float(m) for m in range(-5, 6))
+    def test_window(self, paper_run):
+        assert paper_run.disturbance_outcomes == tuple(float(m) for m in range(-5, 6))
 
 
 class TestCriterion8OracleEquivalence:

@@ -6,7 +6,6 @@ import pytest
 from scipy import stats
 
 from conjmeas.ensemble import (
-    ensemble_average,
     expectation_values,
     sample_haar,
     save_states,
@@ -49,45 +48,6 @@ def test_mean_sz_vanishes(ens2_big):
 
 def test_variance_of_sz_expectation(ens2_big):
     assert variance_vi(ens2_big, spin_z(0.5)) == pytest.approx(1 / 12, abs=0.002)
-
-
-class TestEnsembleAverage:
-    def test_constant(self, ens2_small):
-        assert ensemble_average(ens2_small, lambda psi: 1.0) == pytest.approx(1.0)
-
-    def test_identity_expectation(self, ens2_small):
-        f = lambda psi: float(np.real(psi.conj() @ psi))
-        assert ensemble_average(ens2_small, f) == pytest.approx(1.0, abs=1e-12)
-
-    def test_sz_squared_is_constant_for_spin_half(self, ens2_small):
-        sz2 = spin_z(0.5) @ spin_z(0.5)
-        f = lambda psi: float(np.real(psi.conj() @ sz2 @ psi))
-        assert ensemble_average(ens2_small, f) == pytest.approx(0.25, abs=1e-12)
-
-    def test_vectorized_path_matches_loop(self, ens2_small):
-        sz = spin_z(0.5)
-        loop = ensemble_average(
-            ens2_small, lambda psi: float(np.real(psi.conj() @ sz @ psi))
-        )
-        vec = ensemble_average(
-            ens2_small,
-            lambda S: np.real(np.einsum("ad,dc,ac->a", S.conj(), sz, S)),
-        )
-        assert vec == pytest.approx(loop, abs=1e-12)
-
-    def test_per_state_function_when_n_equals_dim(self):
-        # on the (3, 3) array psi[0] is a whole row, so |psi[0]|² has the
-        # shape of a vectorized result; it must still be taken per state
-        ens = sample_haar(3, 3, 5)
-        got = ensemble_average(ens, lambda psi: abs(psi[0]) ** 2)
-        assert got == pytest.approx(np.mean(np.abs(ens.states[:, 0]) ** 2), abs=1e-15)
-
-    def test_errors_of_a_vectorized_function_propagate(self, ens2_small):
-        def f(states):
-            raise ZeroDivisionError("inside f")
-
-        with pytest.raises(ZeroDivisionError):
-            ensemble_average(ens2_small, f)
 
 
 class TestVariances:

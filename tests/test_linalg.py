@@ -4,7 +4,6 @@ import pytest
 from conjmeas import linalg
 from conjmeas.errors import (
     NotDensityMatrixError,
-    NotHermitianError,
     NotPositiveError,
     SingularPolarError,
 )
@@ -14,34 +13,6 @@ from conftest import random_density_matrix
 
 def random_matrix(rng, dim):
     return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-
-
-def random_hermitian(rng, dim):
-    A = random_matrix(rng, dim)
-    return 0.5 * (A + A.conj().T)
-
-
-class TestHermEig:
-    def test_diagonal(self):
-        w, V = linalg.herm_eig(np.diag([2.0, 1.0]))
-        np.testing.assert_allclose(w, [1.0, 2.0])
-        np.testing.assert_allclose(np.abs(V), [[0, 1], [1, 0]], atol=1e-12)
-
-    def test_identity(self):
-        for d in (2, 3, 5):
-            w, _ = linalg.herm_eig(np.eye(d))
-            np.testing.assert_allclose(w, np.ones(d))
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(7)
-        H = random_hermitian(rng, 4)
-        w, V = linalg.herm_eig(H)
-        np.testing.assert_allclose(V @ np.diag(w) @ V.conj().T, H, atol=1e-9)
-        np.testing.assert_allclose(V.conj().T @ V, np.eye(4), atol=1e-9)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitianError):
-            linalg.herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestPositiveSqrt:
@@ -148,22 +119,3 @@ class TestFidelity:
     def test_rejects_non_density(self):
         with pytest.raises(NotDensityMatrixError):
             linalg.fidelity(np.eye(2), np.eye(2) / 2)
-
-
-class TestExtremeEigs:
-    def test_identity(self):
-        assert linalg.extreme_eigs(np.eye(4)) == (1.0, 1.0)
-
-    def test_diagonal(self):
-        lo, hi = linalg.extreme_eigs(np.diag([0.25, 0.5, 0.75]))
-        assert (lo, hi) == (0.25, 0.75)
-
-    def test_spin_probe_squared_positive_part(self):
-        from conjmeas.spin_probe import SpinProbeConfig, coefficient
-
-        cfg = SpinProbeConfig(s=0.5, j=1, g=0.25, theta=np.pi / 6)
-        mods = [abs(coefficient(cfg, 1.0, sig)) ** 2 for sig in cfg.sigma_values]
-        M = np.diag([coefficient(cfg, 1.0, sig) for sig in cfg.sigma_values])
-        lo, hi = linalg.extreme_eigs(M.conj().T @ M)
-        assert lo == pytest.approx(min(mods), abs=1e-12)
-        assert hi == pytest.approx(max(mods), abs=1e-12)

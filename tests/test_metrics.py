@@ -18,7 +18,6 @@ from conjmeas.metrics import (
     branch_weights_and_amplitudes,
     likelihood_info_gain,
     optimal_fidelity,
-    posterior,
     stage_statistics,
     two_stage_statistics,
 )
@@ -73,24 +72,6 @@ class TestInfoKernel:
         for bad in ([], [0.0, 0.0], [1.0, -0.1]):
             with pytest.raises(InvalidWeightsError):
                 likelihood_info_gain(bad)
-
-
-class TestPosterior:
-    def test_uniform(self):
-        np.testing.assert_allclose(posterior([2.0, 2.0]), [0.5, 0.5])
-
-    def test_delta(self):
-        np.testing.assert_allclose(posterior([0.0, 3.0, 0.0]), [0.0, 1.0, 0.0])
-
-    def test_sums_to_one(self):
-        rng = np.random.default_rng(7)
-        w = rng.uniform(0, 1, 100)
-        assert posterior(w).sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_constant_weights_recover_prior(self):
-        # state-independent likelihoods leave the uniform prior untouched
-        post = posterior(np.full(10, 0.123))
-        np.testing.assert_allclose(post, 0.1, atol=1e-14)
 
 
 class TestStageStatistics:
@@ -197,8 +178,18 @@ class TestTwoStageStatistics:
             assert ts.fidelity[k] == pytest.approx(f, abs=1e-10)
 
 
+class TestConditionalMean:
+    def test_undefined_entries_get_no_weight(self):
+        weights = np.array([[0.5, 0.3, 0.2], [np.nan, np.nan, np.nan]])
+        values = np.array([[1.0, np.nan, 3.0], [np.nan, np.nan, np.nan]])
+        defined = np.array([[True, False, True], [False, False, False]])
+        got = metrics.conditional_mean(weights, values, defined)
+        assert got[0] == (0.5 * 1.0 + 0.2 * 3.0) / (0.5 + 0.2)
+        assert np.isnan(got[1])
+
+
 class TestConjugateTwoStageStatistics:
-    """The pair evaluation against per-m two_stage_statistics on {M_mu†}."""
+    """Grid rows of the pair evaluation against per-m two_stage_statistics on {M_mu†}."""
 
     @pytest.mark.parametrize("dim", [2, 5])
     def test_random_diagonal_sets(self, dim):
@@ -209,19 +200,38 @@ class TestConjugateTwoStageStatistics:
         ens = sample_haar(dim, 1500, 40 + dim)
         first = stage_statistics(kraus, ens)
         adjoint = KrausSet(tuple(linalg.dagger(M) for M in kraus.operators), kraus.labels)
-        rows = metrics.conjugate_two_stage_statistics(kraus, first, ens)
-        for m, ts in zip(kraus.labels, rows):
+        joint, info, fid, defined = metrics.conjugate_two_stage_statistics(kraus, first, ens)
+        f_prime = metrics.conditional_mean(joint, fid, defined)
+        i_prime = metrics.conditional_mean(joint, info, defined)
+        for i, m in enumerate(kraus.labels):
             ref = two_stage_statistics(kraus, m, adjoint, ens)
-            np.testing.assert_array_equal(ts.defined, ref.defined)
+            np.testing.assert_array_equal(defined[i], ref.defined)
             for got, want in (
-                (ts.probability, ref.probability),
-                (ts.conditional, ref.conditional),
-                (ts.fidelity, ref.fidelity),
-                ([ts.mean_fidelity], [ref.mean_fidelity]),
+                (joint[i], ref.probability),
+                (joint[i] / first.probability[i], ref.conditional),
+                (fid[i], ref.fidelity),
+                ([f_prime[i]], [ref.mean_fidelity]),
             ):
                 np.testing.assert_allclose(got, want, rtol=POP_RTOL, atol=0)
-            for got, want in ((ts.info_gain, ref.info_gain), ([ts.mean_info], [ref.mean_info])):
+            for got, want in ((info[i], ref.info_gain), ([i_prime[i]], [ref.mean_info])):
                 np.testing.assert_allclose(got, want, rtol=0, atol=POP_ATOL_INFO)
+
+    def test_undefined_first_outcome_rows_are_nan(self):
+        # outcome 0 has zero probability: its row is NaN, although the
+        # pairs it forms with defined outcomes are evaluated for their rows
+        a = np.array([[0.0, 0.0], [0.6, 0.8], [0.8, 0.6]])
+        kraus = KrausSet(tuple(np.diag(row) for row in a), (0, 1, 2))
+        ens = sample_haar(2, 500, 3)
+        first = stage_statistics(kraus, ens)
+        assert not first.defined[0] and first.defined[1:].all()
+        joint, info, fid, defined = metrics.conjugate_two_stage_statistics(kraus, first, ens)
+        for grid in (joint, info, fid):
+            assert np.isnan(grid[0]).all()
+        assert not defined[0].any()
+        assert not defined[1:, 0].any() and defined[1:, 1:].all()
+        assert np.isnan(info[1:, 0]).all() and np.isfinite(info[1:, 1:]).all()
+        np.testing.assert_array_equal(joint[1:, 0], 0.0)
+        assert np.isnan(metrics.conditional_mean(joint, fid, defined)[0])
 
     def test_rejects_non_diagonal_and_foreign_first_stage(self, ens2_small, paper_cfg):
         kraus = build_forward(paper_cfg)

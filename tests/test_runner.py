@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conjmeas import cli, metrics
+from conjmeas import cli, metrics, runner
 from conjmeas.cli import main, parse_angle, parse_half_integer
 from conjmeas.ensemble import sample_haar
-from conjmeas.errors import ZeroProbabilityOutcomeError
+from conjmeas.errors import MeasurementModelError, ZeroProbabilityOutcomeError
 from conjmeas.runner import (
     ExperimentConfig,
     Table,
@@ -20,7 +22,7 @@ from conjmeas.runner import (
     write_csv,
     write_json,
 )
-from conjmeas.metrics import stage_statistics, two_stage_statistics
+from conjmeas.metrics import optimal_fidelity, stage_statistics, two_stage_statistics
 from conjmeas.spin_probe import SpinProbeConfig, build_forward, conjugate_probe_set
 from conjmeas.tolerances import TOL
 
@@ -168,6 +170,25 @@ class TestSweep:
         info = [row[3] for row in t.rows if row[2] == "mean_info"]
         assert info[0] < info[1]
 
+    def test_samples_the_ensemble_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return sample_haar(*args)
+
+        monkeypatch.setattr(runner, "sample_haar", counted)
+        values = [0.5, 3.0, 7.0]
+        table = run_sweep(SMALL, "j", values)
+        assert calls == [(SMALL.spin.dim, SMALL.samples, SMALL.seed)]
+        # every point is what run_summary gives for that configuration
+        rows = {(r[1], r[2]): r[3] for r in table.rows}
+        for v in values:
+            spin = SpinProbeConfig(SMALL.spin.s, v, SMALL.spin.g, SMALL.spin.theta)
+            summary = run_summary(ExperimentConfig(spin, SMALL.samples, SMALL.seed))
+            for metric in ("mean_fidelity", "mean_info", "mean_fidelity_conj", "mean_info_conj"):
+                assert rows[(v, metric)] == summary[metric]
+
     def test_bad_axis_rejected(self):
         with pytest.raises(ValueError):
             run_sweep(SMALL, "s", [0.5])
@@ -261,6 +282,23 @@ class TestCli:
         args = ["summary"] + self.common(tmp_path)
         args[args.index("--theta") + 1] = "2pi"  # outside [0, pi]
         assert main(args) == 2
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["summary", "--theta", "pi/0"], "divides by zero"),
+            (["summary", "--s", "1/0"], "divides by zero"),
+            (["variances", "--spins", "1/0"], "divides by zero"),
+            (["sweep", "--axis", "theta", "--values", "pi/0"], "divides by zero"),
+            (["summary", "--j", "1e400"], "not a finite number"),
+            (["sweep", "--axis", "j", "--values", "inf"], "not a finite number"),
+        ],
+    )
+    def test_unparsable_numbers_exit_code_2(self, tmp_path, capsys, args, message):
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_deterministic_output(self, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -414,6 +452,47 @@ class TestConjugatePairEvaluation:
         assert counts["info"] <= n + n * (n + 1) // 2
         # first stage, pairs and optimal_fidelity
         assert counts["branch"] <= n + n * (n + 1) // 2 + n
+
+
+def disturbance_by_hand(spin, ens):
+    """The disturbance window from the first stage and optimal_fidelity directly."""
+    forward = build_forward(spin)
+    stats = stage_statistics(forward, ens)
+    marked = []
+    for i, m in enumerate(forward.labels):
+        if not stats.defined[i]:
+            continue
+        loss_opt = 1.0 - optimal_fidelity(forward, ens, m)
+        if loss_opt <= TOL.prob_floor or (1.0 - stats.fidelity[i]) / loss_opt > TOL.disturbance_ratio:
+            marked.append(m)
+    return tuple(marked)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    s=st.sampled_from([0.5, 1.0, 1.5]),
+    j=st.sampled_from([k / 2 for k in range(9)]),
+    g=st.floats(0.0, 1.0),
+    theta=st.one_of(st.sampled_from([0.0, math.pi]), st.floats(0.0, math.pi)),
+    seed=st.integers(0, 2**16),
+)
+@example(s=0.5, j=0.0, g=0.25, theta=math.pi / 6, seed=1)
+@example(s=1.5, j=4.0, g=1.0, theta=math.pi, seed=2)
+def test_spin_run_properties(s, j, g, theta, seed):
+    spin = SpinProbeConfig(s=s, j=j, g=g, theta=theta)
+    ens = sample_haar(spin.dim, 500, seed)
+    try:
+        run = TestConjugatePairEvaluation().compare(spin, ens)
+    except MeasurementModelError:
+        return
+    assert run.disturbance_outcomes == disturbance_by_hand(spin, ens)
+    assert np.sum(run.p_m) == pytest.approx(1.0, abs=TOL.prob_sum)
+    fidelities = (run.fidelity_m, run.fidelity_opt_m, run.fidelity_prime_m, run.fidelity_grid)
+    for values in fidelities:
+        values = values[~np.isnan(values)]
+        assert np.all((values >= 0.0) & (values <= 1.0 + 1e-12))
+    for values in (run.info_m, run.info_prime_m, run.info_grid):
+        assert np.all(values[~np.isnan(values)] >= 0.0)
 
 
 def test_cli_maps_model_errors_to_exit_code_3(tmp_path, capsys, monkeypatch):
