@@ -18,7 +18,6 @@ from pathlib import Path
 from .errors import MeasurementModelError, NumericContractError, ValidationError
 from .runner import (
     ExperimentConfig,
-    Table,
     run_figures,
     run_summary,
     run_sweep,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -61,7 +61,7 @@ class PureStateEnsemble:
         """
         x = np.asfortranarray(self.states.real)
         y = np.asfortranarray(self.states.imag)
-        rows, cols = np.triu_indices(self.dim, 1)
+        rows, cols = _pairs(self.dim)
         k = rows.size
         coh = np.empty((self.n, 2 * k), order="F")
         for c, (i, j) in enumerate(zip(rows, cols)):
@@ -88,6 +88,18 @@ def sample_haar(dim: int, n: int, seed: int) -> PureStateEnsemble:
     return PureStateEnsemble(dim=dim, states=states, seed=seed)
 
 
+@cache
+def _pairs(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only row and column indices of the pairs i < j, ``np.triu_indices`` order.
+
+    Built once per dimension: the form kernel asks for them on every call.
+    """
+    rows, cols = np.triu_indices(dim, 1)
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    return rows, cols
+
+
 def form_coefficients(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Real coefficient rows of <psi|B|psi> on the populations and coherences.
 
@@ -98,7 +110,7 @@ def form_coefficients(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Re z Re(B_ij + B_ji) - Im z Im(B_ij - B_ji) and
     Re z Im(B_ij + B_ji) + Im z Re(B_ij - B_ji).
     """
-    rows, cols = np.triu_indices(B.shape[0], 1)
+    rows, cols = _pairs(B.shape[0])
     upper, lower = B[rows, cols], B[cols, rows]
     s, t = upper + lower, upper - lower
     a = np.diagonal(B)

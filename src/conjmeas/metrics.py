@@ -6,21 +6,28 @@ per-outcome weights are ``<A†A>_a`` for whichever operator A maps the
 initial state to the (unnormalized) branch state.
 
 Every per-branch quantity comes from one kernel,
-:func:`branch_weights_and_moduli`, which returns the weight ``<A†A>`` and
-the modulus ``|<psi|A|psi>|`` for each state.  Both are quadratic forms in
-psi, hence real-linear in two per-state features of the ensemble (see
-:mod:`conjmeas.ensemble`): the populations P_i = |psi_i|² (N×d floats,
-cached on first use) and the coherences z_ij = conj(psi_i) psi_j, i < j,
-stored as [Re z | Im z] (N·d(d-1) floats, built only when a non-diagonal
-operator is first evaluated).  A diagonal operator (every off-diagonal
-entry exactly zero, as for the spin-probe operators and their
-compositions) reads the populations alone: with a = diag(A) the three rows
-[|a|², Re a, Im a] give w, Re amp and Im amp in one (3×d)·(d×N) product.
-Any other operator adds the coherence rows of A†A and A, one more
-(3×d(d-1))·(d(d-1)×N) product.  The dense O(N·d²)
+:func:`branch_weights_and_squared_moduli`, which returns the weight
+``w = <A†A>`` and the squared modulus ``|<psi|A|psi>|²`` for each state.
+Both are quadratic forms in psi, hence real-linear in two per-state
+features of the ensemble (see :mod:`conjmeas.ensemble`): the populations
+P_i = |psi_i|² (N×d floats, cached on first use) and the coherences
+z_ij = conj(psi_i) psi_j, i < j, stored as [Re z | Im z] (N·d(d-1) floats,
+built only when a non-diagonal operator is first evaluated).  A diagonal
+operator (every off-diagonal entry exactly zero, as for the spin-probe
+operators and their compositions) reads the populations alone: with
+a = diag(A) the three rows [|a|², Re a, Im a] give w, Re amp and Im amp in
+one (3×d)·(d×N) product.  Any other operator adds the coherence rows of
+A†A and A, one more (3×d(d-1))·(d(d-1)×N) product.  The dense O(N·d²)
 :func:`branch_weights_and_amplitudes` is the reference the tests compare
 against.  Reductions over the N states are numpy means and sums, so
 results do not depend on the BLAS thread count.
+
+Each branch statistic reads that one evaluation, and each N-length pass
+is made once: p = mean(w) is taken once and handed to the information
+kernel, and F = mean(sqrt(|amp|² w)) / p takes a single square root, in
+place.  The first stage also gives the positive-part fidelity F_opt of
+every outcome M from the same weights: with N = sqrt(M†M) (diag|a| for a
+diagonal M, one more population row), F_opt = mean(sqrt(w) <N>) / p.
 
 :func:`two_stage_statistics` serves any second stage, one first outcome at
 a time.  For the Hermitian-conjugate second stage {M_mu†} of a diagonal
@@ -66,10 +73,20 @@ def likelihood_info_gain(weights) -> float:
     clipped at zero.
     """
     w = np.asarray(weights, dtype=float)
-    w_min = w.min() if w.size else -1.0
-    if w_min < 0 or not w.max() > 0:
-        raise InvalidWeightsError("weights must be nonnegative with a positive sum")
-    mw = w.mean()
+    if not w.size:
+        raise InvalidWeightsError("weights must be nonnegative with a positive mean")
+    return _info_gain(w, w.mean())
+
+
+def _info_gain(w, mw) -> float:
+    """:func:`likelihood_info_gain` of the float array w, given mw = mean(w).
+
+    For w >= 0, mean(w) > 0 holds exactly when some w > 0, unless the mean
+    underflows to zero; testing the mean covers both.
+    """
+    w_min = w.min()
+    if w_min < 0 or not mw > 0:
+        raise InvalidWeightsError("weights must be nonnegative with a positive mean")
     # 0 log 0 = 0; the unmasked log2 is faster and gives the same values
     if w_min > 0:
         w_log_w = np.log2(w)
@@ -98,11 +115,14 @@ def conditional_mean(weights, values, defined):
 class StageStatistics:
     """Per-outcome probabilities, information gains, and fidelities.
 
-    For a first-stage measurement ``probability`` is p(m); for a two-stage
-    run it is the joint p(m, mu) and ``conditional`` holds p(mu | m).
-    Outcomes whose probability (p(m), or p(mu | m) for a two-stage run) is
-    at or below the floor are flagged undefined and excluded (with zero
-    weight) from the means; with none defined, the means are NaN.
+    For a first-stage measurement ``probability`` is p(m) and
+    ``fidelity_opt`` holds the positive-part fidelity F_opt(m) (see
+    :func:`optimal_fidelity`); for a two-stage run ``probability`` is the
+    joint p(m, mu) and ``conditional`` holds p(mu | m).  Outcomes whose
+    probability (p(m), or p(mu | m) for a two-stage run) is at or below the
+    floor are flagged undefined, their I, F and F_opt are NaN, and they are
+    excluded (with zero weight) from the means; with none defined, the
+    means are NaN.
     """
 
     labels: tuple
@@ -111,6 +131,7 @@ class StageStatistics:
     fidelity: np.ndarray
     defined: np.ndarray
     conditional: np.ndarray | None = None
+    fidelity_opt: np.ndarray | None = None
 
     def _mean(self, values: np.ndarray) -> float:
         return float(conditional_mean(self.probability, values, self.defined))
@@ -141,8 +162,8 @@ def branch_weights_and_amplitudes(states: np.ndarray, op: np.ndarray):
 
     The dense O(N·d²) evaluation, for any operator A.  The library computes
     both from the per-state features instead
-    (:func:`branch_weights_and_moduli`); this stays as the reference the
-    tests compare against.
+    (:func:`branch_weights_and_squared_moduli`); this stays as the reference
+    the tests compare against.
     """
     out = states @ op.T
     w = np.einsum("ad,ad->a", out.conj(), out).real
@@ -150,8 +171,8 @@ def branch_weights_and_amplitudes(states: np.ndarray, op: np.ndarray):
     return w, amp
 
 
-def branch_weights_and_moduli(ens: PureStateEnsemble, op: np.ndarray):
-    """Per-state branch weight <A†A> and amplitude modulus |<psi|A|psi>|.
+def branch_weights_and_squared_moduli(ens: PureStateEnsemble, op: np.ndarray):
+    """Per-state branch weight <A†A> and squared amplitude modulus |<psi|A|psi>|².
 
     Both are quadratic forms, evaluated as three real rows on the ensemble
     features: from the populations alone for a diagonal operator, and from
@@ -172,47 +193,74 @@ def branch_weights_and_moduli(ens: PureStateEnsemble, op: np.ndarray):
     re *= re
     im *= im
     re += im
-    return w, np.sqrt(re, out=re)
+    return w, re
 
 
-def _branch_statistics(labels, composed_ops, ens: PureStateEnsemble, p_given=1.0):
-    """Per-branch statistics; a branch is undefined when p / p_given is at the floor.
+def _positive_part(M: np.ndarray) -> np.ndarray:
+    """N = sqrt(M†M); for a diagonal M, N = diag|a| directly."""
+    if linalg.is_diagonal(M):
+        return np.diag(np.abs(np.diagonal(M)))
+    return linalg.positive_sqrt(linalg.dagger(M) @ M)
 
-    ``p_given`` is the probability of the outcome the branches are
-    conditioned on (1 for a first stage), so the floor applies to p(mu | m).
+
+def _branch_statistics(composed_ops, ens: PureStateEnsemble, p_given=1.0, with_opt=False):
+    """Per-branch p, I, F, definedness and, ``with_opt``, F_opt (else None).
+
+    A branch is undefined when p / p_given is at the floor; ``p_given`` is
+    the probability of the outcome the branches are conditioned on (1 for
+    a first stage), so the floor applies to p(mu | m).  F_opt reads the
+    branch's own weights w: F_opt = mean(sqrt(w) <N>) / p with N the
+    positive part of the branch operator.
     """
     n_out = len(composed_ops)
     prob = np.zeros(n_out)
-    info = np.zeros(n_out)
-    fid = np.zeros(n_out)
+    info = np.full(n_out, np.nan)
+    fid = np.full(n_out, np.nan)
+    fid_opt = np.full(n_out, np.nan) if with_opt else None
     defined = np.zeros(n_out, dtype=bool)
     for i, op in enumerate(composed_ops):
-        w, amp_mod = branch_weights_and_moduli(ens, op)
+        w, amp2 = branch_weights_and_squared_moduli(ens, op)
         p = w.mean()
         prob[i] = p
         if p / p_given <= TOL.prob_floor:
-            info[i] = np.nan
-            fid[i] = np.nan
             continue
         defined[i] = True
-        info[i], fid[i] = _info_and_fidelity(w, amp_mod, p)
-    return labels, prob, info, fid, defined
+        info[i], fid[i] = info_and_fidelity(w, amp2, p)
+        if with_opt:
+            if linalg.is_diagonal(op):
+                n_exp = quadratic_forms(ens, np.abs(np.diagonal(op))[None])[0]
+            else:
+                n_exp = np.sqrt(branch_weights_and_squared_moduli(ens, _positive_part(op))[1])
+            n_exp *= np.sqrt(w)
+            fid_opt[i] = n_exp.mean() / p
+    return prob, info, fid, defined, fid_opt
 
 
-def _info_and_fidelity(w, amp_mod, p):
-    """I and F of one branch from its weights, amplitude moduli and p = mean(w)."""
-    # F = Σ_a p(a|outcome) |<psi|A|psi>| / sqrt(w_a)  =  mean(|amp| sqrt(w)) / mean(w)
-    return likelihood_info_gain(w), float(np.mean(amp_mod * np.sqrt(w)) / p)
+def _fidelity(w, amp2, p) -> float:
+    """F = Σ_a p(a|outcome) |<psi|A|psi>| / sqrt(w_a) = mean(sqrt(|amp|² w)) / p.
+
+    One square root, taken in place: ``amp2`` is overwritten.
+    """
+    amp2 *= w
+    return float(np.sqrt(amp2, out=amp2).mean() / p)
+
+
+def info_and_fidelity(w, amp2, p) -> tuple[float, float]:
+    """I and F of one branch from its weights w, squared amplitude moduli and p = mean(w).
+
+    ``amp2`` is overwritten.
+    """
+    return _info_gain(w, p), _fidelity(w, amp2, p)
 
 
 def stage_statistics(kraus: KrausSet, ens: PureStateEnsemble) -> StageStatistics:
-    """First-stage statistics: p(m), I(m), F(m) and their p(m)-weighted means."""
+    """First-stage statistics: p(m), I(m), F(m), F_opt(m) and the p(m)-weighted means."""
     if kraus.dim != ens.dim:
         raise DimensionMismatchError("measurement and ensemble dimensions differ")
-    labels, prob, info, fid, defined = _branch_statistics(
-        kraus.labels, kraus.operators, ens
+    prob, info, fid, defined, fid_opt = _branch_statistics(
+        kraus.operators, ens, with_opt=True
     )
-    return StageStatistics(labels, prob, info, fid, defined)
+    return StageStatistics(kraus.labels, prob, info, fid, defined, fidelity_opt=fid_opt)
 
 
 def two_stage_statistics(
@@ -227,17 +275,15 @@ def two_stage_statistics(
     if kraus.dim != ens.dim or second.dim != ens.dim:
         raise DimensionMismatchError("measurement and ensemble dimensions differ")
     M = kraus.operator(first_label)
-    p_first = branch_weights_and_moduli(ens, M)[0].mean()
+    p_first = branch_weights_and_squared_moduli(ens, M)[0].mean()
     if p_first <= TOL.prob_floor:
         raise ZeroProbabilityOutcomeError(
             f"first-stage outcome {first_label} has probability {p_first:.3e}"
         )
     composed = [C @ M for C in second.operators]
-    labels, prob, info, fid, defined = _branch_statistics(
-        second.labels, composed, ens, p_given=p_first
-    )
+    prob, info, fid, defined, _ = _branch_statistics(composed, ens, p_given=p_first)
     return StageStatistics(
-        labels, prob, info, fid, defined, conditional=prob / p_first
+        second.labels, prob, info, fid, defined, conditional=prob / p_first
     )
 
 
@@ -274,11 +320,11 @@ def conjugate_two_stage_statistics(
         for k in range(i, n):
             if not (first.defined[i] or first.defined[k]):
                 continue
-            w, amp_mod = branch_weights_and_moduli(ens, linalg.dagger(ops[k]) @ ops[i])
+            w, amp2 = branch_weights_and_squared_moduli(ens, linalg.dagger(ops[k]) @ ops[i])
             p = w.mean()
             joint[i, k] = joint[k, i] = p
             if any(first.defined[r] and p / p_first[r] > TOL.prob_floor for r in (i, k)):
-                info[i, k], fid[i, k] = _info_and_fidelity(w, amp_mod, p)
+                info[i, k], fid[i, k] = info_and_fidelity(w, amp2, p)
                 info[k, i], fid[k, i] = info[i, k], fid[i, k]
     joint[~first.defined] = np.nan
     defined = joint / p_first[:, None] > TOL.prob_floor
@@ -290,13 +336,10 @@ def conjugate_two_stage_statistics(
 def optimal_fidelity(kraus: KrausSet, ens: PureStateEnsemble, label) -> float:
     """Fidelity the outcome would have had under the positive-part measurement.
 
-    mean_a[ sqrt(<N²>) <N> ] / mean_a <N²>  with N = sqrt(M†M); for a
-    diagonal M, N = diag|a| directly.
+    mean_a[ sqrt(<N²>) <N> ] / mean_a <N²>  with N = sqrt(M†M), i.e. the
+    branch fidelity of N; for a diagonal M, N = diag|a| directly.
+    :func:`stage_statistics` gives the same value for every outcome as
+    ``fidelity_opt``, from its own first-stage weights.
     """
-    M = kraus.operator(label)
-    if linalg.is_diagonal(M):
-        N = np.diag(np.abs(np.diagonal(M)))
-    else:
-        N = linalg.positive_sqrt(linalg.dagger(M) @ M)
-    w, n_exp = branch_weights_and_moduli(ens, N)
-    return float(np.mean(np.sqrt(w) * n_exp) / np.mean(w))
+    w, n2 = branch_weights_and_squared_moduli(ens, _positive_part(kraus.operator(label)))
+    return _fidelity(w, n2, w.mean())

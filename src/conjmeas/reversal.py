@@ -136,9 +136,8 @@ def conjugate_preferred_closed_form(
     """
     M = kraus.operator(label)
     N2 = linalg.dagger(M) @ M
-    w4, n2 = metrics.branch_weights_and_moduli(ens, N2)  # <N^4>, <N^2>
-    fid = float(np.mean(np.sqrt(w4) * n2) / np.mean(w4))
-    info = metrics.likelihood_info_gain(w4)
+    w4, n2_sq = metrics.branch_weights_and_squared_moduli(ens, N2)  # <N^4>, <N^2>²
+    info, fid = metrics.info_and_fidelity(w4, n2_sq, w4.mean())
     return fid, info
 
 
@@ -148,6 +147,6 @@ def conditional_success_probability(
     """Probability of the preferred second outcome given the first outcome."""
     M = kraus.operator(label)
     composed = spec.preferred_operator @ M
-    w_joint, _ = metrics.branch_weights_and_moduli(ens, composed)
-    w_first, _ = metrics.branch_weights_and_moduli(ens, M)
+    w_joint, _ = metrics.branch_weights_and_squared_moduli(ens, composed)
+    w_first, _ = metrics.branch_weights_and_squared_moduli(ens, M)
     return float(w_joint.mean() / w_first.mean())

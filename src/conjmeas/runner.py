@@ -25,7 +25,6 @@ from .ensemble import (
 from .metrics import (
     conditional_mean,
     conjugate_two_stage_statistics,
-    optimal_fidelity,
     stage_statistics,
 )
 from .spin_probe import (
@@ -173,18 +172,12 @@ def compute_spin_run(spin: SpinProbeConfig, ens: PureStateEnsemble) -> SpinRunRe
     forward = build_forward(spin)
     stats1 = stage_statistics(forward, ens)
     joint, info, fid, defined = conjugate_two_stage_statistics(forward, stats1, ens)
-    f_opt = np.array(
-        [
-            optimal_fidelity(forward, ens, m) if ok else np.nan
-            for m, ok in zip(forward.labels, stats1.defined)
-        ]
-    )
     return SpinRunResult(
         labels=forward.labels,
         p_m=stats1.probability,
         fidelity_m=stats1.fidelity,
         info_m=stats1.info_gain,
-        fidelity_opt_m=f_opt,
+        fidelity_opt_m=stats1.fidelity_opt,
         p_preferred_m=np.diagonal(joint) / stats1.probability,
         fidelity_prime_m=conditional_mean(joint, fid, defined),
         info_prime_m=conditional_mean(joint, info, defined),

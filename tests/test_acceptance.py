@@ -25,7 +25,7 @@ from conjmeas.metrics import (
     two_stage_statistics,
 )
 from conjmeas.reversal import build_conjugate_minimal
-from conjmeas.runner import ExperimentConfig, compute_spin_run, run_variances
+from conjmeas.runner import compute_spin_run, run_variances
 from conjmeas.spin_probe import (
     SpinProbeConfig,
     build_forward,

@@ -73,6 +73,11 @@ class TestInfoKernel:
             with pytest.raises(InvalidWeightsError):
                 likelihood_info_gain(bad)
 
+    def test_rejects_a_mean_that_underflows(self):
+        # one positive weight, but the mean rounds to zero
+        with pytest.raises(InvalidWeightsError):
+            likelihood_info_gain([5e-324, 0.0, 0.0])
+
 
 class TestStageStatistics:
     def test_trivial_measurement(self, ens2_small):
@@ -312,28 +317,51 @@ def random_diagonal_kraus(rng, dim, n_out, zero_entry=False, unitary_outcome=Fal
     return KrausSet(tuple(np.diag(a) for a in diags), tuple(range(n_out)))
 
 
-def all_statistics(first, second, ens):
-    """p, F, I of both stages and optimal_fidelity, as one flat dict of arrays."""
+def expect_dense_calls(calls, expected):
+    """Check that the dense kernel evaluated ``expected`` branches since the last check.
+
+    ``calls`` is the list :func:`use_dense_reference` returns, or None on
+    the library's own path, where there is nothing to check.
+    """
+    if calls is not None:
+        assert len(calls) == expected
+        calls.clear()
+
+
+def all_statistics(first, second, ens, dense_calls=None):
+    """p, F, I, F_opt of the first stage, the second-stage grids and
+    optimal_fidelity, as one flat dict of arrays."""
+    n = len(first)
     s1 = stage_statistics(first, ens)
-    out = {"p": s1.probability, "F": s1.fidelity, "I": s1.info_gain}
+    out = {"p": s1.probability, "F": s1.fidelity, "I": s1.info_gain, "Fopt": s1.fidelity_opt}
+    # one branch per outcome, and one positive part per defined outcome
+    expect_dense_calls(dense_calls, n + int(s1.defined.sum()))
     grids = [two_stage_statistics(first, m, second, ens) for m in first.labels]
     out["p2"] = np.array([ts.probability for ts in grids])
     out["F2"] = np.array([ts.fidelity for ts in grids])
     out["I2"] = np.array([ts.info_gain for ts in grids])
-    out["Fopt"] = np.array([optimal_fidelity(first, ens, m) for m in first.labels])
+    # p(m), then one branch per second outcome
+    expect_dense_calls(dense_calls, n * (1 + len(second)))
+    out["Fopt_fn"] = np.array([optimal_fidelity(first, ens, m) for m in first.labels])
+    expect_dense_calls(dense_calls, n)
     return out
 
 
-def dense_moduli(ens, op):
-    """The dense reference in place of the form kernel."""
-    w, amp = branch_weights_and_amplitudes(ens.states, op)
-    return w, np.abs(amp)
-
-
 def use_dense_reference(monkeypatch):
-    """Route every branch (and optimal_fidelity's N) through the dense path."""
-    monkeypatch.setattr(metrics, "branch_weights_and_moduli", dense_moduli)
+    """Route every branch (and every positive part N) through the dense path.
+
+    Returns the list of operators the dense kernel has been called with.
+    """
+    calls = []
+
+    def dense_squared_moduli(ens, op):
+        calls.append(op)
+        w, amp = branch_weights_and_amplitudes(ens.states, op)
+        return w, np.abs(amp) ** 2
+
+    monkeypatch.setattr(metrics, "branch_weights_and_squared_moduli", dense_squared_moduli)
     monkeypatch.setattr(linalg, "is_diagonal", lambda op: False)
+    return calls
 
 
 def assert_close_to_dense(fast, dense):
@@ -349,8 +377,8 @@ class TestPopulationsKernel:
 
     def compare(self, monkeypatch, first, second, ens):
         fast = all_statistics(first, second, ens)
-        use_dense_reference(monkeypatch)
-        assert_close_to_dense(fast, all_statistics(first, second, ens))
+        calls = use_dense_reference(monkeypatch)
+        assert_close_to_dense(fast, all_statistics(first, second, ens, calls))
 
     @pytest.mark.parametrize("dim", [2, 16])
     @pytest.mark.parametrize("zero_entry", [False, True])
@@ -385,12 +413,12 @@ class TestPopulationsKernel:
         assert "coherences" not in vars(ens)
         # an operator with one tiny off-diagonal entry takes the form path
         general = np.array([[0.6, 1e-300], [0.0, 0.8]])
-        w, amp = metrics.branch_weights_and_moduli(ens, general)
+        w, amp2 = metrics.branch_weights_and_squared_moduli(ens, general)
         assert "coherences" in vars(ens)
         assert calls == []
         w_ref, amp_ref = dense(ens.states, general)
         np.testing.assert_allclose(w, w_ref, rtol=POP_RTOL, atol=0)
-        np.testing.assert_allclose(amp, np.abs(amp_ref), rtol=POP_RTOL, atol=0)
+        np.testing.assert_allclose(np.sqrt(amp2), np.abs(amp_ref), rtol=POP_RTOL, atol=0)
 
 
 def random_general_kraus(rng, dim, n_out):
@@ -404,11 +432,13 @@ def random_general_kraus(rng, dim, n_out):
     return KrausSet(tuple(ops), tuple(range(n_out)))
 
 
-def general_statistics(kraus, ens):
+def general_statistics(kraus, ens, dense_calls=None):
     """Every ensemble statistic of a general set and its two second stages."""
+    n = len(kraus)
     s1 = stage_statistics(kraus, ens)
-    out = {"p": s1.probability, "F": s1.fidelity, "I": s1.info_gain}
-    for key in ("p2", "F2", "I2", "Fopt", "F_closed", "I_closed", "p_success"):
+    out = {"p": s1.probability, "F": s1.fidelity, "I": s1.info_gain, "Fopt": s1.fidelity_opt}
+    expect_dense_calls(dense_calls, n + int(s1.defined.sum()))
+    for key in ("p2", "F2", "I2", "Fopt_fn", "F_closed", "I_closed", "p_success"):
         out[key] = []
     for m in kraus.labels:
         for spec in (build_conjugate_minimal(kraus, m), build_reversing(kraus, m)):
@@ -416,11 +446,14 @@ def general_statistics(kraus, ens):
             out["p2"] += list(ts.probability)
             out["F2"] += list(ts.fidelity)
             out["I2"] += list(ts.info_gain)
+            expect_dense_calls(dense_calls, 1 + len(spec.kraus))
             out["p_success"].append(conditional_success_probability(kraus, m, ens, spec))
+            expect_dense_calls(dense_calls, 2)
         f_closed, i_closed = conjugate_preferred_closed_form(kraus, m, ens)
         out["F_closed"].append(f_closed)
         out["I_closed"].append(i_closed)
-        out["Fopt"].append(optimal_fidelity(kraus, ens, m))
+        out["Fopt_fn"].append(optimal_fidelity(kraus, ens, m))
+        expect_dense_calls(dense_calls, 2)
     return {k: np.asarray(v) for k, v in out.items()}
 
 
@@ -443,8 +476,8 @@ class TestFormKernel:
         assert len(build_reversing(kraus, 3.0).kraus) == 1
         ens = sample_haar(dim, 1500, 31 + dim)
         fast = general_statistics(kraus, ens)
-        use_dense_reference(monkeypatch)
-        assert_close_to_dense(fast, general_statistics(kraus, ens))
+        calls = use_dense_reference(monkeypatch)
+        assert_close_to_dense(fast, general_statistics(kraus, ens, calls))
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_null_states_give_zero_weight(self, dim):
@@ -455,9 +488,9 @@ class TestFormKernel:
         v /= np.linalg.norm(v)
         phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 200))
         ens = PureStateEnsemble(dim, phases[:, None] * v[None, :], seed=0)
-        w, amp = metrics.branch_weights_and_moduli(ens, np.eye(dim) - np.outer(v, v.conj()))
+        w, amp2 = metrics.branch_weights_and_squared_moduli(ens, np.eye(dim) - np.outer(v, v.conj()))
         assert np.all(w >= 0) and w.max() < 1e-15
-        assert amp.max() < 1e-15
+        assert np.sqrt(amp2).max() < 1e-15
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -468,14 +501,14 @@ class TestFormKernel:
         e = np.asarray(entries)
         op = (e[: dim * dim] + 1j * e[16 : 16 + dim * dim]).reshape(dim, dim)
         ens = PROPERTY_ENSEMBLES[dim]
-        w, amp = metrics.branch_weights_and_moduli(ens, op)
+        w, amp2 = metrics.branch_weights_and_squared_moduli(ens, op)
         w_ref, amp_ref = branch_weights_and_amplitudes(ens.states, op)
         scale = max(1.0, float(np.sum(np.abs(op) ** 2)))
         assert np.all(w >= 0)
         # Cauchy-Schwarz: |<psi|A|psi>|² <= ||A psi||²
-        assert np.all(amp**2 <= w + 1e-14 * scale)
+        assert np.all(amp2 <= w + 1e-14 * scale)
         np.testing.assert_allclose(w, w_ref, rtol=0, atol=1e-14 * scale)
-        np.testing.assert_allclose(amp, np.abs(amp_ref), rtol=0, atol=1e-14 * scale)
+        np.testing.assert_allclose(np.sqrt(amp2), np.abs(amp_ref), rtol=0, atol=1e-14 * scale)
 
 
 class TestStageStatisticsGet:

@@ -384,12 +384,13 @@ class TestConjugatePairEvaluation:
         second = conjugate_probe_set(spin)
         stats1 = stage_statistics(forward, ens)
         n = len(forward.labels)
-        ref = {k: np.full(n, np.nan) for k in ("p_pref", "f_prime", "i_prime")}
+        ref = {k: np.full(n, np.nan) for k in ("p_pref", "f_prime", "i_prime", "f_opt")}
         ref.update({k: np.full((n, n), np.nan) for k in ("joint", "fid", "info")})
         for i, m in enumerate(forward.labels):
             if not stats1.defined[i]:
                 continue
             ts = two_stage_statistics(forward, m, second, ens)
+            ref["f_opt"][i] = optimal_fidelity(forward, ens, m)
             ref["p_pref"][i] = ts.conditional[i]
             ref["f_prime"][i] = ts.mean_fidelity
             ref["i_prime"][i] = ts.mean_info
@@ -405,6 +406,7 @@ class TestConjugatePairEvaluation:
             "p_pref": run.p_preferred_m, "f_prime": run.fidelity_prime_m,
             "i_prime": run.info_prime_m, "joint": run.joint_grid,
             "fid": run.fidelity_grid, "info": run.info_grid,
+            "f_opt": run.fidelity_opt_m,
         }
         for key, value in got.items():
             np.testing.assert_array_equal(np.isnan(value), np.isnan(ref[key]), err_msg=key)
@@ -431,27 +433,28 @@ class TestConjugatePairEvaluation:
         assert np.isnan(run.fidelity_grid).any()
 
     def test_one_evaluation_per_unordered_pair(self, monkeypatch):
-        counts = {"info": 0, "branch": 0}
+        counts = {"_info_gain": 0, "branch_weights_and_squared_moduli": 0, "optimal_fidelity": 0}
+        for name in counts:
+            fn = getattr(metrics, name)
 
-        def counted(key, fn):
-            def wrapper(*args):
-                counts[key] += 1
-                return fn(*args)
-            return wrapper
+            def wrapper(*args, _fn=fn, _name=name):
+                counts[_name] += 1
+                return _fn(*args)
 
-        monkeypatch.setattr(
-            metrics, "likelihood_info_gain", counted("info", metrics.likelihood_info_gain)
-        )
-        monkeypatch.setattr(
-            metrics, "branch_weights_and_moduli",
-            counted("branch", metrics.branch_weights_and_moduli),
-        )
+            # wherever the library binds the name
+            for module in (metrics, runner):
+                if getattr(module, name, None) is fn:
+                    monkeypatch.setattr(module, name, wrapper)
         spin = SpinProbeConfig(s=0.5, j=7, g=0.25, theta=math.pi / 6)
-        compute_spin_run(spin, sample_haar(2, 1000, 3))
+        run = compute_spin_run(spin, sample_haar(2, 1000, 3))
         n = len(spin.outcome_labels)
-        assert counts["info"] <= n + n * (n + 1) // 2
-        # first stage, pairs and optimal_fidelity
-        assert counts["branch"] <= n + n * (n + 1) // 2 + n
+        assert run.p_m.min() > TOL.prob_floor and np.isfinite(run.info_grid).all()
+        # first stage (with F_opt from its own weights), then the pairs
+        assert counts == {
+            "_info_gain": n + n * (n + 1) // 2,
+            "branch_weights_and_squared_moduli": n + n * (n + 1) // 2,
+            "optimal_fidelity": 0,
+        }
 
 
 def disturbance_by_hand(spin, ens):
