@@ -7,7 +7,6 @@ from .ensemble import (
     PureStateEnsemble,
     SpinMoments,
     sample_haar,
-    save_states,
     spin_moments_closed_form,
     spin_z,
     variance_vf,
@@ -36,7 +35,6 @@ from .metrics import (
     two_stage_statistics,
 )
 from .reversal import (
-    SecondStageKind,
     SecondStageSpec,
     build_conjugate_minimal,
     build_reversing,

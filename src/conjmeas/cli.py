@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .errors import MeasurementModelError, NumericContractError, ValidationError
 from .runner import (
+    SWEEP_AXES,
     ExperimentConfig,
     run_figures,
     run_summary,
@@ -99,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
                 default=[0.5, 1.0, 1.5],
             )
         if name == "sweep":
-            sub.add_argument("--axis", choices=("g", "j", "theta"), required=True)
+            sub.add_argument("--axis", choices=SWEEP_AXES, required=True)
             sub.add_argument(
                 "--values", type=parse_angle, nargs="+", required=True
             )

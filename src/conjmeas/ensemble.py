@@ -160,14 +160,6 @@ def variance_vf(ens: PureStateEnsemble, A) -> float:
     return float(np.mean(ev2 - ev**2))
 
 
-def save_states(ens: PureStateEnsemble, path) -> None:
-    """Write the sample as plain text, one state per row, Re/Im interleaved."""
-    flat = np.empty((ens.n, 2 * ens.dim))
-    flat[:, 0::2] = ens.states.real
-    flat[:, 1::2] = ens.states.imag
-    np.savetxt(path, flat, fmt="%.17g")
-
-
 def spin_z(s) -> np.ndarray:
     """Diagonal S_z on the (2s+1)-dimensional spin space, entries -s..s."""
     two_s = int(round(2 * float(s)))

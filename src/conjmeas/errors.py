@@ -21,10 +21,6 @@ class NotPositiveError(NumericContractError):
     pass
 
 
-class SingularPolarError(NumericContractError):
-    pass
-
-
 class NotDensityMatrixError(NumericContractError):
     pass
 

@@ -10,12 +10,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    NotDensityMatrixError,
-    NotHermitianError,
-    NotPositiveError,
-    SingularPolarError,
-)
+from .errors import NotDensityMatrixError, NotHermitianError, NotPositiveError
 from .tolerances import TOL
 
 
@@ -72,22 +67,15 @@ def positive_sqrt(P) -> np.ndarray:
     return (V * np.sqrt(w)) @ dagger(V)
 
 
-def polar_decompose(M, allow_singular: bool = True) -> PolarParts:
+def polar_decompose(M) -> PolarParts:
     """Left polar decomposition ``M = U @ N`` with U unitary, N = sqrt(M†M).
 
-    For invertible M the factors are unique.  When M is (numerically)
-    singular and ``allow_singular`` is true, U is built on the range of N via
-    a cutoff pseudo-inverse and completed to a full unitary on the null
-    space; otherwise ``SingularPolarError`` is raised.
+    For invertible M the factors are unique.  For a singular M the SVD still
+    gives a unitary U, one of the many that satisfy M = U N.
     """
     M = as_operator(M)
     # SVD route: M = W S X†  =>  U = W X†,  N = X S X†
     W, s, Xh = np.linalg.svd(M)
-    smax = s[0] if s.size else 0.0
-    if smax > 0 and s[-1] < TOL.singular_ratio * smax and not allow_singular:
-        raise SingularPolarError(
-            f"singular-value ratio {s[-1] / smax:.3e} below cutoff"
-        )
     U = W @ Xh
     N = dagger(Xh) @ (s[:, None] * Xh)
     N = 0.5 * (N + dagger(N))

@@ -48,10 +48,7 @@ class KrausSet:
         d = ops[0].shape[0]
         if any(M.shape[0] != d for M in ops):
             raise DimensionMismatchError("operators have mixed dimensions")
-        labels = self.labels
-        if labels is None:
-            labels = tuple(float(i) for i in range(len(ops)))
-        labels = tuple(float(l) for l in labels)
+        labels = tuple(float(l) for l in self.labels)
         if len(labels) != len(ops):
             raise ValueError("one label per operator required")
         object.__setattr__(self, "operators", ops)

@@ -26,8 +26,11 @@ Each branch statistic reads that one evaluation, and each N-length pass
 is made once: p = mean(w) is taken once and handed to the information
 kernel, and F = mean(sqrt(|amp|² w)) / p takes a single square root, in
 place.  The first stage also gives the positive-part fidelity F_opt of
-every outcome M from the same weights: with N = sqrt(M†M) (diag|a| for a
-diagonal M, one more population row), F_opt = mean(sqrt(w) <N>) / p.
+every outcome M from the same weights: F_opt = mean(sqrt(w) <N>) / p with
+N = sqrt(M†M).  A value that needs no amplitude (<N>, and the weights
+alone: a second stage's p(m), a success probability) is one form read
+through :func:`conjmeas.ensemble.expectation_values`, which makes the
+same diagonal-or-not choice.
 
 :func:`two_stage_statistics` serves any second stage, one first outcome at
 a time.  For the Hermitian-conjugate second stage {M_mu†} of a diagonal
@@ -49,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .ensemble import PureStateEnsemble, form_coefficients, quadratic_forms
+from .ensemble import PureStateEnsemble, expectation_values, form_coefficients, quadratic_forms
 from .errors import (
     DimensionMismatchError,
     InvalidWeightsError,
@@ -227,10 +230,7 @@ def _branch_statistics(composed_ops, ens: PureStateEnsemble, p_given=1.0, with_o
         defined[i] = True
         info[i], fid[i] = info_and_fidelity(w, amp2, p)
         if with_opt:
-            if linalg.is_diagonal(op):
-                n_exp = quadratic_forms(ens, np.abs(np.diagonal(op))[None])[0]
-            else:
-                n_exp = np.sqrt(branch_weights_and_squared_moduli(ens, _positive_part(op))[1])
+            n_exp = expectation_values(ens, _positive_part(op))
             n_exp *= np.sqrt(w)
             fid_opt[i] = n_exp.mean() / p
     return prob, info, fid, defined, fid_opt
@@ -275,7 +275,7 @@ def two_stage_statistics(
     if kraus.dim != ens.dim or second.dim != ens.dim:
         raise DimensionMismatchError("measurement and ensemble dimensions differ")
     M = kraus.operator(first_label)
-    p_first = branch_weights_and_squared_moduli(ens, M)[0].mean()
+    p_first = expectation_values(ens, linalg.dagger(M) @ M).mean()
     if p_first <= TOL.prob_floor:
         raise ZeroProbabilityOutcomeError(
             f"first-stage outcome {first_label} has probability {p_first:.3e}"

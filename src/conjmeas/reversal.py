@@ -14,13 +14,12 @@ square-root complement.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg, metrics
-from .ensemble import PureStateEnsemble
+from .ensemble import PureStateEnsemble, expectation_values
 from .errors import KappaOutOfBoundError, NonInvertibleOperatorError
 from .measurement import KrausSet
 from .tolerances import TOL
@@ -28,17 +27,10 @@ from .tolerances import TOL
 AUTO = "auto"
 
 
-class SecondStageKind(enum.Enum):
-    REVERSING = "reversing"
-    CONJUGATE = "conjugate"
-
-
 @dataclass(frozen=True)
 class SecondStageSpec:
     """A second-stage Kraus set with its preferred (recovery) outcome."""
 
-    kind: SecondStageKind
-    source_outcome: float
     scale: complex           # lambda (reversing) or kappa (conjugate)
     preferred_label: float
     kraus: KrausSet
@@ -79,8 +71,6 @@ def build_reversing(kraus: KrausSet, label) -> SecondStageSpec:
     labels = (0.0,) if complement is None else (0.0, 1.0)
     ops = (preferred,) if complement is None else (preferred, complement)
     return SecondStageSpec(
-        kind=SecondStageKind.REVERSING,
-        source_outcome=float(label),
         scale=lam,
         preferred_label=0.0,
         kraus=KrausSet(ops, labels),
@@ -113,8 +103,6 @@ def build_conjugate_minimal(kraus: KrausSet, label, kappa=AUTO) -> SecondStageSp
     else:
         ops, labels = (preferred, root @ linalg.dagger(U)), (0.0, 1.0)
     return SecondStageSpec(
-        kind=SecondStageKind.CONJUGATE,
-        source_outcome=float(label),
         scale=kappa,
         preferred_label=0.0,
         kraus=KrausSet(ops, labels),
@@ -147,6 +135,6 @@ def conditional_success_probability(
     """Probability of the preferred second outcome given the first outcome."""
     M = kraus.operator(label)
     composed = spec.preferred_operator @ M
-    w_joint, _ = metrics.branch_weights_and_squared_moduli(ens, composed)
-    w_first, _ = metrics.branch_weights_and_squared_moduli(ens, M)
-    return float(w_joint.mean() / w_first.mean())
+    p_joint = expectation_values(ens, linalg.dagger(composed) @ composed).mean()
+    p_first = expectation_values(ens, linalg.dagger(M) @ M).mean()
+    return float(p_joint / p_first)

@@ -87,16 +87,25 @@ def write_csv(table: Table, path, meta: dict) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _json_value(value):
+    """JSON has no NaN or infinity: an undefined (NaN) or infinite value is null."""
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def write_json(tables: dict, path, meta: dict) -> None:
+    """Strict (RFC 8259) JSON: no NaN or Infinity tokens."""
     doc = {
         "meta": meta,
         "tables": {
-            name: {"columns": list(t.columns), "rows": [list(r) for r in t.rows]}
+            name: {
+                "columns": list(t.columns),
+                "rows": [[_json_value(v) for v in r] for r in t.rows],
+            }
             for name, t in tables.items()
         },
     }
     with open(path, "w", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

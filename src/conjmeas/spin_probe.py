@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .errors import LabelOutOfRangeError, ZeroModulusEntryError
 from .measurement import KrausSet
-from .reversal import SecondStageKind, SecondStageSpec
+from .reversal import SecondStageSpec
 from .tolerances import TOL
 
 
@@ -128,8 +127,6 @@ def build_reversing_probe(cfg: SpinProbeConfig) -> dict:
         # scale lam with T_{-m}(pi-theta) T_m(theta) = lam I (exact for s=1/2)
         lam = coefficient(alt, -m, sigma0) * coefficient(cfg, m, sigma0)
         family[m] = SecondStageSpec(
-            kind=SecondStageKind.REVERSING,
-            source_outcome=m,
             scale=complex(lam),
             preferred_label=-m,
             kraus=second,
@@ -146,7 +143,6 @@ class WeakQuantities:
     Gamma_m diagonal; exact because T_m itself is diagonal.
     """
 
-    label: float
     q: float
     epsilon: np.ndarray       # Hermitian (diagonal), N_m = q (I + epsilon)
     gamma: float              # scalar phase of the unitary part
@@ -166,9 +162,7 @@ def weak_quantities(cfg: SpinProbeConfig, m) -> WeakQuantities:
     residual = np.where(
         residual <= -math.pi + TOL.angle_wrap, residual + 2 * math.pi, residual
     )
-    return WeakQuantities(
-        label=float(m), q=q, epsilon=epsilon, gamma=gamma, Gamma_diag=residual
-    )
+    return WeakQuantities(q=q, epsilon=epsilon, gamma=gamma, Gamma_diag=residual)
 
 
 @dataclass(frozen=True)
@@ -178,11 +172,10 @@ class RegimeReport:
     weakness: float              # (2/3) g² s(s+1) j sin²θ, should be << 1
     phase: float                 # |2 g j cos θ|, compare to pi
     weak_enough: bool            # weakness below TOL.weak_cut
-    epsilon_norms: dict          # per-outcome max |epsilon|
 
 
 def regime_diagnostics(cfg: SpinProbeConfig) -> RegimeReport:
-    """Weakness, phase and per-outcome perturbation sizes of one configuration.
+    """Weakness and phase of one configuration.
 
     These depend on the configuration alone.  The disturbance window, which
     needs the per-outcome fidelities of a sampled run, is
@@ -191,13 +184,4 @@ def regime_diagnostics(cfg: SpinProbeConfig) -> RegimeReport:
     s, j, g = float(cfg.s), float(cfg.j), cfg.g
     weakness = (2.0 / 3.0) * g * g * s * (s + 1.0) * j * math.sin(cfg.theta) ** 2
     phase = abs(2.0 * g * j * math.cos(cfg.theta))
-    eps_norms = {}
-    for m in cfg.outcome_labels:
-        wq = weak_quantities(cfg, m)
-        eps_norms[m] = linalg.max_abs(wq.epsilon)
-    return RegimeReport(
-        weakness=weakness,
-        phase=phase,
-        weak_enough=weakness < TOL.weak_cut,
-        epsilon_norms=eps_norms,
-    )
+    return RegimeReport(weakness=weakness, phase=phase, weak_enough=weakness < TOL.weak_cut)

@@ -8,7 +8,6 @@ from scipy import stats
 from conjmeas.ensemble import (
     expectation_values,
     sample_haar,
-    save_states,
     spin_moments_closed_form,
     spin_z,
     variance_vf,
@@ -133,15 +132,6 @@ def test_haar_invariance_ks(ens2_small):
     d = stats.ks_2samp(base, rotated).statistic
     critical = 1.628 * math.sqrt(2 / 10_000)  # 1% level, equal sizes
     assert d < critical
-
-
-def test_save_states_roundtrip(tmp_path, ens2_small):
-    path = tmp_path / "states.txt"
-    save_states(ens2_small, path)
-    data = np.loadtxt(path)
-    assert data.shape == (ens2_small.n, 4)
-    rebuilt = data[:, 0::2] + 1j * data[:, 1::2]
-    np.testing.assert_allclose(rebuilt, ens2_small.states, atol=1e-15)
 
 
 def test_populations_cached_and_read_only(ens2_small):

@@ -2,11 +2,7 @@ import numpy as np
 import pytest
 
 from conjmeas import linalg
-from conjmeas.errors import (
-    NotDensityMatrixError,
-    NotPositiveError,
-    SingularPolarError,
-)
+from conjmeas.errors import NotDensityMatrixError, NotPositiveError
 
 from conftest import random_density_matrix
 
@@ -78,10 +74,6 @@ class TestPolarDecompose:
         U, N = linalg.polar_decompose(M)
         np.testing.assert_allclose(U.conj().T @ U, np.eye(2), atol=1e-12)
         np.testing.assert_allclose(U @ N, M, atol=1e-12)
-
-    def test_singular_rejected_when_disallowed(self):
-        with pytest.raises(SingularPolarError):
-            linalg.polar_decompose(np.diag([1.0, 0.0]), allow_singular=False)
 
 
 class TestFidelity:

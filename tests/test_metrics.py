@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conjmeas import linalg, metrics
+from conjmeas import linalg, metrics, reversal
 from conjmeas.ensemble import PureStateEnsemble, expectation_values, sample_haar, spin_z
 from conjmeas.errors import (
     DimensionMismatchError,
@@ -348,9 +348,10 @@ def all_statistics(first, second, ens, dense_calls=None):
 
 
 def use_dense_reference(monkeypatch):
-    """Route every branch (and every positive part N) through the dense path.
+    """Route every branch, every weight-only read and every <N> through the dense path.
 
-    Returns the list of operators the dense kernel has been called with.
+    Returns the list of operators the dense branch kernel and the dense
+    expectation values have been called with.
     """
     calls = []
 
@@ -359,7 +360,13 @@ def use_dense_reference(monkeypatch):
         w, amp = branch_weights_and_amplitudes(ens.states, op)
         return w, np.abs(amp) ** 2
 
+    def dense_expectation_values(ens, A):
+        calls.append(A)
+        return np.einsum("ai,ij,aj->a", ens.states.conj(), A, ens.states).real
+
     monkeypatch.setattr(metrics, "branch_weights_and_squared_moduli", dense_squared_moduli)
+    for module in (metrics, reversal):
+        monkeypatch.setattr(module, "expectation_values", dense_expectation_values)
     monkeypatch.setattr(linalg, "is_diagonal", lambda op: False)
     return calls
 

@@ -12,7 +12,6 @@ from conjmeas.metrics import (
     two_stage_statistics,
 )
 from conjmeas.reversal import (
-    SecondStageKind,
     build_conjugate_minimal,
     build_reversing,
     conditional_success_probability,
@@ -33,7 +32,6 @@ DIAG_SET = two_outcome_set(np.diag([0.5, 1.0 / 3.0]))
 class TestBuildReversing:
     def test_diagonal_example(self):
         spec = build_reversing(DIAG_SET, 0.0)
-        assert spec.kind is SecondStageKind.REVERSING
         assert spec.scale == pytest.approx(1.0 / 3.0, abs=1e-12)
         np.testing.assert_allclose(
             spec.preferred_operator, np.diag([2.0 / 3.0, 1.0]), atol=1e-12
@@ -98,7 +96,6 @@ class TestBuildReversing:
 class TestBuildConjugateMinimal:
     def test_diagonal_example_auto_kappa(self):
         spec = build_conjugate_minimal(DIAG_SET, 0.0)
-        assert spec.kind is SecondStageKind.CONJUGATE
         assert spec.scale == pytest.approx(2.0, abs=1e-12)
         np.testing.assert_allclose(
             spec.preferred_operator, np.diag([1.0, 2.0 / 3.0]), atol=1e-12

@@ -220,6 +220,14 @@ class TestSerialization:
         assert set(doc["tables"]) == {"fig1", "fig2", "fig3", "fig4"}
         assert doc["tables"]["fig1"]["columns"] == ["m", "p_m", "p_preferred_given_m"]
 
+    def test_json_writes_non_finite_values_as_null(self, tmp_path):
+        # a huge g makes the weakness overflow to inf; JSON has no token for it
+        path = tmp_path / "out.json"
+        t = Table("t", ("a", "b", "c", "d", "e"), [(math.nan, math.inf, -math.inf, 1.5, True)])
+        write_json({"t": t}, path, SMALL.metadata())
+        assert "NaN" not in path.read_text() and "Infinity" not in path.read_text()
+        assert json.loads(path.read_text())["tables"]["t"]["rows"] == [[None, None, None, 1.5, True]]
+
     def test_bools_serialized_as_ints(self, tmp_path, figures):
         path = tmp_path / "fig4.csv"
         write_csv(figures["fig4"], path, SMALL.metadata())
@@ -365,6 +373,21 @@ class TestUndefinedFirstStageOutcomes:
         assert main(args) == 0
         assert "mean_fidelity = " in capsys.readouterr().out
 
+    def test_cli_json_is_strict(self, tmp_path, capsys):
+        # undefined values are null, not the NaN token RFC 8259 does not allow
+        args = ["figures", "--j", "40", "--g", "0.05", "--samples", "2000",
+                "--format", "json", "--out", str(tmp_path)]
+        assert main(args) == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        doc = json.loads((tmp_path / "figures.json").read_text(), parse_constant=reject)
+        fig2 = doc["tables"]["fig2"]
+        undefined = [row for row in fig2["rows"] if row[1] is None]
+        assert undefined and all(row[2] is None for row in undefined)
+        assert len(undefined) < len(fig2["rows"])
+
     def test_fully_defined_means_are_plain_sums(self):
         ens = sample_haar(2, 2000, 11)
         run = compute_spin_run(SMALL.spin, ens)
@@ -496,6 +519,18 @@ def test_spin_run_properties(s, j, g, theta, seed):
         assert np.all((values >= 0.0) & (values <= 1.0 + 1e-12))
     for values in (run.info_m, run.info_prime_m, run.info_grid):
         assert np.all(values[~np.isnan(values)] >= 0.0)
+
+
+@pytest.mark.parametrize(
+    "command", [["summary"], ["sweep", "--axis", "j", "--values", "7", "20"]]
+)
+def test_cli_runs_where_an_amplitude_underflows(tmp_path, capsys, command):
+    # at theta = g = pi/2 the amplitude of T_-20 underflows to exactly 0 on
+    # one sigma; figures ran here, and summary and sweep must run too
+    args = ["--j", "20", "--theta", "pi/2", "--g", "1.5707963267948966",
+            "--samples", "1000", "--out", str(tmp_path)]
+    assert main(command + args) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_maps_model_errors_to_exit_code_3(tmp_path, capsys, monkeypatch):
