@@ -7,6 +7,7 @@ doubled-integer value, so label lookup never depends on float comparison.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,14 +17,18 @@ from .errors import (
     CompletenessError,
     DimensionMismatchError,
     UnknownLabelError,
+    ValidationError,
     ZeroProbabilityOutcomeError,
 )
 from .tolerances import TOL
 
 
 def _label_key(label: float) -> int:
-    key = int(round(2 * float(label)))
-    if abs(2 * float(label) - key) > TOL.half_integer:
+    doubled = 2 * float(label)
+    if not math.isfinite(doubled):
+        raise UnknownLabelError(f"label {label!r} is not finite")
+    key = round(doubled)
+    if abs(doubled - key) > TOL.half_integer:
         raise UnknownLabelError(f"label {label!r} is not a half-integer")
     return key
 
@@ -53,9 +58,10 @@ class KrausSet:
             raise ValueError("one label per operator required")
         object.__setattr__(self, "operators", ops)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(
-            self, "_index", {_label_key(l): i for i, l in enumerate(labels)}
-        )
+        index = {_label_key(l): i for i, l in enumerate(labels)}
+        if len(index) != len(labels):
+            raise ValidationError(f"outcome labels must be distinct, got {labels}")
+        object.__setattr__(self, "_index", index)
         res = completeness_residual(self)
         if res > TOL.completeness:
             raise CompletenessError(f"completeness residual {res:.3e}")

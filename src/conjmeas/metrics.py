@@ -36,13 +36,12 @@ same diagonal-or-not choice.
 a time.  For the Hermitian-conjugate second stage {M_mu†} of a diagonal
 set (the spin probe's T_mu(pi - theta) = (-1)^{j+mu} T_mu(theta)†, up to a
 phase that changes no statistic), :func:`conjugate_two_stage_statistics`
-returns the whole (m, mu) grid as n×n arrays, with one branch per
-unordered pair {m, mu}: branch (mu, m) is M_m† M_mu = (M_mu† M_m)†, whose
-weights and amplitude moduli equal those of (m, mu) on every state because
-diagonal operators commute, so p, I and F are symmetric and each pair is
-evaluated once and mirrored.  Branches still stream one at a time over the
-N states.  :func:`conditional_mean` reduces a grid row (or a stage) to its
-p-weighted mean over the defined entries.
+returns the whole (m, mu) grid as one :class:`StageStatistics` of n×n
+arrays, with one branch per unordered pair {m, mu}: branch (mu, m) is
+M_m† M_mu = (M_mu† M_m)†, whose weights and amplitude moduli equal those
+of (m, mu) on every state because diagonal operators commute, so p, I and
+F are symmetric and each pair is evaluated once and mirrored.  Branches
+still stream one at a time over the N states.
 """
 
 from __future__ import annotations
@@ -103,17 +102,6 @@ def _info_gain(w, mw) -> float:
     return float(max(gain, 0.0))
 
 
-def conditional_mean(weights, values, defined):
-    """Weighted mean Σ w v / Σ w over the last axis, over the defined entries only.
-
-    Undefined entries get zero weight, whatever their weight and value (NaN
-    included); where no entry is defined the mean is NaN.
-    """
-    w = np.where(defined, weights, 0.0)
-    with np.errstate(invalid="ignore"):
-        return np.sum(w * np.where(defined, values, 0.0), axis=-1) / np.sum(w, axis=-1)
-
-
 @dataclass(frozen=True)
 class StageStatistics:
     """Per-outcome probabilities, information gains, and fidelities.
@@ -125,7 +113,10 @@ class StageStatistics:
     probability (p(m), or p(mu | m) for a two-stage run) is at or below the
     floor are flagged undefined, their I, F and F_opt are NaN, and they are
     excluded (with zero weight) from the means; with none defined, the
-    means are NaN.
+    means are NaN.  The fields of a two-stage grid
+    (:func:`conjugate_two_stage_statistics`) are n×n arrays indexed by
+    (m, mu), and the means reduce over mu: they are the vectors F'(m) and
+    I'(m) instead of a float.
     """
 
     labels: tuple
@@ -136,15 +127,19 @@ class StageStatistics:
     conditional: np.ndarray | None = None
     fidelity_opt: np.ndarray | None = None
 
-    def _mean(self, values: np.ndarray) -> float:
-        return float(conditional_mean(self.probability, values, self.defined))
+    def _mean(self, values: np.ndarray):
+        """Σ p v / Σ p over the last axis, over the defined entries only."""
+        p = np.where(self.defined, self.probability, 0.0)
+        with np.errstate(invalid="ignore"):
+            mean = np.sum(p * np.where(self.defined, values, 0.0), axis=-1) / np.sum(p, axis=-1)
+        return mean if mean.ndim else float(mean)
 
     @property
-    def mean_info(self) -> float:
+    def mean_info(self):
         return self._mean(self.info_gain)
 
     @property
-    def mean_fidelity(self) -> float:
+    def mean_fidelity(self):
         return self._mean(self.fidelity)
 
     def get(self, label):
@@ -289,17 +284,17 @@ def two_stage_statistics(
 
 def conjugate_two_stage_statistics(
     kraus: KrausSet, first: StageStatistics, ens: PureStateEnsemble
-) -> tuple:
+) -> StageStatistics:
     """Two-stage grid of the Hermitian-conjugate second stage {M_mu†}.
 
     ``first`` is ``stage_statistics(kraus, ens)``; its p(m) conditions the
-    second stage.  Returns the n×n arrays ``(joint, info, fidelity,
-    defined)`` indexed by (m, mu): row m holds the ``probability``,
-    ``info_gain``, ``fidelity`` and ``defined`` of
-    ``two_stage_statistics(kraus, m, {M_mu†}, ens)``.  A branch is defined
-    when p(mu | m) is above the floor, and its I and F are NaN otherwise;
-    every entry in the row of an undefined first outcome is NaN.  For
-    diagonal M the branches (m, mu) and (mu, m) are M_mu† M_m and its
+    second stage.  Every field of the result is an n×n array indexed by
+    (m, mu), and row m is ``two_stage_statistics(kraus, m, {M_mu†}, ens)``:
+    the joint ``probability``, the ``conditional`` p(mu | m), and the
+    ``info_gain``, ``fidelity`` and ``defined`` of each branch.  A branch is
+    defined when p(mu | m) is above the floor, and its I and F are NaN
+    otherwise; every entry in the row of an undefined first outcome is NaN.
+    For diagonal M the branches (m, mu) and (mu, m) are M_mu† M_m and its
     adjoint, with the same weights and amplitude moduli on every state, so
     p, I and F are symmetric in (m, mu): each unordered pair is evaluated
     once, when a row that needs it is defined, and mirrored.
@@ -327,10 +322,11 @@ def conjugate_two_stage_statistics(
                 info[i, k], fid[i, k] = info_and_fidelity(w, amp2, p)
                 info[k, i], fid[k, i] = info[i, k], fid[i, k]
     joint[~first.defined] = np.nan
-    defined = joint / p_first[:, None] > TOL.prob_floor
+    conditional = joint / p_first[:, None]
+    defined = conditional > TOL.prob_floor
     info[~defined] = np.nan
     fid[~defined] = np.nan
-    return joint, info, fid, defined
+    return StageStatistics(kraus.labels, joint, info, fid, defined, conditional=conditional)
 
 
 def optimal_fidelity(kraus: KrausSet, ens: PureStateEnsemble, label) -> float:

@@ -29,12 +29,16 @@ AUTO = "auto"
 
 @dataclass(frozen=True)
 class SecondStageSpec:
-    """A second-stage Kraus set with its preferred (recovery) outcome."""
+    """A second-stage Kraus set with its preferred (recovery) outcome.
+
+    The preferred operator composed with M is ``scale`` times I (reversing)
+    or N² (conjugate); see :func:`conjmeas.spin_probe.build_reversing_probe`
+    for where that holds only approximately.
+    """
 
     scale: complex           # lambda (reversing) or kappa (conjugate)
     preferred_label: float
     kraus: KrausSet
-    exact: bool = True       # False when the recovery relation is approximate
 
     @property
     def preferred_operator(self) -> np.ndarray:

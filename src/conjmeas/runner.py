@@ -23,7 +23,7 @@ from .ensemble import (
     spin_z,
 )
 from .metrics import (
-    conditional_mean,
+    StageStatistics,
     conjugate_two_stage_statistics,
     stage_statistics,
 )
@@ -109,90 +109,39 @@ def write_json(tables: dict, path, meta: dict) -> None:
         fh.write("\n")
 
 
-@dataclass(frozen=True)
-class SpinRunResult:
-    """Everything the figure and summary jobs need from one configuration.
-
-    An outcome whose probability is below the floor is undefined: its
-    second stage is skipped and its per-outcome values and grid row are
-    NaN.  A second-stage branch is undefined when p(mu | m) is below the
-    floor; its grid entries are NaN.  The means give every NaN value zero
-    weight.
-    """
-
-    labels: tuple
-    p_m: np.ndarray
-    fidelity_m: np.ndarray
-    info_m: np.ndarray
-    fidelity_opt_m: np.ndarray
-    p_preferred_m: np.ndarray        # p(mu0 = m | m)
-    fidelity_prime_m: np.ndarray
-    info_prime_m: np.ndarray
-    fidelity_grid: np.ndarray        # (m, mu) exact fidelities
-    info_grid: np.ndarray
-    joint_grid: np.ndarray           # p(m, mu)
-
-    def _mean(self, values: np.ndarray) -> float:
-        return float(np.sum(np.where(np.isnan(values), 0.0, self.p_m * values)))
-
-    @property
-    def disturbance_outcomes(self) -> tuple:
-        """Defined outcomes m that disturb far more than they must.
-
-        m is marked when its fidelity loss 1 - F exceeds
-        ``TOL.disturbance_ratio`` times the loss 1 - F_opt of the
-        positive-part operator, or when 1 - F_opt is at the floor: T_m is
-        then proportional to a unitary, with no removable disturbance at
-        all, and the limiting ratio condition holds trivially.
-        """
-        marked = []
-        for m, f, f_opt in zip(self.labels, self.fidelity_m, self.fidelity_opt_m):
-            if np.isnan(f):
-                continue
-            loss_opt = 1.0 - f_opt
-            if loss_opt <= TOL.prob_floor or (1.0 - f) / loss_opt > TOL.disturbance_ratio:
-                marked.append(m)
-        return tuple(marked)
-
-    @property
-    def mean_fidelity(self) -> float:
-        return self._mean(self.fidelity_m)
-
-    @property
-    def mean_info(self) -> float:
-        return self._mean(self.info_m)
-
-    @property
-    def mean_fidelity_prime(self) -> float:
-        return self._mean(self.fidelity_prime_m)
-
-    @property
-    def mean_info_prime(self) -> float:
-        return self._mean(self.info_prime_m)
-
-
-def compute_spin_run(spin: SpinProbeConfig, ens: PureStateEnsemble) -> SpinRunResult:
+def compute_spin_run(spin: SpinProbeConfig, ens: PureStateEnsemble) -> tuple:
     """First stage T_m(theta), then the conjugate stage T_mu(pi - theta).
 
-    T_mu(pi - theta) = (-1)^{j+mu} T_mu(theta)†, and a branch's statistics
-    do not depend on a global phase, so the second stage is evaluated as
-    the Hermitian conjugate {T_mu†} (one evaluation per unordered pair).
+    Returns ``(first, grid)``, the first stage's :class:`StageStatistics`
+    and the (m, mu) grid of :func:`conjugate_two_stage_statistics`: since
+    T_mu(pi - theta) = (-1)^{j+mu} T_mu(theta)† and a branch's statistics do
+    not depend on a global phase, the second stage is the Hermitian
+    conjugate {T_mu†}, evaluated once per unordered pair.
     """
     forward = build_forward(spin)
-    stats1 = stage_statistics(forward, ens)
-    joint, info, fid, defined = conjugate_two_stage_statistics(forward, stats1, ens)
-    return SpinRunResult(
-        labels=forward.labels,
-        p_m=stats1.probability,
-        fidelity_m=stats1.fidelity,
-        info_m=stats1.info_gain,
-        fidelity_opt_m=stats1.fidelity_opt,
-        p_preferred_m=np.diagonal(joint) / stats1.probability,
-        fidelity_prime_m=conditional_mean(joint, fid, defined),
-        info_prime_m=conditional_mean(joint, info, defined),
-        fidelity_grid=fid,
-        info_grid=info,
-        joint_grid=joint,
+    first = stage_statistics(forward, ens)
+    return first, conjugate_two_stage_statistics(forward, first, ens)
+
+
+def _weighted_sum(p: np.ndarray, values: np.ndarray) -> float:
+    """Σ p·v over the outcomes, with zero weight on every NaN (undefined) value."""
+    return float(np.sum(np.where(np.isnan(values), 0.0, p * values)))
+
+
+def disturbance_outcomes(first: StageStatistics) -> tuple:
+    """Defined first-stage outcomes m that disturb far more than they must.
+
+    m is marked when its fidelity loss 1 - F exceeds
+    ``TOL.disturbance_ratio`` times the loss 1 - F_opt of the positive-part
+    operator, or when 1 - F_opt is at the floor: T_m is then proportional
+    to a unitary, with no removable disturbance at all, and the limiting
+    ratio condition holds trivially.
+    """
+    losses = zip(first.labels, first.defined, 1.0 - first.fidelity, 1.0 - first.fidelity_opt)
+    return tuple(
+        m
+        for m, ok, loss, loss_opt in losses
+        if ok and (loss_opt <= TOL.prob_floor or loss / loss_opt > TOL.disturbance_ratio)
     )
 
 
@@ -208,7 +157,9 @@ def _improves(value, reference) -> bool:
 def run_figures(cfg: ExperimentConfig) -> dict:
     """Tables behind the four outcome plots of the spin example."""
     ens = sample_haar(cfg.spin.dim, cfg.samples, cfg.seed)
-    res = compute_spin_run(cfg.spin, ens)
+    first, grid = compute_spin_run(cfg.spin, ens)
+    p_preferred = np.diagonal(grid.conditional)  # p(mu0 = m | m)
+    fidelity_prime, info_prime = grid.mean_fidelity, grid.mean_info
     fig1 = Table("fig1", ("m", "p_m", "p_preferred_given_m"))
     fig2 = Table("fig2", ("m", "fidelity_m", "fidelity_prime_m"))
     fig3 = Table("fig3", ("m", "info_m", "info_prime_m"))
@@ -224,20 +175,20 @@ def run_figures(cfg: ExperimentConfig) -> dict:
             "info_improves",
         ),
     )
-    for i, m in enumerate(res.labels):
-        fig1.rows.append((m, float(res.p_m[i]), float(res.p_preferred_m[i])))
-        fig2.rows.append((m, float(res.fidelity_m[i]), float(res.fidelity_prime_m[i])))
-        fig3.rows.append((m, float(res.info_m[i]), float(res.info_prime_m[i])))
-        for k, mu in enumerate(res.labels):
+    for i, m in enumerate(first.labels):
+        fig1.rows.append((m, float(first.probability[i]), float(p_preferred[i])))
+        fig2.rows.append((m, float(first.fidelity[i]), float(fidelity_prime[i])))
+        fig3.rows.append((m, float(first.info_gain[i]), float(info_prime[i])))
+        for k, mu in enumerate(grid.labels):
             fig4.rows.append(
                 (
                     m,
                     mu,
-                    float(res.joint_grid[i, k] / res.p_m[i]),
-                    float(res.fidelity_grid[i, k]),
-                    float(res.info_grid[i, k]),
-                    _improves(res.fidelity_grid[i, k], res.fidelity_m[i]),
-                    _improves(res.info_grid[i, k], res.info_m[i]),
+                    float(grid.conditional[i, k]),
+                    float(grid.fidelity[i, k]),
+                    float(grid.info_gain[i, k]),
+                    _improves(grid.fidelity[i, k], first.fidelity[i]),
+                    _improves(grid.info_gain[i, k], first.info_gain[i]),
                 )
             )
     return {"fig1": fig1, "fig2": fig2, "fig3": fig3, "fig4": fig4}
@@ -249,10 +200,11 @@ def run_summary(cfg: ExperimentConfig) -> dict:
 
 
 def _summary(spin: SpinProbeConfig, ens: PureStateEnsemble) -> dict:
-    res = compute_spin_run(spin, ens)
+    first, grid = compute_spin_run(spin, ens)
     report = regime_diagnostics(spin)
-    f, i = res.mean_fidelity, res.mean_info
-    fp, ip = res.mean_fidelity_prime, res.mean_info_prime
+    p = first.probability
+    f, i = _weighted_sum(p, first.fidelity), _weighted_sum(p, first.info_gain)
+    fp, ip = _weighted_sum(p, grid.mean_fidelity), _weighted_sum(p, grid.mean_info)
     return {
         "mean_fidelity": f,
         "mean_info": i,

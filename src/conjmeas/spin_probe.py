@@ -115,11 +115,10 @@ def build_reversing_probe(cfg: SpinProbeConfig) -> dict:
     """Per-outcome reversing second stage: preferred label nu0 = -m.
 
     Exact only for s = 1/2, where T_{-m}(pi - theta) is proportional to
-    T_m(theta)^{-1}; for larger spins the proportionality is approximate and
-    the specs are flagged ``exact=False``.
+    T_m(theta)^{-1}; for larger spins the proportionality holds only to
+    O(g²), and the preferred branch does not fully restore the state.
     """
     second = conjugate_probe_set(cfg)
-    is_exact = _half_int(cfg.s, "s") == 1
     alt = SpinProbeConfig(cfg.s, cfg.j, cfg.g, math.pi - cfg.theta)
     sigma0 = cfg.sigma_values[0]
     family = {}
@@ -130,7 +129,6 @@ def build_reversing_probe(cfg: SpinProbeConfig) -> dict:
             scale=complex(lam),
             preferred_label=-m,
             kraus=second,
-            exact=is_exact,
         )
     return family
 
@@ -171,7 +169,6 @@ class RegimeReport:
 
     weakness: float              # (2/3) g² s(s+1) j sin²θ, should be << 1
     phase: float                 # |2 g j cos θ|, compare to pi
-    weak_enough: bool            # weakness below TOL.weak_cut
 
 
 def regime_diagnostics(cfg: SpinProbeConfig) -> RegimeReport:
@@ -179,9 +176,10 @@ def regime_diagnostics(cfg: SpinProbeConfig) -> RegimeReport:
 
     These depend on the configuration alone.  The disturbance window, which
     needs the per-outcome fidelities of a sampled run, is
-    ``SpinRunResult.disturbance_outcomes`` in :mod:`conjmeas.runner`.
+    :func:`conjmeas.runner.disturbance_outcomes` of the first-stage
+    statistics.
     """
     s, j, g = float(cfg.s), float(cfg.j), cfg.g
     weakness = (2.0 / 3.0) * g * g * s * (s + 1.0) * j * math.sin(cfg.theta) ** 2
     phase = abs(2.0 * g * j * math.cos(cfg.theta))
-    return RegimeReport(weakness=weakness, phase=phase, weak_enough=weakness < TOL.weak_cut)
+    return RegimeReport(weakness=weakness, phase=phase)

@@ -21,7 +21,6 @@ class Tolerances:
     half_integer: float = 1e-9      # deviation of 2x from an integer allowed in a half-integer
     info_roundoff: float = -1e-10   # information gains (bits) between this and 0 are clipped to 0
     improvement: float = 1e-12      # margin a conjugate-stage value must beat the first stage by
-    weak_cut: float = 0.1           # weakness below this counts as weak enough
     disturbance_ratio: float = 4.0  # (1 - F) / (1 - F_opt) above this marks a disturbing outcome
     angle_wrap: float = 1e-15       # phases within this of -pi are wrapped to +pi
 

@@ -25,7 +25,7 @@ from conjmeas.metrics import (
     two_stage_statistics,
 )
 from conjmeas.reversal import build_conjugate_minimal
-from conjmeas.runner import compute_spin_run, run_variances
+from conjmeas.runner import compute_spin_run, disturbance_outcomes, run_variances
 from conjmeas.spin_probe import (
     SpinProbeConfig,
     build_forward,
@@ -43,21 +43,30 @@ class TestCriterion1HeadlineScalars:
     def test_values_and_runtime(self, paper_cfg):
         start = time.perf_counter()
         ens = sample_haar(paper_cfg.dim, 100_000, 202408)
-        res = compute_spin_run(paper_cfg, ens)
+        first, _ = compute_spin_run(paper_cfg, ens)
         elapsed = time.perf_counter() - start
-        assert 0.525 <= res.mean_fidelity <= 0.545
-        assert 0.040 <= res.mean_info <= 0.050
+        assert 0.525 <= first.mean_fidelity <= 0.545
+        assert 0.040 <= first.mean_info <= 0.050
         assert elapsed < 60.0
+
+
+def conjugate_means(run):
+    """The summary's F' and I': Σ_m p(m) F'(m) and Σ_m p(m) I'(m)."""
+    first, grid = run
+    return first.probability @ grid.mean_fidelity, first.probability @ grid.mean_info
 
 
 class TestCriterion2PostConjugateScalars:
     def test_values(self, paper_run):
-        assert 0.956 <= paper_run.mean_fidelity_prime <= 0.976
-        assert 0.073 <= paper_run.mean_info_prime <= 0.089
+        f_prime, i_prime = conjugate_means(paper_run)
+        assert 0.956 <= f_prime <= 0.976
+        assert 0.073 <= i_prime <= 0.089
 
     def test_strict_improvement(self, paper_run):
-        assert paper_run.mean_fidelity_prime > paper_run.mean_fidelity
-        assert paper_run.mean_info_prime > paper_run.mean_info
+        first, _ = paper_run
+        f_prime, i_prime = conjugate_means(paper_run)
+        assert f_prime > first.mean_fidelity
+        assert i_prime > first.mean_info
 
 
 class TestCriterion3PerfectReversal:
@@ -82,18 +91,20 @@ class TestCriterion3PerfectReversal:
 
 class TestCriterion4FactorOfFour:
     def test_ratio_at_weak_coupling(self, weak_run):
-        labels = list(weak_run.labels)
+        first, grid = weak_run
+        labels = list(first.labels)
         for m in (1.0, 2.0, 3.0, -1.0, -2.0, -3.0):
             i = labels.index(m)
-            ratio = weak_run.info_grid[i, i] / weak_run.info_m[i]
+            ratio = grid.info_gain[i, i] / first.info_gain[i]
             assert 3.8 <= ratio <= 4.2
 
     def test_degenerate_center_outcome(self, weak_run):
         # at m = 0 the first stage is proportional to a unitary, so both
         # informations vanish identically and the ratio is vacuous (0/0)
-        i = list(weak_run.labels).index(0.0)
-        assert weak_run.info_m[i] < 1e-12
-        assert weak_run.info_grid[i, i] < 1e-12
+        first, grid = weak_run
+        i = list(first.labels).index(0.0)
+        assert first.info_gain[i] < 1e-12
+        assert grid.info_gain[i, i] < 1e-12
 
 
 class TestCriterion5Moments:
@@ -150,7 +161,7 @@ class TestCriterion6StructuralIdentities:
 
 class TestCriterion7RegimeCondition:
     def test_window(self, paper_run):
-        assert paper_run.disturbance_outcomes == tuple(float(m) for m in range(-5, 6))
+        assert disturbance_outcomes(paper_run[0]) == tuple(float(m) for m in range(-5, 6))
 
 
 class TestCriterion8OracleEquivalence:
@@ -199,7 +210,8 @@ class TestCriterion8OracleEquivalence:
 def _perturbative_deviations(run, cfg, km_max):
     """Worst relative deviation of exact grid values from the O(g²) forms."""
     s, g, theta = float(cfg.s), cfg.g, cfg.theta
-    labels = list(run.labels)
+    _, grid = run
+    labels = list(grid.labels)
     worst_i = worst_f = 0.0
     for i, m in enumerate(labels):
         for k, mu in enumerate(labels):
@@ -208,16 +220,16 @@ def _perturbative_deviations(run, cfg, km_max):
                 continue
             if km == 0:
                 # formulas predict exactly zero effect; check absolutely
-                assert run.info_grid[i, k] < 1e-12
-                assert 1.0 - run.fidelity_grid[i, k] < 1e-12
+                assert grid.info_gain[i, k] < 1e-12
+                assert 1.0 - grid.fidelity[i, k] < 1e-12
                 continue
             base = g * g * s * km * km * math.sin(theta) ** 2
             pred_info = (4.0 / 3.0) * base / LN2
             pred_deficit = (1.0 / 3.0) * (2.0 * s + 1.0) * base
-            worst_i = max(worst_i, abs(run.info_grid[i, k] / pred_info - 1.0))
+            worst_i = max(worst_i, abs(grid.info_gain[i, k] / pred_info - 1.0))
             worst_f = max(
                 worst_f,
-                abs((1.0 - run.fidelity_grid[i, k]) / pred_deficit - 1.0),
+                abs((1.0 - grid.fidelity[i, k]) / pred_deficit - 1.0),
             )
     return worst_i, worst_f
 

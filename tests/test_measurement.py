@@ -8,6 +8,7 @@ from conjmeas.errors import (
     CompletenessError,
     DimensionMismatchError,
     UnknownLabelError,
+    ValidationError,
     ZeroProbabilityOutcomeError,
 )
 from conjmeas.measurement import (
@@ -53,6 +54,23 @@ def test_half_integer_labels():
     assert kraus.index_of(-1.5) == 0
     with pytest.raises(UnknownLabelError):
         kraus.index_of(0.0)
+
+
+@pytest.mark.parametrize("labels", [(0.0, 0.0), (1.0, 1.0 + 1e-12)])
+def test_duplicate_labels_rejected(labels):
+    # both labels have the same half-integer key, so index_of would find the
+    # last operator and StageStatistics.get the first
+    with pytest.raises(ValidationError):
+        KrausSet((KET0, KET1), labels)
+
+
+@pytest.mark.parametrize("label", [math.inf, -math.inf, math.nan, 1e308])
+def test_non_finite_labels_rejected(label):
+    # 2 * 1e308 overflows to inf
+    with pytest.raises(UnknownLabelError):
+        KrausSet((np.eye(2),), (label,))
+    with pytest.raises(UnknownLabelError):
+        PROJECTIVE.index_of(label)
 
 
 class TestOutcomeProbability:

@@ -93,7 +93,8 @@ class TestStageStatistics:
         np.testing.assert_allclose(stats.fidelity, 1.0, atol=1e-10)
 
     def test_probabilities_sum_to_one(self, paper_run):
-        assert paper_run.p_m.sum() == pytest.approx(1.0, abs=1e-8)
+        first, _ = paper_run
+        assert first.probability.sum() == pytest.approx(1.0, abs=1e-8)
 
     def test_dimension_mismatch(self, ens2_small):
         cfg = SpinProbeConfig(s=1.0, j=1, g=0.1, theta=0.5)
@@ -188,9 +189,16 @@ class TestConditionalMean:
         weights = np.array([[0.5, 0.3, 0.2], [np.nan, np.nan, np.nan]])
         values = np.array([[1.0, np.nan, 3.0], [np.nan, np.nan, np.nan]])
         defined = np.array([[True, False, True], [False, False, False]])
-        got = metrics.conditional_mean(weights, values, defined)
-        assert got[0] == (0.5 * 1.0 + 0.2 * 3.0) / (0.5 + 0.2)
-        assert np.isnan(got[1])
+        grid = metrics.StageStatistics((0, 1, 2), weights, values, values, defined)
+        for got in (grid.mean_fidelity, grid.mean_info):
+            assert got[0] == (0.5 * 1.0 + 0.2 * 3.0) / (0.5 + 0.2)
+            assert np.isnan(got[1])
+        # a single stage reduces to a float, NaN when nothing is defined
+        stage = metrics.StageStatistics((0, 1, 2), weights[0], values[0], values[0], defined[0])
+        assert stage.mean_fidelity == (0.5 * 1.0 + 0.2 * 3.0) / (0.5 + 0.2)
+        assert isinstance(stage.mean_fidelity, float)
+        empty = metrics.StageStatistics((0, 1, 2), weights[1], values[1], values[1], defined[1])
+        assert np.isnan(empty.mean_info)
 
 
 class TestConjugateTwoStageStatistics:
@@ -205,20 +213,23 @@ class TestConjugateTwoStageStatistics:
         ens = sample_haar(dim, 1500, 40 + dim)
         first = stage_statistics(kraus, ens)
         adjoint = KrausSet(tuple(linalg.dagger(M) for M in kraus.operators), kraus.labels)
-        joint, info, fid, defined = metrics.conjugate_two_stage_statistics(kraus, first, ens)
-        f_prime = metrics.conditional_mean(joint, fid, defined)
-        i_prime = metrics.conditional_mean(joint, info, defined)
+        grid = metrics.conjugate_two_stage_statistics(kraus, first, ens)
+        assert grid.labels == kraus.labels
+        np.testing.assert_array_equal(
+            grid.conditional, grid.probability / first.probability[:, None]
+        )
+        f_prime, i_prime = grid.mean_fidelity, grid.mean_info
         for i, m in enumerate(kraus.labels):
             ref = two_stage_statistics(kraus, m, adjoint, ens)
-            np.testing.assert_array_equal(defined[i], ref.defined)
+            np.testing.assert_array_equal(grid.defined[i], ref.defined)
             for got, want in (
-                (joint[i], ref.probability),
-                (joint[i] / first.probability[i], ref.conditional),
-                (fid[i], ref.fidelity),
+                (grid.probability[i], ref.probability),
+                (grid.conditional[i], ref.conditional),
+                (grid.fidelity[i], ref.fidelity),
                 ([f_prime[i]], [ref.mean_fidelity]),
             ):
                 np.testing.assert_allclose(got, want, rtol=POP_RTOL, atol=0)
-            for got, want in ((info[i], ref.info_gain), ([i_prime[i]], [ref.mean_info])):
+            for got, want in ((grid.info_gain[i], ref.info_gain), ([i_prime[i]], [ref.mean_info])):
                 np.testing.assert_allclose(got, want, rtol=0, atol=POP_ATOL_INFO)
 
     def test_undefined_first_outcome_rows_are_nan(self):
@@ -229,14 +240,15 @@ class TestConjugateTwoStageStatistics:
         ens = sample_haar(2, 500, 3)
         first = stage_statistics(kraus, ens)
         assert not first.defined[0] and first.defined[1:].all()
-        joint, info, fid, defined = metrics.conjugate_two_stage_statistics(kraus, first, ens)
-        for grid in (joint, info, fid):
-            assert np.isnan(grid[0]).all()
+        grid = metrics.conjugate_two_stage_statistics(kraus, first, ens)
+        for values in (grid.probability, grid.conditional, grid.info_gain, grid.fidelity):
+            assert np.isnan(values[0]).all()
+        defined, info = grid.defined, grid.info_gain
         assert not defined[0].any()
         assert not defined[1:, 0].any() and defined[1:, 1:].all()
         assert np.isnan(info[1:, 0]).all() and np.isfinite(info[1:, 1:]).all()
-        np.testing.assert_array_equal(joint[1:, 0], 0.0)
-        assert np.isnan(metrics.conditional_mean(joint, fid, defined)[0])
+        np.testing.assert_array_equal(grid.probability[1:, 0], 0.0)
+        assert np.isnan(grid.mean_fidelity[0]) and np.isnan(grid.mean_info[0])
 
     def test_rejects_non_diagonal_and_foreign_first_stage(self, ens2_small, paper_cfg):
         kraus = build_forward(paper_cfg)
@@ -268,9 +280,10 @@ class TestOptimalFidelity:
             )
 
     def test_disturbance_window_at_reference_config(self, paper_run):
+        first, _ = paper_run
         with np.errstate(divide="ignore"):
-            ratio = (1.0 - paper_run.fidelity_m) / (1.0 - paper_run.fidelity_opt_m)
-        for m, r in zip(paper_run.labels, ratio):
+            ratio = (1.0 - first.fidelity) / (1.0 - first.fidelity_opt)
+        for m, r in zip(first.labels, ratio):
             if abs(m) <= 5:
                 assert r > 4.0
             else:
@@ -536,3 +549,9 @@ class TestStageStatisticsGet:
             stats.get(5)
         with pytest.raises(UnknownLabelError):
             stats.get(0.3)
+
+    @pytest.mark.parametrize("label", [math.inf, -math.inf, math.nan, 1e308])
+    def test_non_finite_label(self, stats, label):
+        # 2 * 1e308 overflows to inf
+        with pytest.raises(UnknownLabelError):
+            stats.get(label)

@@ -14,6 +14,7 @@ from conjmeas.runner import (
     ExperimentConfig,
     Table,
     compute_spin_run,
+    disturbance_outcomes,
     run_figures,
     run_summary,
     run_sweep,
@@ -333,40 +334,49 @@ class TestUndefinedFirstStageOutcomes:
         return compute_spin_run(self.CFG.spin, ens)
 
     def test_undefined_rows_are_nan(self, run):
-        undefined = run.p_m <= TOL.prob_floor
+        first, grid = run
+        undefined = first.probability <= TOL.prob_floor
         defined = ~undefined
         assert undefined.any() and defined.any()
-        for values in (run.fidelity_m, run.info_m, run.fidelity_opt_m, run.p_preferred_m):
+        np.testing.assert_array_equal(first.defined, defined)
+        p_preferred = np.diagonal(grid.conditional)
+        for values in (first.fidelity, first.info_gain, first.fidelity_opt, p_preferred):
             assert np.all(np.isnan(values[undefined]))
             assert np.all(np.isfinite(values[defined]))
-        for values in (run.fidelity_prime_m, run.info_prime_m):
+        for values in (grid.mean_fidelity, grid.mean_info):
             assert np.all(np.isnan(values[undefined]))
-        for grid in (run.fidelity_grid, run.info_grid, run.joint_grid):
-            assert np.all(np.isnan(grid[undefined]))
+        for values in (grid.fidelity, grid.info_gain, grid.probability, grid.conditional):
+            assert np.all(np.isnan(values[undefined]))
+        assert not grid.defined[undefined].any()
 
     def test_primed_values_of_defined_outcomes(self, run):
         # the second stage is floored on p(mu | m), so a first outcome just
         # above the floor, whose joint p(m, mu) all lie below it, keeps
         # defined branches and finite primed values
-        defined = run.p_m > TOL.prob_floor
-        near_floor = defined & np.all(run.joint_grid <= TOL.prob_floor, axis=1)
+        first, grid = run
+        defined = first.probability > TOL.prob_floor
+        near_floor = defined & np.all(grid.probability <= TOL.prob_floor, axis=1)
         assert near_floor.any()
-        for values in (run.fidelity_prime_m, run.info_prime_m):
+        f_prime, i_prime = grid.mean_fidelity, grid.mean_info
+        for values in (f_prime, i_prime):
             assert np.all(np.isfinite(values[defined]))
-        assert np.all((run.fidelity_prime_m[defined] >= 0) & (run.fidelity_prime_m[defined] <= 1 + 1e-12))
-        assert np.all(run.info_prime_m[defined] >= 0)
+        assert np.all((f_prime[defined] >= 0) & (f_prime[defined] <= 1 + 1e-12))
+        assert np.all(i_prime[defined] >= 0)
 
     def test_means_leave_undefined_out(self, run):
-        d = run.p_m > TOL.prob_floor
-        assert run.mean_fidelity == pytest.approx(np.sum(run.p_m[d] * run.fidelity_m[d]), rel=1e-14)
-        assert run.mean_info == pytest.approx(np.sum(run.p_m[d] * run.info_m[d]), rel=1e-14)
-        d = ~np.isnan(run.fidelity_prime_m)
-        assert run.mean_fidelity_prime == pytest.approx(
-            np.sum(run.p_m[d] * run.fidelity_prime_m[d]), rel=1e-14
-        )
-        assert run.mean_info_prime == pytest.approx(np.sum(run.p_m[d] * run.info_prime_m[d]), rel=1e-14)
-        assert 0.0 < run.mean_fidelity < run.mean_fidelity_prime <= 1.0
-        assert 0.0 < run.mean_info < run.mean_info_prime
+        # run_summary samples the same ensemble as the fixture
+        first, grid = run
+        summary = run_summary(self.CFG)
+        p = first.probability
+        d = p > TOL.prob_floor
+        assert summary["mean_fidelity"] == pytest.approx(np.sum(p[d] * first.fidelity[d]), rel=1e-14)
+        assert summary["mean_info"] == pytest.approx(np.sum(p[d] * first.info_gain[d]), rel=1e-14)
+        f_prime, i_prime = grid.mean_fidelity, grid.mean_info
+        d = ~np.isnan(f_prime)
+        assert summary["mean_fidelity_conj"] == pytest.approx(np.sum(p[d] * f_prime[d]), rel=1e-14)
+        assert summary["mean_info_conj"] == pytest.approx(np.sum(p[d] * i_prime[d]), rel=1e-14)
+        assert 0.0 < summary["mean_fidelity"] < summary["mean_fidelity_conj"] <= 1.0
+        assert 0.0 < summary["mean_info"] < summary["mean_info_conj"]
 
     def test_cli_summary_runs(self, tmp_path, capsys):
         args = ["summary", "--j", "40", "--g", "0.05", "--samples", "2000", "--out", str(tmp_path)]
@@ -389,13 +399,15 @@ class TestUndefinedFirstStageOutcomes:
         assert len(undefined) < len(fig2["rows"])
 
     def test_fully_defined_means_are_plain_sums(self):
-        ens = sample_haar(2, 2000, 11)
-        run = compute_spin_run(SMALL.spin, ens)
-        assert not np.isnan(run.fidelity_prime_m).any()
-        assert run.mean_fidelity == float(np.sum(run.p_m * run.fidelity_m))
-        assert run.mean_info == float(np.sum(run.p_m * run.info_m))
-        assert run.mean_fidelity_prime == float(np.sum(run.p_m * run.fidelity_prime_m))
-        assert run.mean_info_prime == float(np.sum(run.p_m * run.info_prime_m))
+        # the ensemble run_summary(SMALL) samples
+        first, grid = compute_spin_run(SMALL.spin, sample_haar(2, SMALL.samples, SMALL.seed))
+        summary = run_summary(SMALL)
+        p = first.probability
+        assert not np.isnan(grid.mean_fidelity).any()
+        assert summary["mean_fidelity"] == float(np.sum(p * first.fidelity))
+        assert summary["mean_info"] == float(np.sum(p * first.info_gain))
+        assert summary["mean_fidelity_conj"] == float(np.sum(p * grid.mean_fidelity))
+        assert summary["mean_info_conj"] == float(np.sum(p * grid.mean_info))
 
 
 class TestConjugatePairEvaluation:
@@ -408,7 +420,8 @@ class TestConjugatePairEvaluation:
         stats1 = stage_statistics(forward, ens)
         n = len(forward.labels)
         ref = {k: np.full(n, np.nan) for k in ("p_pref", "f_prime", "i_prime", "f_opt")}
-        ref.update({k: np.full((n, n), np.nan) for k in ("joint", "fid", "info")})
+        ref.update({k: np.full((n, n), np.nan) for k in ("joint", "cond", "fid", "info")})
+        ref["defined"] = np.zeros((n, n), dtype=bool)
         for i, m in enumerate(forward.labels):
             if not stats1.defined[i]:
                 continue
@@ -418,18 +431,26 @@ class TestConjugatePairEvaluation:
             ref["f_prime"][i] = ts.mean_fidelity
             ref["i_prime"][i] = ts.mean_info
             ref["joint"][i] = ts.probability
+            ref["cond"][i] = ts.conditional
+            ref["defined"][i] = ts.defined
             ref["fid"][i] = ts.fidelity
             ref["info"][i] = ts.info_gain
         return ref
 
     def compare(self, spin, ens, run=None):
+        """Row m of the grid is two_stage_statistics(forward, m, T(pi - theta)).
+
+        Returns the run, ``(first, grid)``.
+        """
         run = compute_spin_run(spin, ens) if run is None else run
+        first, grid = run
         ref = self.reference(spin, ens)
+        np.testing.assert_array_equal(grid.defined, ref.pop("defined"))
         got = {
-            "p_pref": run.p_preferred_m, "f_prime": run.fidelity_prime_m,
-            "i_prime": run.info_prime_m, "joint": run.joint_grid,
-            "fid": run.fidelity_grid, "info": run.info_grid,
-            "f_opt": run.fidelity_opt_m,
+            "p_pref": np.diagonal(grid.conditional), "f_prime": grid.mean_fidelity,
+            "i_prime": grid.mean_info, "joint": grid.probability,
+            "cond": grid.conditional, "fid": grid.fidelity, "info": grid.info_gain,
+            "f_opt": first.fidelity_opt,
         }
         for key, value in got.items():
             np.testing.assert_array_equal(np.isnan(value), np.isnan(ref[key]), err_msg=key)
@@ -452,8 +473,8 @@ class TestConjugatePairEvaluation:
 
     def test_undefined_outcomes(self):
         cfg = TestUndefinedFirstStageOutcomes.CFG
-        run = self.compare(cfg.spin, sample_haar(cfg.spin.dim, cfg.samples, cfg.seed))
-        assert np.isnan(run.fidelity_grid).any()
+        _, grid = self.compare(cfg.spin, sample_haar(cfg.spin.dim, cfg.samples, cfg.seed))
+        assert np.isnan(grid.fidelity).any()
 
     def test_one_evaluation_per_unordered_pair(self, monkeypatch):
         counts = {"_info_gain": 0, "branch_weights_and_squared_moduli": 0, "optimal_fidelity": 0}
@@ -469,9 +490,9 @@ class TestConjugatePairEvaluation:
                 if getattr(module, name, None) is fn:
                     monkeypatch.setattr(module, name, wrapper)
         spin = SpinProbeConfig(s=0.5, j=7, g=0.25, theta=math.pi / 6)
-        run = compute_spin_run(spin, sample_haar(2, 1000, 3))
+        first, grid = compute_spin_run(spin, sample_haar(2, 1000, 3))
         n = len(spin.outcome_labels)
-        assert run.p_m.min() > TOL.prob_floor and np.isfinite(run.info_grid).all()
+        assert first.probability.min() > TOL.prob_floor and np.isfinite(grid.info_gain).all()
         # first stage (with F_opt from its own weights), then the pairs
         assert counts == {
             "_info_gain": n + n * (n + 1) // 2,
@@ -497,27 +518,32 @@ def disturbance_by_hand(spin, ens):
 @settings(max_examples=30, deadline=None)
 @given(
     s=st.sampled_from([0.5, 1.0, 1.5]),
-    j=st.sampled_from([k / 2 for k in range(9)]),
+    j=st.sampled_from([k / 2 for k in range(9)] + [20.0, 40.0]),
     g=st.floats(0.0, 1.0),
     theta=st.one_of(st.sampled_from([0.0, math.pi]), st.floats(0.0, math.pi)),
     seed=st.integers(0, 2**16),
 )
 @example(s=0.5, j=0.0, g=0.25, theta=math.pi / 6, seed=1)
 @example(s=1.5, j=4.0, g=1.0, theta=math.pi, seed=2)
+@example(s=0.5, j=40.0, g=0.05, theta=math.pi / 6, seed=5)
 def test_spin_run_properties(s, j, g, theta, seed):
     spin = SpinProbeConfig(s=s, j=j, g=g, theta=theta)
     ens = sample_haar(spin.dim, 500, seed)
     try:
-        run = TestConjugatePairEvaluation().compare(spin, ens)
+        first, grid = TestConjugatePairEvaluation().compare(spin, ens)
     except MeasurementModelError:
         return
-    assert run.disturbance_outcomes == disturbance_by_hand(spin, ens)
-    assert np.sum(run.p_m) == pytest.approx(1.0, abs=TOL.prob_sum)
-    fidelities = (run.fidelity_m, run.fidelity_opt_m, run.fidelity_prime_m, run.fidelity_grid)
+    assert disturbance_outcomes(first) == disturbance_by_hand(spin, ens)
+    assert np.sum(first.probability) == pytest.approx(1.0, abs=TOL.prob_sum)
+    # each defined first outcome's second stage is a distribution; the rest are NaN
+    row_sums = np.sum(grid.conditional[first.defined], axis=1)
+    np.testing.assert_allclose(row_sums, 1.0, rtol=0, atol=TOL.prob_sum)
+    assert np.isnan(grid.conditional[~first.defined]).all()
+    fidelities = (first.fidelity, first.fidelity_opt, grid.mean_fidelity, grid.fidelity)
     for values in fidelities:
         values = values[~np.isnan(values)]
         assert np.all((values >= 0.0) & (values <= 1.0 + 1e-12))
-    for values in (run.info_m, run.info_prime_m, run.info_grid):
+    for values in (first.info_gain, grid.mean_info, grid.info_gain):
         assert np.all(values[~np.isnan(values)] >= 0.0)
 
 
