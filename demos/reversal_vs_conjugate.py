@@ -16,8 +16,6 @@ Run:  python demos/reversal_vs_conjugate.py
 
 import math
 
-import numpy as np
-
 from conjmeas import (
     SpinProbeConfig,
     build_conjugate_minimal,

@@ -9,12 +9,9 @@ from .ensemble import (
     sample_haar,
     spin_moments_closed_form,
     spin_z,
-    variance_vf,
-    variance_vi,
 )
 from .linalg import (
     PolarParts,
-    fidelity,
     polar_decompose,
     positive_sqrt,
 )
@@ -23,8 +20,6 @@ from .measurement import (
     completeness_residual,
     optimal_part,
     outcome_distribution,
-    outcome_probability,
-    post_state,
     sample_outcome,
 )
 from .metrics import (
@@ -50,11 +45,9 @@ from .runner import (
 )
 from .spin_probe import (
     SpinProbeConfig,
-    WeakQuantities,
     build_forward,
     build_reversing_probe,
     coefficient,
     conjugate_probe_set,
     regime_diagnostics,
-    weak_quantities,
 )

@@ -4,8 +4,9 @@ Subcommands: figures, summary, variances, sweep.  Angles may be given as
 exact fractions of pi ("pi/6", "2pi/3") or as plain radians; spins as
 half-integers ("1/2", "0.5", "7").
 
-Exit codes: 0 success, 2 invalid configuration, 3 numeric-contract failure
-or any other measurement-model error.
+Exit codes: 0 success, 2 invalid configuration or an output directory that
+cannot be created or written, 3 numeric-contract failure or any other
+measurement-model error.
 """
 
 from __future__ import annotations
@@ -108,7 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(tables: dict, args, meta: dict) -> None:
-    args.out.mkdir(parents=True, exist_ok=True)
     if args.format == "json":
         path = args.out / f"{args.command}.json"
         write_json(tables, path, meta)
@@ -126,6 +126,8 @@ def main(argv=None) -> int:
         spin = SpinProbeConfig(s=args.s, j=args.j, g=args.g, theta=args.theta)
         cfg = ExperimentConfig(spin=spin, samples=args.samples, seed=args.seed)
         meta = cfg.metadata()
+        # before the run, so a bad --out fails at once
+        args.out.mkdir(parents=True, exist_ok=True)
         if args.command == "figures":
             _emit(run_figures(cfg), args, meta)
         elif args.command == "summary":
@@ -143,6 +145,9 @@ def main(argv=None) -> int:
             _emit({"sweep": table}, args, meta)
     except (ValidationError, ValueError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return 2
     except NumericContractError as exc:
         print(f"numeric contract violated: {exc}", file=sys.stderr)

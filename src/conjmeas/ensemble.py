@@ -146,20 +146,6 @@ def expectation_values(ens: PureStateEnsemble, A) -> np.ndarray:
     return quadratic_forms(ens, on_populations[:1], on_coherences)[0]
 
 
-def variance_vi(ens: PureStateEnsemble, A) -> float:
-    """Classical variance over the sample of the quantum expectation of A."""
-    ev = expectation_values(ens, A)
-    return float(np.mean((ev - ev.mean()) ** 2))
-
-
-def variance_vf(ens: PureStateEnsemble, A) -> float:
-    """Sample mean of the per-state quantum variance of A."""
-    A = linalg.as_operator(A)
-    ev = expectation_values(ens, A)
-    ev2 = expectation_values(ens, A @ A)
-    return float(np.mean(ev2 - ev**2))
-
-
 def spin_z(s) -> np.ndarray:
     """Diagonal S_z on the (2s+1)-dimensional spin space, entries -s..s."""
     two_s = int(round(2 * float(s)))

@@ -51,11 +51,3 @@ class InvalidWeightsError(ValidationError):
 
 class NonInvertibleOperatorError(NumericContractError):
     pass
-
-
-class KappaOutOfBoundError(ValidationError):
-    pass
-
-
-class ZeroModulusEntryError(NumericContractError):
-    pass

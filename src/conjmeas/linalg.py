@@ -95,27 +95,3 @@ def check_density_matrix(rho) -> np.ndarray:
         raise NotDensityMatrixError(f"negative eigenvalue {wmin:.3e}")
     return rho
 
-
-def pure_state_fidelity(psi: np.ndarray, sigma: np.ndarray) -> float:
-    """Fidelity between |psi><psi| and sigma: sqrt(<psi|sigma|psi>)."""
-    val = float(np.real(psi.conj() @ sigma @ psi))
-    return float(np.sqrt(np.clip(val, 0.0, 1.0)))
-
-
-def fidelity(rho, sigma) -> float:
-    """Uhlmann fidelity Tr sqrt(sqrt(rho) sigma sqrt(rho)), clipped to [0, 1].
-
-    A rank-one rho short-circuits to the pure-state formula.
-    """
-    rho = check_density_matrix(rho)
-    sigma = check_density_matrix(sigma)
-    if rho.shape != sigma.shape:
-        raise ValueError("density matrices have different dimensions")
-    w, V = np.linalg.eigh(rho)
-    if w[-1] > 1.0 - TOL.trace and w.size > 1 and w[-2] < TOL.psd:
-        return pure_state_fidelity(V[:, -1], sigma)
-    root = positive_sqrt(rho)
-    inner = root @ sigma @ root
-    inner = 0.5 * (inner + dagger(inner))
-    vals = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
-    return float(np.clip(np.sum(np.sqrt(vals)), 0.0, 1.0))

@@ -1,4 +1,4 @@
-"""Kraus measurement sets: validation, probabilities, post-states, sampling.
+"""Kraus measurement sets: validation, outcome distributions, sampling.
 
 Outcome labels are half-integers (spin projections like -7, -13/2, ... or
 plain 0, 1, 2).  They are stored as floats but indexed through their exact
@@ -94,16 +94,6 @@ def completeness_residual(kraus) -> float:
     return linalg.max_abs(acc - np.eye(d))
 
 
-def outcome_probability(rho, kraus: KrausSet, label) -> float:
-    """Born probability Tr(rho M†M) for one outcome, clipped to [0, 1]."""
-    rho = linalg.check_density_matrix(rho)
-    M = kraus.operator(label)
-    if M.shape[0] != rho.shape[0]:
-        raise DimensionMismatchError("state and operator dimensions differ")
-    p = float(np.real(np.trace(M @ rho @ linalg.dagger(M))))
-    return float(np.clip(p, 0.0, 1.0))
-
-
 def outcome_distribution(rho, kraus: KrausSet) -> np.ndarray:
     """Born probabilities Re Tr(M rho M†) of every outcome, clipped to [0, 1].
 
@@ -116,19 +106,6 @@ def outcome_distribution(rho, kraus: KrausSet) -> np.ndarray:
     ops = np.stack(kraus.operators)
     p = np.einsum("mij,jk,mik->m", ops, rho, ops.conj()).real
     return np.clip(p, 0.0, 1.0)
-
-
-def post_state(rho, kraus: KrausSet, label) -> np.ndarray:
-    """Normalized post-measurement state M rho M† / p for outcome ``label``."""
-    rho = linalg.check_density_matrix(rho)
-    M = kraus.operator(label)
-    p = outcome_probability(rho, kraus, label)
-    if p <= TOL.prob_floor:
-        raise ZeroProbabilityOutcomeError(
-            f"outcome {label} has probability {p:.3e}"
-        )
-    out = M @ rho @ linalg.dagger(M) / p
-    return 0.5 * (out + linalg.dagger(out))
 
 
 def optimal_part(kraus: KrausSet) -> KrausSet:

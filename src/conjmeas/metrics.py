@@ -25,12 +25,12 @@ results do not depend on the BLAS thread count.
 Each branch statistic reads that one evaluation, and each N-length pass
 is made once: p = mean(w) is taken once and handed to the information
 kernel, and F = mean(sqrt(|amp|² w)) / p takes a single square root, in
-place.  The first stage also gives the positive-part fidelity F_opt of
-every outcome M from the same weights: F_opt = mean(sqrt(w) <N>) / p with
-N = sqrt(M†M).  A value that needs no amplitude (<N>, and the weights
-alone: a second stage's p(m), a success probability) is one form read
-through :func:`conjmeas.ensemble.expectation_values`, which makes the
-same diagonal-or-not choice.
+place.  A value that needs the weights alone (a second stage's p(m), a
+success probability) is one form read through
+:func:`conjmeas.ensemble.expectation_values`, which makes the same
+diagonal-or-not choice.  The positive-part fidelity F_opt of an outcome,
+which only the regime check reads, is :func:`optimal_fidelity`, computed on
+request and not by the stage statistics.
 
 :func:`two_stage_statistics` serves any second stage, one first outcome at
 a time.  For the Hermitian-conjugate second stage {M_mu†} of a diagonal
@@ -106,14 +106,12 @@ def _info_gain(w, mw) -> float:
 class StageStatistics:
     """Per-outcome probabilities, information gains, and fidelities.
 
-    For a first-stage measurement ``probability`` is p(m) and
-    ``fidelity_opt`` holds the positive-part fidelity F_opt(m) (see
-    :func:`optimal_fidelity`); for a two-stage run ``probability`` is the
-    joint p(m, mu) and ``conditional`` holds p(mu | m).  Outcomes whose
-    probability (p(m), or p(mu | m) for a two-stage run) is at or below the
-    floor are flagged undefined, their I, F and F_opt are NaN, and they are
-    excluded (with zero weight) from the means; with none defined, the
-    means are NaN.  The fields of a two-stage grid
+    For a first-stage measurement ``probability`` is p(m); for a two-stage
+    run it is the joint p(m, mu) and ``conditional`` holds p(mu | m).
+    Outcomes whose probability (p(m), or p(mu | m) for a two-stage run) is
+    at or below the floor are flagged undefined, their I and F are NaN, and
+    they are excluded (with zero weight) from the means; with none defined,
+    the means are NaN.  The fields of a two-stage grid
     (:func:`conjugate_two_stage_statistics`) are n×n arrays indexed by
     (m, mu), and the means reduce over mu: they are the vectors F'(m) and
     I'(m) instead of a float.
@@ -125,7 +123,6 @@ class StageStatistics:
     fidelity: np.ndarray
     defined: np.ndarray
     conditional: np.ndarray | None = None
-    fidelity_opt: np.ndarray | None = None
 
     def _mean(self, values: np.ndarray):
         """Σ p v / Σ p over the last axis, over the defined entries only."""
@@ -194,27 +191,17 @@ def branch_weights_and_squared_moduli(ens: PureStateEnsemble, op: np.ndarray):
     return w, re
 
 
-def _positive_part(M: np.ndarray) -> np.ndarray:
-    """N = sqrt(M†M); for a diagonal M, N = diag|a| directly."""
-    if linalg.is_diagonal(M):
-        return np.diag(np.abs(np.diagonal(M)))
-    return linalg.positive_sqrt(linalg.dagger(M) @ M)
-
-
-def _branch_statistics(composed_ops, ens: PureStateEnsemble, p_given=1.0, with_opt=False):
-    """Per-branch p, I, F, definedness and, ``with_opt``, F_opt (else None).
+def _branch_statistics(composed_ops, ens: PureStateEnsemble, p_given=1.0):
+    """Per-branch p, I, F and definedness.
 
     A branch is undefined when p / p_given is at the floor; ``p_given`` is
     the probability of the outcome the branches are conditioned on (1 for
-    a first stage), so the floor applies to p(mu | m).  F_opt reads the
-    branch's own weights w: F_opt = mean(sqrt(w) <N>) / p with N the
-    positive part of the branch operator.
+    a first stage), so the floor applies to p(mu | m).
     """
     n_out = len(composed_ops)
     prob = np.zeros(n_out)
     info = np.full(n_out, np.nan)
     fid = np.full(n_out, np.nan)
-    fid_opt = np.full(n_out, np.nan) if with_opt else None
     defined = np.zeros(n_out, dtype=bool)
     for i, op in enumerate(composed_ops):
         w, amp2 = branch_weights_and_squared_moduli(ens, op)
@@ -224,11 +211,7 @@ def _branch_statistics(composed_ops, ens: PureStateEnsemble, p_given=1.0, with_o
             continue
         defined[i] = True
         info[i], fid[i] = info_and_fidelity(w, amp2, p)
-        if with_opt:
-            n_exp = expectation_values(ens, _positive_part(op))
-            n_exp *= np.sqrt(w)
-            fid_opt[i] = n_exp.mean() / p
-    return prob, info, fid, defined, fid_opt
+    return prob, info, fid, defined
 
 
 def _fidelity(w, amp2, p) -> float:
@@ -249,13 +232,10 @@ def info_and_fidelity(w, amp2, p) -> tuple[float, float]:
 
 
 def stage_statistics(kraus: KrausSet, ens: PureStateEnsemble) -> StageStatistics:
-    """First-stage statistics: p(m), I(m), F(m), F_opt(m) and the p(m)-weighted means."""
+    """First-stage statistics: p(m), I(m), F(m) and the p(m)-weighted means."""
     if kraus.dim != ens.dim:
         raise DimensionMismatchError("measurement and ensemble dimensions differ")
-    prob, info, fid, defined, fid_opt = _branch_statistics(
-        kraus.operators, ens, with_opt=True
-    )
-    return StageStatistics(kraus.labels, prob, info, fid, defined, fidelity_opt=fid_opt)
+    return StageStatistics(kraus.labels, *_branch_statistics(kraus.operators, ens))
 
 
 def two_stage_statistics(
@@ -276,7 +256,7 @@ def two_stage_statistics(
             f"first-stage outcome {first_label} has probability {p_first:.3e}"
         )
     composed = [C @ M for C in second.operators]
-    prob, info, fid, defined, _ = _branch_statistics(composed, ens, p_given=p_first)
+    prob, info, fid, defined = _branch_statistics(composed, ens, p_given=p_first)
     return StageStatistics(
         second.labels, prob, info, fid, defined, conditional=prob / p_first
     )
@@ -333,9 +313,14 @@ def optimal_fidelity(kraus: KrausSet, ens: PureStateEnsemble, label) -> float:
     """Fidelity the outcome would have had under the positive-part measurement.
 
     mean_a[ sqrt(<N²>) <N> ] / mean_a <N²>  with N = sqrt(M†M), i.e. the
-    branch fidelity of N; for a diagonal M, N = diag|a| directly.
-    :func:`stage_statistics` gives the same value for every outcome as
-    ``fidelity_opt``, from its own first-stage weights.
+    branch fidelity of N; for a diagonal M, N = diag|a| directly.  The
+    regime check :func:`conjmeas.runner.disturbance_outcomes` asks for it;
+    the stage statistics do not compute it.
     """
-    w, n2 = branch_weights_and_squared_moduli(ens, _positive_part(kraus.operator(label)))
+    M = kraus.operator(label)
+    if linalg.is_diagonal(M):
+        N = np.diag(np.abs(np.diagonal(M)))
+    else:
+        N = linalg.positive_sqrt(linalg.dagger(M) @ M)
+    w, n2 = branch_weights_and_squared_moduli(ens, N)
     return _fidelity(w, n2, w.mean())

@@ -20,11 +20,9 @@ import numpy as np
 
 from . import linalg, metrics
 from .ensemble import PureStateEnsemble, expectation_values
-from .errors import KappaOutOfBoundError, NonInvertibleOperatorError
+from .errors import NonInvertibleOperatorError
 from .measurement import KrausSet
 from .tolerances import TOL
-
-AUTO = "auto"
 
 
 @dataclass(frozen=True)
@@ -81,25 +79,19 @@ def build_reversing(kraus: KrausSet, label) -> SecondStageSpec:
     )
 
 
-def build_conjugate_minimal(kraus: KrausSet, label, kappa=AUTO) -> SecondStageSpec:
+def build_conjugate_minimal(kraus: KrausSet, label) -> SecondStageSpec:
     """Minimal two-outcome Hermitian conjugate measurement for one outcome.
 
-    The preferred operator is kappa * M†.  With ``kappa="auto"`` the largest
-    admissible real scale is used, kappa = 1/sqrt(max eigenvalue of M†M).
-    The complement is sqrt(I - |kappa|² N²) U†, which satisfies completeness
-    exactly and reduces to the small-disturbance series of the two-outcome
-    model when the positive part is close to a multiple of the identity.
+    The preferred operator is kappa * M† with the largest admissible real
+    scale, kappa = 1/sqrt(max eigenvalue of M†M).  The complement is
+    sqrt(I - kappa² N²) U†, which satisfies completeness exactly and reduces
+    to the small-disturbance series of the two-outcome model when the
+    positive part is close to a multiple of the identity.
     """
     M = kraus.operator(label)
     U, N = linalg.polar_decompose(M)
     nmax2 = float(np.linalg.eigvalsh(N)[-1]) ** 2
-    if kappa == AUTO:
-        kappa = 1.0 / np.sqrt(nmax2)
-    kappa = complex(kappa)
-    if abs(kappa) ** 2 > (1.0 + TOL.kappa_slack) / nmax2:
-        raise KappaOutOfBoundError(
-            f"|kappa|²={abs(kappa) ** 2:.6g} exceeds bound {1.0 / nmax2:.6g}"
-        )
+    kappa = complex(1.0 / np.sqrt(nmax2))
     preferred = kappa * linalg.dagger(M)
     root = _complement_root(np.eye(M.shape[0]) - abs(kappa) ** 2 * (N @ N))
     if root is None:

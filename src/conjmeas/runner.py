@@ -22,9 +22,11 @@ from .ensemble import (
     spin_moments_closed_form,
     spin_z,
 )
+from .measurement import KrausSet
 from .metrics import (
     StageStatistics,
     conjugate_two_stage_statistics,
+    optimal_fidelity,
     stage_statistics,
 )
 from .spin_probe import (
@@ -128,21 +130,26 @@ def _weighted_sum(p: np.ndarray, values: np.ndarray) -> float:
     return float(np.sum(np.where(np.isnan(values), 0.0, p * values)))
 
 
-def disturbance_outcomes(first: StageStatistics) -> tuple:
+def disturbance_outcomes(
+    kraus: KrausSet, first: StageStatistics, ens: PureStateEnsemble
+) -> tuple:
     """Defined first-stage outcomes m that disturb far more than they must.
 
-    m is marked when its fidelity loss 1 - F exceeds
-    ``TOL.disturbance_ratio`` times the loss 1 - F_opt of the positive-part
-    operator, or when 1 - F_opt is at the floor: T_m is then proportional
-    to a unitary, with no removable disturbance at all, and the limiting
-    ratio condition holds trivially.
+    ``first`` is ``stage_statistics(kraus, ens)``.  m is marked when its
+    fidelity loss 1 - F exceeds ``TOL.disturbance_ratio`` times the loss
+    1 - F_opt of the positive-part operator (:func:`optimal_fidelity`, on
+    the same ensemble), or when 1 - F_opt is at the floor: T_m is then
+    proportional to a unitary, with no removable disturbance at all, and the
+    limiting ratio condition holds trivially.
     """
-    losses = zip(first.labels, first.defined, 1.0 - first.fidelity, 1.0 - first.fidelity_opt)
-    return tuple(
-        m
-        for m, ok, loss, loss_opt in losses
-        if ok and (loss_opt <= TOL.prob_floor or loss / loss_opt > TOL.disturbance_ratio)
-    )
+    marked = []
+    for m, ok, fid in zip(first.labels, first.defined, first.fidelity):
+        if not ok:
+            continue
+        loss_opt = 1.0 - optimal_fidelity(kraus, ens, m)
+        if loss_opt <= TOL.prob_floor or (1.0 - fid) / loss_opt > TOL.disturbance_ratio:
+            marked.append(m)
+    return tuple(marked)
 
 
 def _improves(value, reference) -> bool:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LabelOutOfRangeError, ZeroModulusEntryError
+from .errors import LabelOutOfRangeError
 from .measurement import KrausSet
 from .reversal import SecondStageSpec
 from .tolerances import TOL
@@ -134,36 +134,6 @@ def build_reversing_probe(cfg: SpinProbeConfig) -> dict:
 
 
 @dataclass(frozen=True)
-class WeakQuantities:
-    """Exact weak-measurement decomposition of one probe operator.
-
-    T_m = q_m e^{i gamma_m} e^{i Gamma_m} (I + epsilon_m) with epsilon_m and
-    Gamma_m diagonal; exact because T_m itself is diagonal.
-    """
-
-    q: float
-    epsilon: np.ndarray       # Hermitian (diagonal), N_m = q (I + epsilon)
-    gamma: float              # scalar phase of the unitary part
-    Gamma_diag: np.ndarray    # remaining per-sigma phases, wrapped to (-pi, pi]
-
-
-def weak_quantities(cfg: SpinProbeConfig, m) -> WeakQuantities:
-    diag = np.array([coefficient(cfg, m, sig) for sig in cfg.sigma_values])
-    moduli = np.abs(diag)
-    if np.any(moduli <= 0.0):
-        raise ZeroModulusEntryError(f"T_{m} has a zero diagonal entry")
-    q = binomial_amplitude(cfg.j, m)
-    epsilon = np.diag(moduli / q - 1.0).astype(complex)
-    gamma = -cfg.j * math.pi / 2.0 - float(m) * cfg.theta
-    residual = np.angle(diag * np.exp(-1j * gamma))
-    # wrap into (-pi, pi]
-    residual = np.where(
-        residual <= -math.pi + TOL.angle_wrap, residual + 2 * math.pi, residual
-    )
-    return WeakQuantities(q=q, epsilon=epsilon, gamma=gamma, Gamma_diag=residual)
-
-
-@dataclass(frozen=True)
 class RegimeReport:
     """How well a configuration sits in the weak-but-disturbing regime."""
 
@@ -174,10 +144,10 @@ class RegimeReport:
 def regime_diagnostics(cfg: SpinProbeConfig) -> RegimeReport:
     """Weakness and phase of one configuration.
 
-    These depend on the configuration alone.  The disturbance window, which
-    needs the per-outcome fidelities of a sampled run, is
-    :func:`conjmeas.runner.disturbance_outcomes` of the first-stage
-    statistics.
+    These depend on the configuration alone.  The disturbance window needs
+    the per-outcome fidelities F(m) and F_opt(m) on a sampled ensemble:
+    it is :func:`conjmeas.runner.disturbance_outcomes` of the forward set,
+    its first-stage statistics and that ensemble.
     """
     s, j, g = float(cfg.s), float(cfg.j), cfg.g
     weakness = (2.0 / 3.0) * g * g * s * (s + 1.0) * j * math.sin(cfg.theta) ** 2

@@ -17,12 +17,10 @@ class Tolerances:
     prob_floor: float = 1e-12       # below this an outcome counts as impossible
     prob_sum: float = 1e-8          # Σ p_m = 1 check
     invertible_ratio: float = 1e-8  # σ_min/σ_max required to invert a Kraus operator
-    kappa_slack: float = 1e-12      # relative excess allowed on |κ|² ≤ 1/max eig(M†M)
     half_integer: float = 1e-9      # deviation of 2x from an integer allowed in a half-integer
     info_roundoff: float = -1e-10   # information gains (bits) between this and 0 are clipped to 0
     improvement: float = 1e-12      # margin a conjugate-stage value must beat the first stage by
     disturbance_ratio: float = 4.0  # (1 - F) / (1 - F_opt) above this marks a disturbing outcome
-    angle_wrap: float = 1e-15       # phases within this of -pi are wrapped to +pi
 
 
 TOL = Tolerances()

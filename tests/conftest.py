@@ -47,9 +47,3 @@ def random_density_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
     A = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = A @ A.conj().T
     return rho / np.trace(rho).real
-
-
-def random_pure_density(rng: np.random.Generator, dim: int) -> np.ndarray:
-    psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    psi /= np.linalg.norm(psi)
-    return np.outer(psi, psi.conj())

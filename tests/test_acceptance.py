@@ -160,8 +160,9 @@ class TestCriterion6StructuralIdentities:
 
 
 class TestCriterion7RegimeCondition:
-    def test_window(self, paper_run):
-        assert disturbance_outcomes(paper_run[0]) == tuple(float(m) for m in range(-5, 6))
+    def test_window(self, paper_cfg, ens2_big, paper_run):
+        window = disturbance_outcomes(build_forward(paper_cfg), paper_run[0], ens2_big)
+        assert window == tuple(float(m) for m in range(-5, 6))
 
 
 class TestCriterion8OracleEquivalence:

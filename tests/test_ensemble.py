@@ -10,10 +10,11 @@ from conjmeas.ensemble import (
     sample_haar,
     spin_moments_closed_form,
     spin_z,
-    variance_vf,
-    variance_vi,
 )
 from conjmeas.errors import NotHermitianError
+from conjmeas.runner import run_variances
+
+from conftest import N_BIG, SEED
 
 
 def test_states_are_normalized(ens2_big):
@@ -45,25 +46,30 @@ def test_mean_sz_vanishes(ens2_big):
     assert abs(ev.mean()) < 4 * se
 
 
-def test_variance_of_sz_expectation(ens2_big):
-    assert variance_vi(ens2_big, spin_z(0.5)) == pytest.approx(1 / 12, abs=0.002)
+def sz_variance(s, quantity: str, samples: int, seed: int) -> float:
+    """V_I or V_F of S_z as ``run_variances`` estimates it on sample_haar(2s+1, samples, seed)."""
+    rows = run_variances([s], samples, seed).rows
+    return next(estimate for _, name, estimate, *_ in rows if name == quantity)
+
+
+def test_variance_of_sz_expectation():
+    # the ens2_big sample
+    assert sz_variance(0.5, "V_I", N_BIG, SEED) == pytest.approx(1 / 12, abs=0.002)
 
 
 class TestVariances:
     def test_identity_has_no_variance(self, ens2_big):
-        assert variance_vi(ens2_big, np.eye(2)) == pytest.approx(0.0, abs=1e-12)
-        assert variance_vf(ens2_big, np.eye(2)) == pytest.approx(0.0, abs=1e-12)
+        # <I> = 1 on every state: no spread over the sample, none within a state
+        np.testing.assert_allclose(expectation_values(ens2_big, np.eye(2)), 1.0, rtol=0, atol=1e-12)
 
     def test_vi_spin_one(self):
-        ens = sample_haar(3, 100_000, 5)
-        assert variance_vi(ens, spin_z(1.0)) == pytest.approx(1 / 6, abs=0.004)
+        assert sz_variance(1.0, "V_I", 100_000, 5) == pytest.approx(1 / 6, abs=0.004)
 
-    def test_vf_spin_half(self, ens2_big):
-        assert variance_vf(ens2_big, spin_z(0.5)) == pytest.approx(1 / 6, abs=0.003)
+    def test_vf_spin_half(self):
+        assert sz_variance(0.5, "V_F", N_BIG, SEED) == pytest.approx(1 / 6, abs=0.003)
 
     def test_vf_spin_three_halves(self):
-        ens = sample_haar(4, 100_000, 6)
-        assert variance_vf(ens, spin_z(1.5)) == pytest.approx(1.0, abs=0.02)
+        assert sz_variance(1.5, "V_F", 100_000, 6) == pytest.approx(1.0, abs=0.02)
 
     def test_law_of_total_variance(self, ens2_small):
         rng = np.random.default_rng(44)
@@ -78,13 +84,14 @@ class TestVariances:
             )
         )
         total = ev2.mean() - ev.mean() ** 2
-        assert variance_vi(ens2_small, A) + variance_vf(ens2_small, A) == pytest.approx(
-            total, abs=1e-12
-        )
+        # V_I + V_F from the form kernel's expectation values
+        fast, fast2 = expectation_values(ens2_small, A), expectation_values(ens2_small, A @ A)
+        v_i, v_f = np.mean((fast - fast.mean()) ** 2), np.mean(fast2 - fast**2)
+        assert v_i + v_f == pytest.approx(total, abs=1e-12)
 
     def test_requires_hermitian(self, ens2_small):
         with pytest.raises(NotHermitianError):
-            variance_vi(ens2_small, np.array([[0.0, 1.0], [0.0, 0.0]]))
+            expectation_values(ens2_small, np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestClosedFormMoments:

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from conjmeas import linalg
-from conjmeas.errors import NotDensityMatrixError, NotPositiveError
-
-from conftest import random_density_matrix
+from conjmeas.errors import NotPositiveError
 
 
 def random_matrix(rng, dim):
@@ -75,39 +73,3 @@ class TestPolarDecompose:
         np.testing.assert_allclose(U.conj().T @ U, np.eye(2), atol=1e-12)
         np.testing.assert_allclose(U @ N, M, atol=1e-12)
 
-
-class TestFidelity:
-    def test_self_fidelity(self):
-        rng = np.random.default_rng(17)
-        rho = random_density_matrix(rng, 3)
-        assert linalg.fidelity(rho, rho) == pytest.approx(1.0, abs=1e-9)
-
-    def test_orthogonal_pure_states(self):
-        rho = np.diag([1.0, 0.0]).astype(complex)
-        sigma = np.diag([0.0, 1.0]).astype(complex)
-        assert linalg.fidelity(rho, sigma) == pytest.approx(0.0, abs=1e-9)
-
-    def test_pure_vs_maximally_mixed(self):
-        rho = np.diag([1.0, 0.0]).astype(complex)
-        sigma = np.eye(2) / 2
-        assert linalg.fidelity(rho, sigma) == pytest.approx(1 / np.sqrt(2), abs=1e-10)
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(19)
-        for _ in range(20):
-            rho = random_density_matrix(rng, 3)
-            sigma = random_density_matrix(rng, 3)
-            assert abs(linalg.fidelity(rho, sigma) - linalg.fidelity(sigma, rho)) < 1e-9
-
-    def test_unity_iff_equal(self):
-        rng = np.random.default_rng(23)
-        for _ in range(20):
-            rho = random_density_matrix(rng, 3)
-            sigma = random_density_matrix(rng, 3)
-            f = linalg.fidelity(rho, sigma)
-            close = linalg.max_abs(rho - sigma) < 1e-7
-            assert (f > 1 - 1e-9) == close
-
-    def test_rejects_non_density(self):
-        with pytest.raises(NotDensityMatrixError):
-            linalg.fidelity(np.eye(2), np.eye(2) / 2)

@@ -7,22 +7,20 @@ from conjmeas import linalg
 from conjmeas.errors import (
     CompletenessError,
     DimensionMismatchError,
+    NotDensityMatrixError,
     UnknownLabelError,
     ValidationError,
-    ZeroProbabilityOutcomeError,
 )
 from conjmeas.measurement import (
     KrausSet,
     completeness_residual,
     optimal_part,
     outcome_distribution,
-    outcome_probability,
-    post_state,
     sample_outcome,
 )
 from conjmeas.spin_probe import SpinProbeConfig, build_forward
 
-from conftest import random_density_matrix, random_pure_density
+from conftest import random_density_matrix
 
 KET0 = np.diag([1.0, 0.0]).astype(complex)
 KET1 = np.diag([0.0, 1.0]).astype(complex)
@@ -77,9 +75,8 @@ class TestOutcomeProbability:
     def test_trivial_set(self):
         rng = np.random.default_rng(3)
         rho = random_density_matrix(rng, 2)
-        assert outcome_probability(
-            rho, KrausSet((np.eye(2),), (0.0,)), 0.0
-        ) == pytest.approx(1.0, abs=1e-12)
+        p = outcome_distribution(rho, KrausSet((np.eye(2),), (0.0,)))
+        np.testing.assert_allclose(p, [1.0], rtol=0, atol=1e-12)
 
     def test_zero_coupling_is_state_independent(self):
         # with no interaction every state sees the bare binomial weights
@@ -87,15 +84,10 @@ class TestOutcomeProbability:
         kraus = build_forward(cfg)
         rng = np.random.default_rng(5)
         rho = random_density_matrix(rng, 2)
-        assert outcome_probability(rho, kraus, 0.0) == pytest.approx(
-            3432 / 16384, abs=1e-12
-        )
-        assert outcome_probability(rho, kraus, 7.0) == pytest.approx(
-            1 / 4**7, abs=1e-15
-        )
-        assert outcome_probability(rho, kraus, -7.0) == pytest.approx(
-            1 / 4**7, abs=1e-15
-        )
+        p = outcome_distribution(rho, kraus)
+        assert p[kraus.index_of(0.0)] == pytest.approx(3432 / 16384, abs=1e-12)
+        assert p[kraus.index_of(7.0)] == pytest.approx(1 / 4**7, abs=1e-15)
+        assert p[kraus.index_of(-7.0)] == pytest.approx(1 / 4**7, abs=1e-15)
 
     def test_distribution_sums_to_one(self):
         cfg = SpinProbeConfig(s=1.0, j=3, g=0.3, theta=1.0)
@@ -103,33 +95,6 @@ class TestOutcomeProbability:
         rng = np.random.default_rng(8)
         rho = random_density_matrix(rng, 3)
         assert outcome_distribution(rho, kraus).sum() == pytest.approx(1.0, abs=1e-8)
-
-
-class TestPostState:
-    def test_identity_leaves_state(self):
-        rng = np.random.default_rng(9)
-        rho = random_density_matrix(rng, 2)
-        np.testing.assert_allclose(
-            post_state(rho, KrausSet((np.eye(2),), (0.0,)), 0.0), rho, atol=1e-12
-        )
-
-    def test_projective_collapse(self):
-        plus = np.full((2, 2), 0.5, dtype=complex)
-        np.testing.assert_allclose(post_state(plus, PROJECTIVE, 0.0), KET0, atol=1e-12)
-
-    def test_pure_stays_pure(self):
-        cfg = SpinProbeConfig(s=0.5, j=3, g=0.4, theta=0.8)
-        kraus = build_forward(cfg)
-        rng = np.random.default_rng(10)
-        for _ in range(20):
-            rho = random_pure_density(rng, 2)
-            for m in kraus.labels:
-                out = post_state(rho, kraus, m)
-                assert np.trace(out @ out).real == pytest.approx(1.0, abs=1e-8)
-
-    def test_zero_probability_outcome(self):
-        with pytest.raises(ZeroProbabilityOutcomeError):
-            post_state(KET0, PROJECTIVE, 1.0)
 
 
 class TestOptimalPart:
@@ -179,7 +144,8 @@ def test_distribution_is_one_product_and_one_check(monkeypatch):
     V, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
     kraus = KrausSet(tuple(V @ M @ V.conj().T for M in probe.operators), probe.labels)
     rho = random_density_matrix(rng, 4)
-    per_label = [outcome_probability(rho, kraus, m) for m in kraus.labels]
+    # Born rule per label, Tr(M rho M†), one dense product each
+    per_label = [np.trace(M @ rho @ M.conj().T).real for M in kraus.operators]
     checks = []
     check = linalg.check_density_matrix
     monkeypatch.setattr(linalg, "check_density_matrix", lambda r: checks.append(1) or check(r))
@@ -187,6 +153,9 @@ def test_distribution_is_one_product_and_one_check(monkeypatch):
     assert len(checks) == 1
     with pytest.raises(DimensionMismatchError):
         outcome_distribution(np.eye(2) / 2, kraus)
+    # trace 4: the one check rejects a state that is not a density matrix
+    with pytest.raises(NotDensityMatrixError):
+        outcome_distribution(np.eye(4), kraus)
 
 
 class TestSampling:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conjmeas import linalg
-from conjmeas.errors import KappaOutOfBoundError, NonInvertibleOperatorError
+from conjmeas.errors import NonInvertibleOperatorError
 from conjmeas.measurement import KrausSet, completeness_residual
 from conjmeas.metrics import (
     branch_weights_and_amplitudes,
@@ -101,19 +101,9 @@ class TestBuildConjugateMinimal:
             spec.preferred_operator, np.diag([1.0, 2.0 / 3.0]), atol=1e-12
         )
 
-    def test_explicit_kappa(self):
-        spec = build_conjugate_minimal(DIAG_SET, 0.0, kappa=1.0)
-        np.testing.assert_allclose(
-            spec.preferred_operator, np.diag([0.5, 1.0 / 3.0]), atol=1e-12
-        )
-
-    def test_kappa_bound_enforced(self):
-        with pytest.raises(KappaOutOfBoundError):
-            build_conjugate_minimal(DIAG_SET, 0.0, kappa=2.0 + 1e-6)
-
     def test_second_stage_is_complete(self):
-        for kappa in ("auto", 1.0, 0.5):
-            spec = build_conjugate_minimal(DIAG_SET, 0.0, kappa=kappa)
+        for label in DIAG_SET.labels:
+            spec = build_conjugate_minimal(DIAG_SET, label)
             assert completeness_residual(spec.kraus) < 1e-10
 
     def test_completeness_with_nontrivial_polar_phase(self):

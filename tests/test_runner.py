@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -309,6 +312,22 @@ class TestCli:
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"])
+    def test_unwritable_out_exit_code_2(self, tmp_path, out):
+        # --out names an existing file, or a path under one: one line, no traceback
+        (tmp_path / "taken").write_text("")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "conjmeas.cli", "summary", "--samples", "1000",
+             "--out", str(tmp_path / out)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("cannot write output: ")
+        assert proc.stderr.count("\n") == 1
+        assert proc.stdout == ""
+
     def test_deterministic_output(self, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         for out in (out1, out2):
@@ -340,7 +359,7 @@ class TestUndefinedFirstStageOutcomes:
         assert undefined.any() and defined.any()
         np.testing.assert_array_equal(first.defined, defined)
         p_preferred = np.diagonal(grid.conditional)
-        for values in (first.fidelity, first.info_gain, first.fidelity_opt, p_preferred):
+        for values in (first.fidelity, first.info_gain, p_preferred):
             assert np.all(np.isnan(values[undefined]))
             assert np.all(np.isfinite(values[defined]))
         for values in (grid.mean_fidelity, grid.mean_info):
@@ -419,14 +438,13 @@ class TestConjugatePairEvaluation:
         second = conjugate_probe_set(spin)
         stats1 = stage_statistics(forward, ens)
         n = len(forward.labels)
-        ref = {k: np.full(n, np.nan) for k in ("p_pref", "f_prime", "i_prime", "f_opt")}
+        ref = {k: np.full(n, np.nan) for k in ("p_pref", "f_prime", "i_prime")}
         ref.update({k: np.full((n, n), np.nan) for k in ("joint", "cond", "fid", "info")})
         ref["defined"] = np.zeros((n, n), dtype=bool)
         for i, m in enumerate(forward.labels):
             if not stats1.defined[i]:
                 continue
             ts = two_stage_statistics(forward, m, second, ens)
-            ref["f_opt"][i] = optimal_fidelity(forward, ens, m)
             ref["p_pref"][i] = ts.conditional[i]
             ref["f_prime"][i] = ts.mean_fidelity
             ref["i_prime"][i] = ts.mean_info
@@ -450,7 +468,6 @@ class TestConjugatePairEvaluation:
             "p_pref": np.diagonal(grid.conditional), "f_prime": grid.mean_fidelity,
             "i_prime": grid.mean_info, "joint": grid.probability,
             "cond": grid.conditional, "fid": grid.fidelity, "info": grid.info_gain,
-            "f_opt": first.fidelity_opt,
         }
         for key, value in got.items():
             np.testing.assert_array_equal(np.isnan(value), np.isnan(ref[key]), err_msg=key)
@@ -477,7 +494,12 @@ class TestConjugatePairEvaluation:
         assert np.isnan(grid.fidelity).any()
 
     def test_one_evaluation_per_unordered_pair(self, monkeypatch):
-        counts = {"_info_gain": 0, "branch_weights_and_squared_moduli": 0, "optimal_fidelity": 0}
+        counts = {
+            "_info_gain": 0,
+            "branch_weights_and_squared_moduli": 0,
+            "expectation_values": 0,
+            "optimal_fidelity": 0,
+        }
         for name in counts:
             fn = getattr(metrics, name)
 
@@ -493,26 +515,13 @@ class TestConjugatePairEvaluation:
         first, grid = compute_spin_run(spin, sample_haar(2, 1000, 3))
         n = len(spin.outcome_labels)
         assert first.probability.min() > TOL.prob_floor and np.isfinite(grid.info_gain).all()
-        # first stage (with F_opt from its own weights), then the pairs
+        # the first stage, then the pairs; no F_opt work
         assert counts == {
             "_info_gain": n + n * (n + 1) // 2,
             "branch_weights_and_squared_moduli": n + n * (n + 1) // 2,
+            "expectation_values": 0,
             "optimal_fidelity": 0,
         }
-
-
-def disturbance_by_hand(spin, ens):
-    """The disturbance window from the first stage and optimal_fidelity directly."""
-    forward = build_forward(spin)
-    stats = stage_statistics(forward, ens)
-    marked = []
-    for i, m in enumerate(forward.labels):
-        if not stats.defined[i]:
-            continue
-        loss_opt = 1.0 - optimal_fidelity(forward, ens, m)
-        if loss_opt <= TOL.prob_floor or (1.0 - stats.fidelity[i]) / loss_opt > TOL.disturbance_ratio:
-            marked.append(m)
-    return tuple(marked)
 
 
 @settings(max_examples=30, deadline=None)
@@ -533,13 +542,16 @@ def test_spin_run_properties(s, j, g, theta, seed):
         first, grid = TestConjugatePairEvaluation().compare(spin, ens)
     except MeasurementModelError:
         return
-    assert disturbance_outcomes(first) == disturbance_by_hand(spin, ens)
+    forward = build_forward(spin)
+    defined = [m for m, ok in zip(first.labels, first.defined) if ok]
+    assert set(disturbance_outcomes(forward, first, ens)) <= set(defined)
+    f_opt = np.array([optimal_fidelity(forward, ens, m) for m in defined])
     assert np.sum(first.probability) == pytest.approx(1.0, abs=TOL.prob_sum)
     # each defined first outcome's second stage is a distribution; the rest are NaN
     row_sums = np.sum(grid.conditional[first.defined], axis=1)
     np.testing.assert_allclose(row_sums, 1.0, rtol=0, atol=TOL.prob_sum)
     assert np.isnan(grid.conditional[~first.defined]).all()
-    fidelities = (first.fidelity, first.fidelity_opt, grid.mean_fidelity, grid.fidelity)
+    fidelities = (first.fidelity, f_opt, grid.mean_fidelity, grid.fidelity)
     for values in fidelities:
         values = values[~np.isnan(values)]
         assert np.all((values >= 0.0) & (values <= 1.0 + 1e-12))

@@ -1,9 +1,10 @@
 """Source hygiene of the library, read with ``ast`` (nothing is imported).
 
 Every tolerance is read as ``TOL.<field>`` by the library or by the
-benchmark's oracle checks (``TOL.prob_sum`` bounds Σp = 1 there), and no
-library module imports a name it never uses; ``__init__`` is left out,
-since its imports are the package's exports.
+benchmark's oracle checks (``TOL.prob_sum`` bounds Σp = 1 there); no library
+module or demo imports a name it never uses (``__init__`` is left out, since
+its imports are the package's exports); and every public top-level function
+and class of the library is read by code other than its own tests.
 """
 
 import ast
@@ -11,6 +12,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "conjmeas"
+LIBRARY = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = {p.stem for p in LIBRARY}
 
 
 def parse(path: Path) -> ast.Module:
@@ -51,14 +54,113 @@ def test_every_tolerance_is_read():
 
 def test_no_unused_imports():
     unused = []
-    for path in sorted(SRC.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
+    for path in [*LIBRARY, *sorted((ROOT / "demos").glob("*.py"))]:
         tree = parse(path)
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         unused += [
-            f"{path.name}:{line} {name}"
+            f"{path.relative_to(ROOT)}:{line} {name}"
             for name, line in imported_names(tree)
             if name not in used
         ]
     assert unused == []
+
+
+def package_exports() -> dict:
+    """Name -> defining module of every name ``conjmeas/__init__.py`` re-exports."""
+    return {
+        alias.asname or alias.name: node.module
+        for node in parse(SRC / "__init__.py").body
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in MODULES
+        for alias in node.names
+    }
+
+
+def qualified_reads(tree: ast.Module, exports: dict) -> set:
+    """(module, name) of every library name the code reads through a ``from`` import.
+
+    A name imported from a library module (or from the package, which
+    re-exports it) counts where it is used; a library module imported by
+    name counts through its ``module.name`` attribute reads.  Matching by
+    module keeps a field such as ``StageStatistics.fidelity`` apart from a
+    function of the same name.  Other import forms are not followed, so a
+    name read only through them is reported as unread.
+    """
+    names, modules = {}, {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        package = (node.level == 1 and node.module is None) or node.module == "conjmeas"
+        if node.level == 1:
+            source = node.module
+        elif node.module and node.module.startswith("conjmeas."):
+            source = node.module.split(".", 1)[1]
+        else:
+            source = None
+        for alias in node.names:
+            bound = alias.asname or alias.name
+            if package and alias.name in MODULES:
+                modules[bound] = alias.name
+            elif package and alias.name in exports:
+                names[bound] = (exports[alias.name], alias.name)
+            elif source in MODULES:
+                names[bound] = (source, alias.name)
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in names:
+            reads.add(names[node.id])
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+        ):
+            reads.add((modules[node.value.id], node.attr))
+    return reads
+
+
+def own_module_reads(module: str, tree: ast.Module) -> set:
+    """Names a module reads outside the definition of the name itself."""
+    reads = set()
+    for stmt in tree.body:
+        own = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id != own:
+                reads.add((module, node.id))
+    return reads
+
+
+def tracer_reads() -> set:
+    """(module, attribute) of every library object ``benchmarks/tracing.py`` wraps."""
+    reads = set()
+    for node in parse(ROOT / "benchmarks" / "tracing.py").body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id in ("TARGETS", "CLASS_TARGETS") for t in node.targets
+        ):
+            reads |= {(entry[0], entry[1]) for entry in ast.literal_eval(node.value)}
+    return reads
+
+
+def test_every_public_name_is_read():
+    # readers: the library itself, demos/, benchmarks/ (the tracer's targets
+    # included) and the acceptance tests, which pin the stated guarantees;
+    # a name that only its own unit tests read is not part of the program
+    exports = package_exports()
+    readers = [
+        *LIBRARY,
+        *sorted((ROOT / "demos").glob("*.py")),
+        *sorted((ROOT / "benchmarks").glob("*.py")),
+        ROOT / "tests" / "test_acceptance.py",
+    ]
+    reads = tracer_reads()
+    for path in readers:
+        tree = parse(path)
+        reads |= qualified_reads(tree, exports)
+        if path.parent == SRC:
+            reads |= own_module_reads(path.stem, tree)
+    public = [
+        (path.stem, node.name)
+        for path in LIBRARY
+        for node in parse(path).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+    assert public
+    assert [f"{m}.{n}" for m, n in public if (m, n) not in reads] == []
