@@ -5,11 +5,12 @@ invariant (Fubini-Study) measure by normalizing complex Gaussian vectors.
 The closed-form spin moments give an independent oracle for the sampled
 ensemble averages.
 
-Every quadratic form <psi|B|psi> is real-linear in two per-state features:
-the populations P_i = |psi_i|² and the coherences z_ij = conj(psi_i) psi_j
-for i < j, stored as [Re z | Im z].  :func:`form_coefficients` turns B into
+Every quadratic form <psi|B|psi> is real-linear in the per-state features
+[P | Re z | Im z]: the populations P_i = |psi_i|² and the coherences
+z_ij = conj(psi_i) psi_j for i < j.  :func:`form_coefficients` turns B into
 real coefficient rows on those features and :func:`quadratic_forms`
-evaluates them for the whole sample as one real product.
+evaluates them for the whole sample as one real product: over the
+populations alone for a diagonal B, over the d² feature columns otherwise.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from . import linalg
-from .errors import NotHermitianError
+from .errors import DimensionMismatchError, NotHermitianError
 from .tolerances import TOL
 
 _GAUSS_SCALE = np.sqrt(0.5)
@@ -51,24 +52,26 @@ class PureStateEnsemble:
         return pops
 
     @cached_property
-    def coherences(self) -> np.ndarray:
-        """Read-only (N, dim·(dim-1)) array [Re z | Im z], computed once per ensemble.
+    def features(self) -> np.ndarray:
+        """Read-only (N, dim²) array [P | Re z | Im z], computed once per ensemble.
 
-        z_ij = conj(psi_i) psi_j for the pairs i < j in ``np.triu_indices``
-        order.  Stored column-major like the populations.  Only forms with
+        The first dim columns copy the populations; z_ij = conj(psi_i) psi_j
+        for the pairs i < j in ``np.triu_indices`` order fill the rest.
+        Stored column-major like the populations.  Only forms with
         off-diagonal coefficients read it, so an ensemble that only meets
-        diagonal operators never allocates these N·dim·(dim-1) floats.
+        diagonal operators never allocates these N·dim² floats.
         """
         x = np.asfortranarray(self.states.real)
         y = np.asfortranarray(self.states.imag)
         rows, cols = _pairs(self.dim)
-        k = rows.size
-        coh = np.empty((self.n, 2 * k), order="F")
+        d, k = self.dim, rows.size
+        feats = np.empty((self.n, d + 2 * k), order="F")
+        feats[:, :d] = self.populations
         for c, (i, j) in enumerate(zip(rows, cols)):
-            coh[:, c] = x[:, i] * x[:, j] + y[:, i] * y[:, j]
-            coh[:, k + c] = x[:, i] * y[:, j] - y[:, i] * x[:, j]
-        coh.flags.writeable = False
-        return coh
+            feats[:, d + c] = x[:, i] * x[:, j] + y[:, i] * y[:, j]
+            feats[:, d + k + c] = x[:, i] * y[:, j] - y[:, i] * x[:, j]
+        feats.flags.writeable = False
+        return feats
 
 
 def sample_haar(dim: int, n: int, seed: int) -> PureStateEnsemble:
@@ -126,19 +129,20 @@ def quadratic_forms(
 ) -> np.ndarray:
     """Evaluate k real coefficient rows on every state: a (k, N) array.
 
-    ``on_populations @ P.T``, plus ``on_coherences @ [Re z | Im z].T`` when
-    coherence rows are given; leave them out for a diagonal operator, so the
-    coherences are never built.
+    ``on_populations @ P.T`` when no coherence rows are given, as for a
+    diagonal operator, so the features are never built; otherwise one
+    product ``[on_populations | on_coherences] @ [P | Re z | Im z].T``.
     """
-    forms = on_populations @ ens.populations.T
-    if on_coherences is not None:
-        forms += on_coherences @ ens.coherences.T
-    return forms
+    if on_coherences is None:
+        return on_populations @ ens.populations.T
+    return np.hstack([on_populations, on_coherences]) @ ens.features.T
 
 
 def expectation_values(ens: PureStateEnsemble, A) -> np.ndarray:
     """Vector of quantum expectations <psi_a|A|psi_a> over the sample."""
     A = linalg.as_operator(A)
+    if A.shape[0] != ens.dim:
+        raise DimensionMismatchError("operator and ensemble dimensions differ")
     if linalg.max_abs(A - linalg.dagger(A)) > TOL.hermiticity:
         raise NotHermitianError("observable is not Hermitian")
     on_populations, on_coherences = form_coefficients(A)

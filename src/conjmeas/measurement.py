@@ -3,6 +3,10 @@
 Outcome labels are half-integers (spin projections like -7, -13/2, ... or
 plain 0, 1, 2).  They are stored as floats but indexed through their exact
 doubled-integer value, so label lookup never depends on float comparison.
+
+A set keeps its effects E_m = M_m†M_m, formed once for the completeness
+check, so every outcome probability Re Tr(E_m rho) is one product over
+them and a draw validates rho once.
 """
 
 from __future__ import annotations
@@ -39,12 +43,14 @@ class KrausSet:
 
     The constructor enforces the completeness condition Σ M†M = I within
     ``TOL.completeness``; use :func:`completeness_residual` to inspect a
-    candidate set before building one.
+    candidate set before building one.  The effects M_m†M_m it checks are
+    kept as one read-only (n, d, d) array.
     """
 
     operators: tuple
     labels: tuple
     _index: dict = field(repr=False, compare=False, default=None)
+    _effects: np.ndarray = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
         ops = tuple(linalg.as_operator(M) for M in self.operators)
@@ -62,6 +68,9 @@ class KrausSet:
         if len(index) != len(labels):
             raise ValidationError(f"outcome labels must be distinct, got {labels}")
         object.__setattr__(self, "_index", index)
+        effects = _effect_stack(ops)
+        effects.flags.writeable = False
+        object.__setattr__(self, "_effects", effects)
         res = completeness_residual(self)
         if res > TOL.completeness:
             raise CompletenessError(f"completeness residual {res:.3e}")
@@ -83,28 +92,30 @@ class KrausSet:
         return self.operators[self.index_of(label)]
 
 
+def _effect_stack(ops) -> np.ndarray:
+    """The effects M†M of the operators, stacked into one (n, d, d) array."""
+    ops = [np.asarray(M, dtype=complex) for M in ops]
+    return np.array([linalg.dagger(M) @ M for M in ops])
+
+
 def completeness_residual(kraus) -> float:
     """Max-abs deviation of Σ M†M from the identity (pure diagnostic)."""
-    ops = kraus.operators if isinstance(kraus, KrausSet) else kraus
-    d = np.asarray(ops[0]).shape[0]
-    acc = np.zeros((d, d), dtype=complex)
-    for M in ops:
-        M = np.asarray(M, dtype=complex)
-        acc += linalg.dagger(M) @ M
-    return linalg.max_abs(acc - np.eye(d))
+    effects = kraus._effects if isinstance(kraus, KrausSet) else _effect_stack(kraus)
+    return linalg.max_abs(effects.sum(axis=0) - np.eye(effects.shape[1]))
 
 
 def outcome_distribution(rho, kraus: KrausSet) -> np.ndarray:
     """Born probabilities Re Tr(M rho M†) of every outcome, clipped to [0, 1].
 
     rho is validated once; all outcomes come from one product over the
-    stacked operators.
+    cached effects: Re Tr(E_m rho) = Re Σ_ij conj(E_m)_ij rho_ij, as E_m is
+    Hermitian.
     """
     rho = linalg.check_density_matrix(rho)
     if kraus.dim != rho.shape[0]:
         raise DimensionMismatchError("state and operator dimensions differ")
-    ops = np.stack(kraus.operators)
-    p = np.einsum("mij,jk,mik->m", ops, rho, ops.conj()).real
+    effects = kraus._effects
+    p = (effects.conj().reshape(len(effects), -1) @ rho.reshape(-1)).real
     return np.clip(p, 0.0, 1.0)
 
 
@@ -121,10 +132,16 @@ def optimal_part(kraus: KrausSet) -> KrausSet:
 
 
 def sample_outcome(rho, kraus: KrausSet, rng: np.random.Generator):
-    """Draw one outcome label; returns ``(label, rng)`` with rng advanced."""
+    """Draw one outcome label; returns ``(label, rng)`` with rng advanced.
+
+    The label is that of ``rng.choice(n, p=p / p.sum())``: the same
+    cumulative table and the same one uniform double, without choice's
+    second validation of p.
+    """
     p = outcome_distribution(rho, kraus)
     total = p.sum()
     if total <= 0:
         raise ZeroProbabilityOutcomeError("all outcomes have zero probability")
-    idx = rng.choice(len(p), p=p / total)
-    return kraus.labels[idx], rng
+    cdf = (p / total).cumsum()
+    cdf /= cdf[-1]
+    return kraus.labels[int(cdf.searchsorted(rng.random(), side="right"))], rng

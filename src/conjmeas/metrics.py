@@ -8,16 +8,19 @@ initial state to the (unnormalized) branch state.
 Every per-branch quantity comes from one kernel,
 :func:`branch_weights_and_squared_moduli`, which returns the weight
 ``w = <A†A>`` and the squared modulus ``|<psi|A|psi>|²`` for each state.
-Both are quadratic forms in psi, hence real-linear in two per-state
+Both are quadratic forms in psi, hence real-linear in the per-state
 features of the ensemble (see :mod:`conjmeas.ensemble`): the populations
 P_i = |psi_i|² (N×d floats, cached on first use) and the coherences
-z_ij = conj(psi_i) psi_j, i < j, stored as [Re z | Im z] (N·d(d-1) floats,
-built only when a non-diagonal operator is first evaluated).  A diagonal
-operator (every off-diagonal entry exactly zero, as for the spin-probe
-operators and their compositions) reads the populations alone: with
-a = diag(A) the three rows [|a|², Re a, Im a] give w, Re amp and Im amp in
-one (3×d)·(d×N) product.  Any other operator adds the coherence rows of
-A†A and A, one more (3×d(d-1))·(d(d-1)×N) product.  The dense O(N·d²)
+z_ij = conj(psi_i) psi_j, i < j.  A diagonal operator (every off-diagonal
+entry exactly zero, as for the spin-probe operators and their
+compositions) reads the populations alone: with a = diag(A) the three rows
+[|a|², Re a, Im a] give w, Re amp and Im amp in one (3×d)·(d×N) product.
+Any other operator reads the feature matrix [P | Re z | Im z] (N×d²
+floats, built only when a non-diagonal operator is first evaluated): the
+rows of A†A and A on it give w, Re amp and Im amp in one (3×d²)·(d²×N)
+product.  This kernel and :func:`conjmeas.ensemble.expectation_values`
+reject an operator whose dimension is not the ensemble's, so a caller
+checks only a product it forms before them.  The dense O(N·d²)
 :func:`branch_weights_and_amplitudes` is the reference the tests compare
 against.  Reductions over the N states are numpy means and sums, so
 results do not depend on the BLAS thread count.
@@ -171,8 +174,10 @@ def branch_weights_and_squared_moduli(ens: PureStateEnsemble, op: np.ndarray):
 
     Both are quadratic forms, evaluated as three real rows on the ensemble
     features: from the populations alone for a diagonal operator, and from
-    the populations and coherences otherwise.
+    the full features [P | Re z | Im z] otherwise.
     """
+    if op.shape[0] != ens.dim:
+        raise DimensionMismatchError("operator and ensemble dimensions differ")
     if linalg.is_diagonal(op):
         a = np.diagonal(op)
         coeffs = np.stack([a.real**2 + a.imag**2, a.real, a.imag])
@@ -233,8 +238,6 @@ def info_and_fidelity(w, amp2, p) -> tuple[float, float]:
 
 def stage_statistics(kraus: KrausSet, ens: PureStateEnsemble) -> StageStatistics:
     """First-stage statistics: p(m), I(m), F(m) and the p(m)-weighted means."""
-    if kraus.dim != ens.dim:
-        raise DimensionMismatchError("measurement and ensemble dimensions differ")
     return StageStatistics(kraus.labels, *_branch_statistics(kraus.operators, ens))
 
 
@@ -247,7 +250,7 @@ def two_stage_statistics(
     distribution p(mu | m) of the second outcome.  Means are weighted by
     p(mu | m), i.e. they are the conditional means given the first outcome.
     """
-    if kraus.dim != ens.dim or second.dim != ens.dim:
+    if second.dim != ens.dim:
         raise DimensionMismatchError("measurement and ensemble dimensions differ")
     M = kraus.operator(first_label)
     p_first = expectation_values(ens, linalg.dagger(M) @ M).mean()
@@ -279,8 +282,6 @@ def conjugate_two_stage_statistics(
     p, I and F are symmetric in (m, mu): each unordered pair is evaluated
     once, when a row that needs it is defined, and mirrored.
     """
-    if kraus.dim != ens.dim:
-        raise DimensionMismatchError("measurement and ensemble dimensions differ")
     if first.labels != kraus.labels:
         raise ValidationError("first-stage statistics belong to another measurement")
     if not all(linalg.is_diagonal(M) for M in kraus.operators):

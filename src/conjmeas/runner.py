@@ -67,10 +67,6 @@ class Table:
     columns: tuple
     rows: list = field(default_factory=list)
 
-    def column(self, name: str) -> list:
-        i = self.columns.index(name)
-        return [row[i] for row in self.rows]
-
 
 def _fmt(value) -> str:
     if isinstance(value, bool):

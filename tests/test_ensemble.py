@@ -148,14 +148,15 @@ def test_populations_cached_and_read_only(ens2_small):
     assert not pops.flags.writeable
 
 
-def test_coherences_cached_and_read_only():
+def test_features_cached_and_read_only():
     ens = sample_haar(3, 50, 9)
-    coh = ens.coherences
-    assert coh is ens.coherences
-    assert coh.shape == (50, 6) and coh.flags.f_contiguous and not coh.flags.writeable
+    feats = ens.features
+    assert feats is ens.features
+    assert feats.shape == (50, 9) and feats.flags.f_contiguous and not feats.flags.writeable
+    np.testing.assert_array_equal(feats[:, :3], ens.populations)
     i, j = np.triu_indices(3, 1)
     z = ens.states[:, i].conj() * ens.states[:, j]
-    np.testing.assert_allclose(coh, np.hstack([z.real, z.imag]), rtol=0, atol=1e-16)
+    np.testing.assert_allclose(feats[:, 3:], np.hstack([z.real, z.imag]), rtol=0, atol=1e-16)
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -137,18 +137,27 @@ class TestOptimalPart:
             )
 
 
-def test_distribution_is_one_product_and_one_check(monkeypatch):
-    rng = np.random.default_rng(8)
+def rotated_probe(rng):
+    """The diagonal s=3/2 probe rotated into a non-diagonal set: V M V†."""
     probe = build_forward(SpinProbeConfig(s=1.5, j=2, g=0.3, theta=0.7))
-    # rotate the diagonal probe into a non-diagonal set: V M V†
     V, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-    kraus = KrausSet(tuple(V @ M @ V.conj().T for M in probe.operators), probe.labels)
-    rho = random_density_matrix(rng, 4)
-    # Born rule per label, Tr(M rho M†), one dense product each
-    per_label = [np.trace(M @ rho @ M.conj().T).real for M in kraus.operators]
+    return KrausSet(tuple(V @ M @ V.conj().T for M in probe.operators), probe.labels)
+
+
+def count_checks(monkeypatch) -> list:
     checks = []
     check = linalg.check_density_matrix
     monkeypatch.setattr(linalg, "check_density_matrix", lambda r: checks.append(1) or check(r))
+    return checks
+
+
+def test_distribution_is_one_product_and_one_check(monkeypatch):
+    rng = np.random.default_rng(8)
+    kraus = rotated_probe(rng)
+    rho = random_density_matrix(rng, 4)
+    # Born rule per label, Tr(M rho M†), one dense product each
+    per_label = [np.trace(M @ rho @ M.conj().T).real for M in kraus.operators]
+    checks = count_checks(monkeypatch)
     np.testing.assert_allclose(outcome_distribution(rho, kraus), per_label, rtol=0, atol=1e-15)
     assert len(checks) == 1
     with pytest.raises(DimensionMismatchError):
@@ -184,3 +193,43 @@ class TestSampling:
         for m, p in zip(kraus.labels, probs):
             se = math.sqrt(p * (1 - p) / n)
             assert abs(counts[m] / n - p) < 4 * se + 1e-12
+
+
+def choice_draws(rho, kraus, seed, k):
+    """Reference sampler: the Born distribution from one einsum over the
+    stacked operators, then one ``rng.choice`` per draw."""
+    rng = np.random.default_rng(seed)
+    ops = np.stack(kraus.operators)
+    p = np.clip(np.einsum("mij,jk,mik->m", ops, rho, ops.conj()).real, 0.0, 1.0)
+    return tuple(kraus.labels[rng.choice(len(p), p=p / p.sum())] for _ in range(k))
+
+
+class TestDrawStream:
+    @pytest.fixture(params=["rotated", "spin"])
+    def case(self, request):
+        rng = np.random.default_rng(8)
+        if request.param == "rotated":
+            return rotated_probe(rng), random_density_matrix(rng, 4)
+        cfg = SpinProbeConfig(s=0.5, j=7, g=0.25, theta=math.pi / 6)
+        return build_forward(cfg), random_density_matrix(rng, 2)
+
+    def test_same_labels_as_rng_choice(self, monkeypatch, case):
+        kraus, rho = case
+        expected = choice_draws(rho, kraus, 41, 300)
+        assert len(set(expected)) > 1
+        checks = count_checks(monkeypatch)
+        rng = np.random.default_rng(41)
+        draws = []
+        for _ in range(300):
+            label, rng = sample_outcome(rho, kraus, rng)
+            draws.append(label)
+        assert tuple(draws) == expected
+        assert len(checks) == 300
+
+    def test_cached_effects(self, case):
+        kraus, _ = case
+        effects = kraus._effects
+        assert effects.shape == (len(kraus), kraus.dim, kraus.dim)
+        assert not effects.flags.writeable
+        dense = np.stack([M.conj().T @ M for M in kraus.operators])
+        np.testing.assert_allclose(effects, dense, rtol=0, atol=1e-15)

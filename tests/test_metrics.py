@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +35,7 @@ from conjmeas.runner import compute_spin_run
 from conjmeas.spin_probe import SpinProbeConfig, build_forward, conjugate_probe_set
 
 LN2 = math.log(2.0)
+SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def tiny_ensemble(dim, n, seed):
@@ -433,16 +438,16 @@ class TestPopulationsKernel:
             metrics, "branch_weights_and_amplitudes",
             lambda states, op: calls.append(op) or dense(states, op),
         )
-        # a diagonal-only run never builds the coherences
+        # a diagonal-only run never builds the features
         cfg = SpinProbeConfig(s=0.5, j=2, g=0.3, theta=0.9)
         ens = sample_haar(2, 500, 17)
         compute_spin_run(cfg, ens)
         expectation_values(ens, spin_z(0.5))
-        assert "coherences" not in vars(ens)
+        assert "features" not in vars(ens)
         # an operator with one tiny off-diagonal entry takes the form path
         general = np.array([[0.6, 1e-300], [0.0, 0.8]])
         w, amp2 = metrics.branch_weights_and_squared_moduli(ens, general)
-        assert "coherences" in vars(ens)
+        assert "features" in vars(ens)
         assert calls == []
         w_ref, amp_ref = dense(ens.states, general)
         np.testing.assert_allclose(w, w_ref, rtol=POP_RTOL, atol=0)
@@ -537,6 +542,63 @@ class TestFormKernel:
         assert np.all(amp2 <= w + 1e-14 * scale)
         np.testing.assert_allclose(w, w_ref, rtol=0, atol=1e-14 * scale)
         np.testing.assert_allclose(np.sqrt(amp2), np.abs(amp_ref), rtol=0, atol=1e-14 * scale)
+
+
+class TestEvaluatorDimensionCheck:
+    """A d=2 operator on a d=3 ensemble is rejected by the evaluators themselves."""
+
+    KRAUS = build_forward(SpinProbeConfig(s=0.5, j=2, g=0.3, theta=0.9))
+    ENS = sample_haar(3, 1000, 1)
+
+    def test_optimal_fidelity(self):
+        with pytest.raises(DimensionMismatchError):
+            optimal_fidelity(self.KRAUS, self.ENS, 0.0)
+
+    def test_conjugate_preferred_closed_form(self):
+        with pytest.raises(DimensionMismatchError):
+            conjugate_preferred_closed_form(self.KRAUS, 0.0, self.ENS)
+
+    def test_conditional_success_probability(self):
+        spec = build_conjugate_minimal(self.KRAUS, 0.0)
+        with pytest.raises(DimensionMismatchError):
+            conditional_success_probability(self.KRAUS, 0.0, self.ENS, spec)
+
+    def test_expectation_values(self):
+        with pytest.raises(DimensionMismatchError):
+            expectation_values(self.ENS, spin_z(0.5))
+
+
+# The non-diagonal set of the benchmark's general_kraus workload, G_k S^{-1/2}
+# with S = sum G_k† G_k, evaluated in a fresh interpreter; prints the repr of
+# every field of a first stage and of a two-stage run.
+NON_DIAGONAL_SCRIPT = """
+import numpy as np
+from conjmeas.ensemble import sample_haar
+from conjmeas.measurement import KrausSet
+from conjmeas.metrics import stage_statistics, two_stage_statistics
+rng = np.random.default_rng(1234)
+G = (rng.standard_normal((6, 4, 4)) + 1j * rng.standard_normal((6, 4, 4))) / np.sqrt(2)
+w, V = np.linalg.eigh(np.einsum("kji,kjl->il", G.conj(), G))
+kraus = KrausSet(tuple(g @ (V / np.sqrt(w)) @ V.conj().T for g in G), tuple(range(6)))
+ens = sample_haar(4, 20000, 99)
+for st in (stage_statistics(kraus, ens), two_stage_statistics(kraus, 2.0, kraus, ens)):
+    fields = (st.probability, st.info_gain, st.fidelity, st.defined, st.conditional)
+    print(repr([None if f is None else f.tolist() for f in fields]))
+"""
+
+
+def test_non_diagonal_path_independent_of_thread_count():
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC_DIR, env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-c", NON_DIAGONAL_SCRIPT],
+            capture_output=True, text=True, check=True, env=env,
+        )
+        outs.append(proc.stdout)
+    assert outs[0].count("\n") == 2
+    assert outs[0] == outs[1]
 
 
 class TestStageStatisticsGet:

@@ -35,6 +35,11 @@ SMALL = ExperimentConfig(
 )
 
 
+def column(table: Table, name: str) -> list:
+    i = table.columns.index(name)
+    return [row[i] for row in table.rows]
+
+
 @pytest.fixture(scope="module")
 def figures():
     return run_figures(SMALL)
@@ -58,12 +63,12 @@ class TestFigures:
         assert set(figures) == {"fig1", "fig2", "fig3", "fig4"}
 
     def test_fig1_probabilities_sum_to_one(self, figures):
-        assert sum(figures["fig1"].column("p_m")) == pytest.approx(1.0, abs=1e-8)
+        assert sum(column(figures["fig1"], "p_m")) == pytest.approx(1.0, abs=1e-8)
 
     def test_fig4_conditionals_sum_to_one(self, figures):
         fig4 = figures["fig4"]
-        m_col = np.array(fig4.column("m"))
-        p_col = np.array(fig4.column("p_mu_given_m"))
+        m_col = np.array(column(fig4, "m"))
+        p_col = np.array(column(fig4, "p_mu_given_m"))
         for m in set(m_col):
             assert p_col[m_col == m].sum() == pytest.approx(1.0, abs=1e-8)
 
@@ -71,10 +76,10 @@ class TestFigures:
         # averaging the grid over mu with weights p(mu|m) must reproduce the
         # primed columns of the per-outcome tables
         fig2, fig3, fig4 = figures["fig2"], figures["fig3"], figures["fig4"]
-        m_col = np.array(fig4.column("m"))
-        p_col = np.array(fig4.column("p_mu_given_m"))
-        f_col = np.array(fig4.column("fidelity_m_mu"))
-        i_col = np.array(fig4.column("info_m_mu"))
+        m_col = np.array(column(fig4, "m"))
+        p_col = np.array(column(fig4, "p_mu_given_m"))
+        f_col = np.array(column(fig4, "fidelity_m_mu"))
+        i_col = np.array(column(fig4, "info_m_mu"))
         for row2, row3 in zip(fig2.rows, fig3.rows):
             m = row2[0]
             sel = m_col == m
@@ -88,8 +93,8 @@ class TestFigures:
             seed=3,
         )
         tables = run_figures(cfg)
-        np.testing.assert_allclose(tables["fig2"].column("fidelity_m"), 1.0, atol=1e-9)
-        np.testing.assert_allclose(tables["fig3"].column("info_m"), 0.0, atol=1e-9)
+        np.testing.assert_allclose(column(tables["fig2"], "fidelity_m"), 1.0, atol=1e-9)
+        np.testing.assert_allclose(column(tables["fig3"], "info_m"), 0.0, atol=1e-9)
 
     def test_improvement_flags_follow_grid(self, figures):
         fig4 = figures["fig4"]
@@ -108,8 +113,8 @@ class TestFigures:
             SpinProbeConfig(s=0.5, j=7, g=0.25, theta=0.0), samples=20_000, seed=7
         )
         fig4 = run_figures(cfg)["fig4"]
-        assert not any(fig4.column("info_improves"))
-        assert all(fig4.column("fidelity_improves"))
+        assert not any(column(fig4, "info_improves"))
+        assert all(column(fig4, "fidelity_improves"))
         summary = run_summary(cfg)
         assert not summary["info_improves"]
         assert summary["fidelity_improves"]

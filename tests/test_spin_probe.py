@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import binom
 
 from conjmeas.errors import LabelOutOfRangeError
@@ -18,6 +20,15 @@ from conjmeas.spin_probe import (
 )
 
 REF = SpinProbeConfig(s=0.5, j=7, g=0.25, theta=math.pi / 6)
+
+# s in 1/2..7/2, j in 1/2..10, g in [-1, 1], theta in [0, pi]
+CONFIGS = st.builds(
+    SpinProbeConfig,
+    s=st.integers(1, 7).map(lambda k: k / 2),
+    j=st.integers(1, 20).map(lambda k: k / 2),
+    g=st.floats(-1.0, 1.0),
+    theta=st.floats(0.0, math.pi),
+)
 
 
 class TestConfig:
@@ -109,6 +120,11 @@ class TestForwardSet:
         for cfg in configs:
             assert completeness_residual(build_forward(cfg)) < 1e-9
 
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=CONFIGS)
+    def test_completeness_property(self, cfg):
+        assert completeness_residual(build_forward(cfg)) < 1e-9
+
     def test_operators_are_diagonal(self):
         kraus = build_forward(REF)
         for op in kraus.operators:
@@ -140,6 +156,18 @@ class TestAdjointIdentity:
                         sign * forward.operator(m).conj().T,
                         atol=1e-10,
                     )
+
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=CONFIGS)
+    def test_adjoint_identity_property(self, cfg):
+        # T_mu(pi - theta) = (-1)^{j+mu} T_mu(theta)†
+        forward = build_forward(cfg)
+        flipped = conjugate_probe_set(cfg)
+        for mu in cfg.outcome_labels:
+            sign = (-1.0) ** int(round(cfg.j + mu))
+            np.testing.assert_allclose(
+                flipped.operator(mu), sign * forward.operator(mu).conj().T, rtol=0, atol=1e-12
+            )
 
     def test_self_adjoint_at_right_angle(self):
         # theta = pi/2 maps to itself, so each T_m is (anti-)Hermitian
