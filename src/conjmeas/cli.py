@@ -4,9 +4,9 @@ Subcommands: figures, summary, variances, sweep.  Angles may be given as
 exact fractions of pi ("pi/6", "2pi/3") or as plain radians; spins as
 half-integers ("1/2", "0.5", "7").
 
-Exit codes: 0 success, 2 invalid configuration or an output directory that
-cannot be created or written, 3 numeric-contract failure or any other
-measurement-model error.
+Exit codes: 0 success, 2 invalid configuration, a run too large for memory
+or an output directory that cannot be created or written, 3 numeric-contract
+failure or any other measurement-model error.
 """
 
 from __future__ import annotations
@@ -148,6 +148,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 2
     except NumericContractError as exc:
         print(f"numeric contract violated: {exc}", file=sys.stderr)

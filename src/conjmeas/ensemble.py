@@ -22,8 +22,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatchError, NotHermitianError
-from .tolerances import TOL
+from .errors import DimensionMismatchError
 
 _GAUSS_SCALE = np.sqrt(0.5)
 
@@ -132,7 +131,10 @@ def quadratic_forms(
     ``on_populations @ P.T`` when no coherence rows are given, as for a
     diagonal operator, so the features are never built; otherwise one
     product ``[on_populations | on_coherences] @ [P | Re z | Im z].T``.
+    Both evaluators' rows meet here, so this is where a wrong dimension fails.
     """
+    if on_populations.shape[-1] != ens.dim:
+        raise DimensionMismatchError("operator and ensemble dimensions differ")
     if on_coherences is None:
         return on_populations @ ens.populations.T
     return np.hstack([on_populations, on_coherences]) @ ens.features.T
@@ -140,11 +142,7 @@ def quadratic_forms(
 
 def expectation_values(ens: PureStateEnsemble, A) -> np.ndarray:
     """Vector of quantum expectations <psi_a|A|psi_a> over the sample."""
-    A = linalg.as_operator(A)
-    if A.shape[0] != ens.dim:
-        raise DimensionMismatchError("operator and ensemble dimensions differ")
-    if linalg.max_abs(A - linalg.dagger(A)) > TOL.hermiticity:
-        raise NotHermitianError("observable is not Hermitian")
+    A = linalg.check_hermitian(A)
     on_populations, on_coherences = form_coefficients(A)
     on_coherences = None if linalg.is_diagonal(A) else on_coherences[:1]
     return quadratic_forms(ens, on_populations[:1], on_coherences)[0]

@@ -44,12 +44,11 @@ def is_diagonal(M: np.ndarray) -> bool:
     return np.count_nonzero(M) == np.count_nonzero(np.diagonal(M))
 
 
-def _check_hermitian(H: np.ndarray, tol: float = TOL.hermiticity) -> np.ndarray:
+def check_hermitian(H) -> np.ndarray:
+    """The library's one Hermiticity check; returns :func:`as_operator` of H."""
     H = as_operator(H)
-    if max_abs(H - dagger(H)) > tol:
-        raise NotHermitianError(
-            f"matrix deviates from Hermitian by {max_abs(H - dagger(H)):.3e}"
-        )
+    if max_abs(H - dagger(H)) > TOL.hermiticity:
+        raise NotHermitianError(f"matrix deviates from Hermitian by {max_abs(H - dagger(H)):.3e}")
     return H
 
 
@@ -59,7 +58,7 @@ def positive_sqrt(P) -> np.ndarray:
     Eigenvalues in ``[eig_floor, 0)`` are treated as numerical noise and
     clipped to zero; anything below the floor raises ``NotPositiveError``.
     """
-    P = _check_hermitian(P)
+    P = check_hermitian(P)
     w, V = np.linalg.eigh(P)
     if w[0] < TOL.eig_floor:
         raise NotPositiveError(f"eigenvalue {w[0]:.3e} below {TOL.eig_floor:.1e}")

@@ -6,7 +6,7 @@ doubled-integer value, so label lookup never depends on float comparison.
 
 A set keeps its effects E_m = M_m†M_m, formed once for the completeness
 check, so every outcome probability Re Tr(E_m rho) is one product over
-them and a draw validates rho once.
+them, a draw validates rho once, and :meth:`KrausSet.effect` serves M†M.
 """
 
 from __future__ import annotations
@@ -91,6 +91,10 @@ class KrausSet:
     def operator(self, label) -> np.ndarray:
         return self.operators[self.index_of(label)]
 
+    def effect(self, label) -> np.ndarray:
+        """The effect M†M of outcome ``label``: a read-only view of the cached stack."""
+        return self._effects[self.index_of(label)]
+
 
 def _effect_stack(ops) -> np.ndarray:
     """The effects M†M of the operators, stacked into one (n, d, d) array."""
@@ -125,9 +129,7 @@ def optimal_part(kraus: KrausSet) -> KrausSet:
     Outcome statistics are identical to the input set for every state; only
     the state change differs (the unitary polar factor is dropped).
     """
-    ops = tuple(
-        linalg.positive_sqrt(linalg.dagger(M) @ M) for M in kraus.operators
-    )
+    ops = tuple(linalg.positive_sqrt(kraus.effect(m)) for m in kraus.labels)
     return KrausSet(ops, kraus.labels)
 
 

@@ -18,18 +18,19 @@ compositions) reads the populations alone: with a = diag(A) the three rows
 Any other operator reads the feature matrix [P | Re z | Im z] (N×d²
 floats, built only when a non-diagonal operator is first evaluated): the
 rows of A†A and A on it give w, Re amp and Im amp in one (3×d²)·(d²×N)
-product.  This kernel and :func:`conjmeas.ensemble.expectation_values`
-reject an operator whose dimension is not the ensemble's, so a caller
-checks only a product it forms before them.  The dense O(N·d²)
+product.  :func:`conjmeas.ensemble.quadratic_forms` rejects an operator
+whose dimension is not the ensemble's, so a caller checks only a product
+it forms before the evaluators.  The dense O(N·d²)
 :func:`branch_weights_and_amplitudes` is the reference the tests compare
 against.  Reductions over the N states are numpy means and sums, so
 results do not depend on the BLAS thread count.
 
-Each branch statistic reads that one evaluation, and each N-length pass
-is made once: p = mean(w) is taken once and handed to the information
-kernel, and F = mean(sqrt(|amp|² w)) / p takes a single square root, in
-place.  A value that needs the weights alone (a second stage's p(m), a
-success probability) is one form read through
+Every stage turns its branches into (p, I, F, defined) through
+:func:`branch_statistics`, and each N-length pass is made once: p = mean(w)
+is taken once and handed to the information kernel, and
+F = mean(sqrt(|amp|² w)) / p takes a single square root, in place.  A
+value that needs the weights alone (a second stage's p(m), a success
+probability) is one form read through
 :func:`conjmeas.ensemble.expectation_values`, which makes the same
 diagonal-or-not choice.  The positive-part fidelity F_opt of an outcome,
 which only the regime check reads, is :func:`optimal_fidelity`, computed on
@@ -43,8 +44,8 @@ returns the whole (m, mu) grid as one :class:`StageStatistics` of n×n
 arrays, with one branch per unordered pair {m, mu}: branch (mu, m) is
 M_m† M_mu = (M_mu† M_m)†, whose weights and amplitude moduli equal those
 of (m, mu) on every state because diagonal operators commute, so p, I and
-F are symmetric and each pair is evaluated once and mirrored.  Branches
-still stream one at a time over the N states.
+F are symmetric and each pair (one row's pairs mu >= m per
+:func:`branch_statistics` call) is evaluated once and mirrored.
 """
 
 from __future__ import annotations
@@ -75,12 +76,16 @@ def likelihood_info_gain(weights) -> float:
         [mean(w log2 w) - mean(w) log2 mean(w)] / mean(w)
 
     with 0 log 0 = 0.  The result is nonnegative up to roundoff and is
-    clipped at zero.
+    clipped at zero.  Weights that overflow the kernel are rejected.
     """
     w = np.asarray(weights, dtype=float)
     if not w.size:
         raise InvalidWeightsError("weights must be nonnegative with a positive mean")
-    return _info_gain(w, w.mean())
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return _info_gain(w, w.mean())
+    except FloatingPointError as exc:
+        raise InvalidWeightsError(f"weights overflow the information kernel: {exc}") from None
 
 
 def _info_gain(w, mw) -> float:
@@ -176,8 +181,6 @@ def branch_weights_and_squared_moduli(ens: PureStateEnsemble, op: np.ndarray):
     features: from the populations alone for a diagonal operator, and from
     the full features [P | Re z | Im z] otherwise.
     """
-    if op.shape[0] != ens.dim:
-        raise DimensionMismatchError("operator and ensemble dimensions differ")
     if linalg.is_diagonal(op):
         a = np.diagonal(op)
         coeffs = np.stack([a.real**2 + a.imag**2, a.real, a.imag])
@@ -196,14 +199,15 @@ def branch_weights_and_squared_moduli(ens: PureStateEnsemble, op: np.ndarray):
     return w, re
 
 
-def _branch_statistics(composed_ops, ens: PureStateEnsemble, p_given=1.0):
-    """Per-branch p, I, F and definedness.
+def branch_statistics(composed_ops, ens: PureStateEnsemble, p_given=1.0):
+    """Per-branch p, I, F and definedness: the one routine behind every stage.
 
-    A branch is undefined when p / p_given is at the floor; ``p_given`` is
-    the probability of the outcome the branches are conditioned on (1 for
-    a first stage), so the floor applies to p(mu | m).
+    A branch is undefined (NaN I and F) when p / p_given is at the floor;
+    ``p_given``, one per branch or one for all, is the probability of the
+    outcome it is conditioned on (1 for a first stage).
     """
     n_out = len(composed_ops)
+    p_given = np.broadcast_to(p_given, (n_out,))
     prob = np.zeros(n_out)
     info = np.full(n_out, np.nan)
     fid = np.full(n_out, np.nan)
@@ -212,10 +216,10 @@ def _branch_statistics(composed_ops, ens: PureStateEnsemble, p_given=1.0):
         w, amp2 = branch_weights_and_squared_moduli(ens, op)
         p = w.mean()
         prob[i] = p
-        if p / p_given <= TOL.prob_floor:
+        if p / p_given[i] <= TOL.prob_floor:
             continue
         defined[i] = True
-        info[i], fid[i] = info_and_fidelity(w, amp2, p)
+        info[i], fid[i] = _info_gain(w, p), _fidelity(w, amp2, p)
     return prob, info, fid, defined
 
 
@@ -228,17 +232,9 @@ def _fidelity(w, amp2, p) -> float:
     return float(np.sqrt(amp2, out=amp2).mean() / p)
 
 
-def info_and_fidelity(w, amp2, p) -> tuple[float, float]:
-    """I and F of one branch from its weights w, squared amplitude moduli and p = mean(w).
-
-    ``amp2`` is overwritten.
-    """
-    return _info_gain(w, p), _fidelity(w, amp2, p)
-
-
 def stage_statistics(kraus: KrausSet, ens: PureStateEnsemble) -> StageStatistics:
     """First-stage statistics: p(m), I(m), F(m) and the p(m)-weighted means."""
-    return StageStatistics(kraus.labels, *_branch_statistics(kraus.operators, ens))
+    return StageStatistics(kraus.labels, *branch_statistics(kraus.operators, ens))
 
 
 def two_stage_statistics(
@@ -252,14 +248,14 @@ def two_stage_statistics(
     """
     if second.dim != ens.dim:
         raise DimensionMismatchError("measurement and ensemble dimensions differ")
-    M = kraus.operator(first_label)
-    p_first = expectation_values(ens, linalg.dagger(M) @ M).mean()
+    p_first = expectation_values(ens, kraus.effect(first_label)).mean()
     if p_first <= TOL.prob_floor:
         raise ZeroProbabilityOutcomeError(
             f"first-stage outcome {first_label} has probability {p_first:.3e}"
         )
+    M = kraus.operator(first_label)
     composed = [C @ M for C in second.operators]
-    prob, info, fid, defined = _branch_statistics(composed, ens, p_given=p_first)
+    prob, info, fid, defined = branch_statistics(composed, ens, p_given=p_first)
     return StageStatistics(
         second.labels, prob, info, fid, defined, conditional=prob / p_first
     )
@@ -289,19 +285,19 @@ def conjugate_two_stage_statistics(
     ops = kraus.operators
     n = len(ops)
     p_first = first.probability
+    # a pair is conditioned on the least likely defined row that reads it
+    p_row = np.where(first.defined, p_first, np.inf)
     joint = np.full((n, n), np.nan)
     info = np.full((n, n), np.nan)
     fid = np.full((n, n), np.nan)
     for i in range(n):
-        for k in range(i, n):
-            if not (first.defined[i] or first.defined[k]):
-                continue
-            w, amp2 = branch_weights_and_squared_moduli(ens, linalg.dagger(ops[k]) @ ops[i])
-            p = w.mean()
-            joint[i, k] = joint[k, i] = p
-            if any(first.defined[r] and p / p_first[r] > TOL.prob_floor for r in (i, k)):
-                info[i, k], fid[i, k] = info_and_fidelity(w, amp2, p)
-                info[k, i], fid[k, i] = info[i, k], fid[i, k]
+        ks = [k for k in range(i, n) if first.defined[i] or first.defined[k]]
+        row = branch_statistics(
+            [linalg.dagger(ops[k]) @ ops[i] for k in ks], ens, np.minimum(p_row[i], p_row[ks])
+        )
+        # definedness is set per row below, on p(mu | m)
+        for grid, values in zip((joint, info, fid), row):
+            grid[i, ks] = grid[ks, i] = values
     joint[~first.defined] = np.nan
     conditional = joint / p_first[:, None]
     defined = conditional > TOL.prob_floor
@@ -314,14 +310,10 @@ def optimal_fidelity(kraus: KrausSet, ens: PureStateEnsemble, label) -> float:
     """Fidelity the outcome would have had under the positive-part measurement.
 
     mean_a[ sqrt(<N²>) <N> ] / mean_a <N²>  with N = sqrt(M†M), i.e. the
-    branch fidelity of N; for a diagonal M, N = diag|a| directly.  The
-    regime check :func:`conjmeas.runner.disturbance_outcomes` asks for it;
-    the stage statistics do not compute it.
+    branch fidelity of N (diagonal for a diagonal M).  The regime check
+    :func:`conjmeas.runner.disturbance_outcomes` asks for it; the stage
+    statistics do not compute it.
     """
-    M = kraus.operator(label)
-    if linalg.is_diagonal(M):
-        N = np.diag(np.abs(np.diagonal(M)))
-    else:
-        N = linalg.positive_sqrt(linalg.dagger(M) @ M)
+    N = linalg.positive_sqrt(kraus.effect(label))
     w, n2 = branch_weights_and_squared_moduli(ens, N)
     return _fidelity(w, n2, w.mean())

@@ -116,13 +116,10 @@ def conjugate_preferred_closed_form(
         I = info kernel applied to the weights <N⁴>
 
     These agree with the full two-stage statistics on that branch because
-    the composed operator is proportional to N².
+    the composed operator is proportional to N² = M†M (NaN at the floor).
     """
-    M = kraus.operator(label)
-    N2 = linalg.dagger(M) @ M
-    w4, n2_sq = metrics.branch_weights_and_squared_moduli(ens, N2)  # <N^4>, <N^2>²
-    info, fid = metrics.info_and_fidelity(w4, n2_sq, w4.mean())
-    return fid, info
+    _, info, fid, _ = metrics.branch_statistics([kraus.effect(label)], ens)
+    return float(fid[0]), float(info[0])
 
 
 def conditional_success_probability(
@@ -132,5 +129,5 @@ def conditional_success_probability(
     M = kraus.operator(label)
     composed = spec.preferred_operator @ M
     p_joint = expectation_values(ens, linalg.dagger(composed) @ composed).mean()
-    p_first = expectation_values(ens, linalg.dagger(M) @ M).mean()
+    p_first = expectation_values(ens, kraus.effect(label)).mean()
     return float(p_joint / p_first)

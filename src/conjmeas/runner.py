@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -260,21 +260,17 @@ SWEEP_AXES = ("g", "j", "theta")
 def run_sweep(cfg: ExperimentConfig, axis: str, values) -> Table:
     """Long-format table of the summary metrics along one parameter axis.
 
-    No axis changes the system spin s, so every point uses the same
-    (dim, samples, seed) ensemble: it is sampled once, before the first
-    point, and each point gives the summary ``run_summary`` would give.
+    Every point's configuration is built first, so a bad value fails before
+    any point runs.  No axis changes the system spin s, so every point uses
+    the same (dim, samples, seed) ensemble: it is sampled once, before the
+    first point, and each point gives the summary ``run_summary`` would give.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}")
+    spins = [replace(cfg.spin, **{axis: v}) for v in values]
     t = Table("sweep", ("axis", "value", "metric", "metric_value"))
     ens = sample_haar(cfg.spin.dim, cfg.samples, cfg.seed)
-    for v in values:
-        spin = SpinProbeConfig(
-            s=cfg.spin.s,
-            j=v if axis == "j" else cfg.spin.j,
-            g=v if axis == "g" else cfg.spin.g,
-            theta=v if axis == "theta" else cfg.spin.theta,
-        )
+    for v, spin in zip(values, spins):
         summary = _summary(spin, ens)
         for metric in (
             "mean_fidelity",

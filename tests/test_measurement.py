@@ -233,3 +233,7 @@ class TestDrawStream:
         assert not effects.flags.writeable
         dense = np.stack([M.conj().T @ M for M in kraus.operators])
         np.testing.assert_allclose(effects, dense, rtol=0, atol=1e-15)
+        # effect(label) hands out a read-only view of the same stack
+        for i, m in enumerate(kraus.labels):
+            assert kraus.effect(m).base is effects and not kraus.effect(m).flags.writeable
+            np.testing.assert_array_equal(kraus.effect(m), effects[i])

@@ -79,7 +79,9 @@ class TestInfoKernel:
             assert likelihood_info_gain(w) >= 0.0
 
     def test_rejects_bad_weights(self):
-        for bad in ([], [0.0, 0.0], [1.0, -0.1]):
+        # the last three overflow inside the kernel: an infinite weight, a
+        # sum past the float maximum, and a w log2 w past it
+        for bad in ([], [0.0, 0.0], [1.0, -0.1], [np.inf, 1.0], [1e308, 1e308], [1e308, 1.0]):
             with pytest.raises(InvalidWeightsError):
                 likelihood_info_gain(bad)
 

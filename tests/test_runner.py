@@ -202,6 +202,19 @@ class TestSweep:
         with pytest.raises(ValueError):
             run_sweep(SMALL, "s", [0.5])
 
+    def test_bad_value_rejected_before_any_point_runs(self, monkeypatch):
+        calls, summary = [], runner._summary
+
+        def counted(*args):
+            calls.append(args)
+            return summary(*args)
+
+        monkeypatch.setattr(runner, "_summary", counted)
+        # j = 7.3 is no half-integer; the valid j = 7 before it is not computed
+        with pytest.raises(ValueError):
+            run_sweep(SMALL, "j", [7.0, 7.3])
+        assert calls == []
+
 
 class TestSerialization:
     def test_csv_roundtrip_and_header(self, tmp_path, figures):
@@ -330,6 +343,20 @@ class TestCli:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("cannot write output: ")
+        assert proc.stderr.count("\n") == 1
+        assert proc.stdout == ""
+
+    def test_out_of_memory_exit_code_2(self, tmp_path):
+        # 10^14 states need 2.8 PiB: the allocation fails at once, nothing is held
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "conjmeas.cli", "summary", "--samples", "100000000000000",
+             "--out", str(tmp_path)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("out of memory: ")
         assert proc.stderr.count("\n") == 1
         assert proc.stdout == ""
 

@@ -4,7 +4,8 @@ Every tolerance is read as ``TOL.<field>`` by the library or by the
 benchmark's oracle checks (``TOL.prob_sum`` bounds Σp = 1 there); no library
 module or demo imports a name it never uses (``__init__`` is left out, since
 its imports are the package's exports); and every public top-level function
-and class of the library is read by code other than its own tests.
+and class of the library, and every public method and property of its
+classes, is read by code other than its own tests.
 """
 
 import ast
@@ -139,19 +140,22 @@ def tracer_reads() -> set:
     return reads
 
 
+# The code that may read a public name: the library itself, demos/,
+# benchmarks/ (the tracer's targets included) and the acceptance tests, which
+# pin the stated guarantees; a name that only its own unit tests read is not
+# part of the program.
+READERS = [
+    *LIBRARY,
+    *sorted((ROOT / "demos").glob("*.py")),
+    *sorted((ROOT / "benchmarks").glob("*.py")),
+    ROOT / "tests" / "test_acceptance.py",
+]
+
+
 def test_every_public_name_is_read():
-    # readers: the library itself, demos/, benchmarks/ (the tracer's targets
-    # included) and the acceptance tests, which pin the stated guarantees;
-    # a name that only its own unit tests read is not part of the program
     exports = package_exports()
-    readers = [
-        *LIBRARY,
-        *sorted((ROOT / "demos").glob("*.py")),
-        *sorted((ROOT / "benchmarks").glob("*.py")),
-        ROOT / "tests" / "test_acceptance.py",
-    ]
     reads = tracer_reads()
-    for path in readers:
+    for path in READERS:
         tree = parse(path)
         reads |= qualified_reads(tree, exports)
         if path.parent == SRC:
@@ -164,3 +168,24 @@ def test_every_public_name_is_read():
     ]
     assert public
     assert [f"{m}.{n}" for m, n in public if (m, n) not in reads] == []
+
+
+def test_every_public_method_is_read():
+    # matched by attribute name alone: a read of ``.effect`` on any object
+    # counts for every class with an ``effect`` method or property
+    reads = {
+        node.attr
+        for path in READERS
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    public = [
+        (path.stem, cls.name, node.name)
+        for path in LIBRARY
+        for cls in parse(path).body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+    assert public
+    assert [f"{m}.{c}.{n}" for m, c, n in public if n not in reads] == []
