@@ -11,7 +11,6 @@ from .ensemble import (
     spin_z,
 )
 from .linalg import (
-    PolarParts,
     polar_decompose,
     positive_sqrt,
 )

@@ -29,7 +29,7 @@ from .runner import (
     write_json,
 )
 from .spin_probe import SpinProbeConfig
-from .tolerances import TOL
+from .tolerances import doubled_half_integer
 
 
 def _ratio(text: str, num: float, den: float) -> float:
@@ -61,7 +61,7 @@ def parse_half_integer(text: str) -> float:
         value = _ratio(text, float(num), float(den))
     else:
         value = _ratio(text, float(t), 1.0)
-    if abs(2 * value - round(2 * value)) > TOL.half_integer:
+    if doubled_half_integer(value) is None:
         raise argparse.ArgumentTypeError(f"{text!r} is not a half-integer")
     return value
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatchError
+from .tolerances import doubled_half_integer
 
 _GAUSS_SCALE = np.sqrt(0.5)
 
@@ -150,7 +151,9 @@ def expectation_values(ens: PureStateEnsemble, A) -> np.ndarray:
 
 def spin_z(s) -> np.ndarray:
     """Diagonal S_z on the (2s+1)-dimensional spin space, entries -s..s."""
-    two_s = int(round(2 * float(s)))
+    two_s = doubled_half_integer(s)
+    if two_s is None or two_s < 0:
+        raise ValueError(f"spin must be a nonnegative half-integer, got {s}")
     sigma = np.arange(-two_s, two_s + 1, 2) / 2.0
     return np.diag(sigma.astype(complex))
 
@@ -178,9 +181,10 @@ class SpinMoments:
 
 def spin_moments_closed_form(s) -> SpinMoments:
     """Exact rational ensemble moments of S_z for half-integer spin ``s``."""
-    s = Fraction(s).limit_denominator(2)
-    if s <= 0 or (2 * s).denominator != 1:
+    two_s = doubled_half_integer(s)
+    if two_s is None or two_s <= 0:
         raise ValueError(f"spin must be a positive half-integer, got {s}")
+    s = Fraction(two_s, 2)
     C = 1 / (2 * s + 1)
     D = 1 / ((s + 1) * (2 * s + 1))
     E = 1 / (2 * (s + 1) * (2 * s + 1))

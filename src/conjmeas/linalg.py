@@ -6,19 +6,10 @@ with complex entries.  They are pure: inputs are never modified.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import NotDensityMatrixError, NotHermitianError, NotPositiveError
 from .tolerances import TOL
-
-
-class PolarParts(NamedTuple):
-    """Left polar factorization M = unitary @ positive."""
-
-    unitary: np.ndarray
-    positive: np.ndarray
 
 
 def as_operator(M) -> np.ndarray:
@@ -66,7 +57,7 @@ def positive_sqrt(P) -> np.ndarray:
     return (V * np.sqrt(w)) @ dagger(V)
 
 
-def polar_decompose(M) -> PolarParts:
+def polar_decompose(M) -> tuple[np.ndarray, np.ndarray]:
     """Left polar decomposition ``M = U @ N`` with U unitary, N = sqrt(M†M).
 
     For invertible M the factors are unique.  For a singular M the SVD still
@@ -78,7 +69,7 @@ def polar_decompose(M) -> PolarParts:
     U = W @ Xh
     N = dagger(Xh) @ (s[:, None] * Xh)
     N = 0.5 * (N + dagger(N))
-    return PolarParts(U, N)
+    return U, N
 
 
 def check_density_matrix(rho) -> np.ndarray:

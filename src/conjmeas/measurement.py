@@ -24,15 +24,14 @@ from .errors import (
     ValidationError,
     ZeroProbabilityOutcomeError,
 )
-from .tolerances import TOL
+from .tolerances import TOL, doubled_half_integer
 
 
 def _label_key(label: float) -> int:
-    doubled = 2 * float(label)
-    if not math.isfinite(doubled):
+    if not math.isfinite(2 * float(label)):
         raise UnknownLabelError(f"label {label!r} is not finite")
-    key = round(doubled)
-    if abs(doubled - key) > TOL.half_integer:
+    key = doubled_half_integer(label)
+    if key is None:
         raise UnknownLabelError(f"label {label!r} is not a half-integer")
     return key
 

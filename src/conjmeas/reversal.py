@@ -8,8 +8,13 @@ Two constructions are provided for a first-stage operator M = U N:
   recovery for weak measurements with enhanced information gain, since the
   composition applies the positive part twice (C M ∝ N²).
 
-Both are completed to exact two-outcome Kraus sets with a positive
-square-root complement.
+Both come from one SVD M = W diag(s) X† and have the same form: preferred
+operator X diag(r) W† and complement L diag(sqrt(1 - r²)) W†, with
+r = s_min/s, L = W (reversing) or r = s/s_max, L = X (conjugate).  Each r
+is a ratio of singular values, so its largest entry is exactly 1 and the
+complement sends the state the preferred outcome recovers with certainty
+to zero up to roundoff (a root of the completeness gap I - P†P would take
+the square root of that gap's roundoff-level eigenvalue there).
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import numpy as np
 
 from . import linalg, metrics
 from .ensemble import PureStateEnsemble, expectation_values
-from .errors import NonInvertibleOperatorError
+from .errors import NonInvertibleOperatorError, ZeroProbabilityOutcomeError
 from .measurement import KrausSet
 from .tolerances import TOL
 
@@ -43,66 +48,55 @@ class SecondStageSpec:
         return self.kraus.operator(self.preferred_label)
 
 
-def _complement_root(gap: np.ndarray) -> np.ndarray | None:
-    """Positive root of a completeness gap (PSD up to roundoff), or None when it vanishes."""
-    gap = 0.5 * (gap + linalg.dagger(gap))
-    if float(np.linalg.eigvalsh(gap)[-1]) < TOL.prob_floor:
-        return None
-    return linalg.positive_sqrt(gap)
+def _second_stage(scale, r: np.ndarray, X, L, Wh) -> SecondStageSpec:
+    """Preferred X diag(r) W† and complement L diag(sqrt(1 - r²)) W†.
+
+    The complement is dropped when every 1 - r² is below ``TOL.prob_floor``.
+    """
+    preferred = (X * r) @ Wh
+    gap = 1.0 - r * r
+    if gap.max() < TOL.prob_floor:
+        ops, labels = (preferred,), (0.0,)
+    else:
+        ops, labels = (preferred, (L * np.sqrt(gap)) @ Wh), (0.0, 1.0)
+    return SecondStageSpec(scale=scale, preferred_label=0.0, kraus=KrausSet(ops, labels))
 
 
 def build_reversing(kraus: KrausSet, label) -> SecondStageSpec:
     """Two-outcome reversing measurement for one first-stage outcome.
 
     The preferred operator is lam * M^{-1} with the largest admissible real
-    scale, lam² = min eigenvalue of M†M.  The complement outcome carries
-    sqrt(I - R†R); when M is unitary the complement vanishes and a
-    single-outcome set is returned.
+    scale, lam = s_min, the smallest singular value of M = W diag(s) X†;
+    that is X diag(s_min/s) W†.  The complement W diag(sqrt(1 - r²)) W†,
+    r = s_min/s, is the positive root of I - R†R; when M is unitary it
+    vanishes and a single-outcome set is returned.
     """
     M = kraus.operator(label)
-    s = np.linalg.svd(M, compute_uv=False)
-    if s[-1] < TOL.invertible_ratio * s[0]:
+    W, s, Xh = np.linalg.svd(M)
+    if not s[-1] > TOL.invertible_ratio * s[0]:
         raise NonInvertibleOperatorError(
             f"operator for outcome {label} is numerically singular"
         )
-    lam = float(s[-1])  # sqrt of min eigenvalue of M†M
-    preferred = lam * np.linalg.inv(M)
-    complement = _complement_root(
-        np.eye(M.shape[0]) - linalg.dagger(preferred) @ preferred
-    )
-    labels = (0.0,) if complement is None else (0.0, 1.0)
-    ops = (preferred,) if complement is None else (preferred, complement)
-    return SecondStageSpec(
-        scale=lam,
-        preferred_label=0.0,
-        kraus=KrausSet(ops, labels),
-    )
+    X = linalg.dagger(Xh)
+    return _second_stage(float(s[-1]), s[-1] / s, X, W, linalg.dagger(W))
 
 
 def build_conjugate_minimal(kraus: KrausSet, label) -> SecondStageSpec:
     """Minimal two-outcome Hermitian conjugate measurement for one outcome.
 
     The preferred operator is kappa * M† with the largest admissible real
-    scale, kappa = 1/sqrt(max eigenvalue of M†M).  The complement is
-    sqrt(I - kappa² N²) U†, which satisfies completeness exactly and reduces
-    to the small-disturbance series of the two-outcome model when the
-    positive part is close to a multiple of the identity.
+    scale, kappa = 1/s_max for M = W diag(s) X† = U N; that is
+    X diag(s/s_max) W†.  The complement X diag(sqrt(1 - r²)) W†, r = s/s_max,
+    equals sqrt(I - kappa² N²) U†; it satisfies completeness exactly and
+    reduces to the small-disturbance series of the two-outcome model when
+    the positive part is close to a multiple of the identity.
     """
     M = kraus.operator(label)
-    U, N = linalg.polar_decompose(M)
-    nmax2 = float(np.linalg.eigvalsh(N)[-1]) ** 2
-    kappa = complex(1.0 / np.sqrt(nmax2))
-    preferred = kappa * linalg.dagger(M)
-    root = _complement_root(np.eye(M.shape[0]) - abs(kappa) ** 2 * (N @ N))
-    if root is None:
-        ops, labels = (preferred,), (0.0,)
-    else:
-        ops, labels = (preferred, root @ linalg.dagger(U)), (0.0, 1.0)
-    return SecondStageSpec(
-        scale=kappa,
-        preferred_label=0.0,
-        kraus=KrausSet(ops, labels),
-    )
+    W, s, Xh = np.linalg.svd(M)
+    if not s[0] > 0.0:
+        raise ZeroProbabilityOutcomeError(f"operator for outcome {label} is zero")
+    X = linalg.dagger(Xh)
+    return _second_stage(complex(1.0 / s[0]), s / s[0], X, X, linalg.dagger(W))
 
 
 def conjugate_preferred_closed_form(

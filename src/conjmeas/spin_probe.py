@@ -17,15 +17,15 @@ import numpy as np
 from .errors import LabelOutOfRangeError
 from .measurement import KrausSet
 from .reversal import SecondStageSpec
-from .tolerances import TOL
+from .tolerances import doubled_half_integer
 
 
 def _half_int(x, name: str) -> int:
     """Return 2x as an exact integer."""
-    doubled = 2 * float(x)
-    if abs(doubled - round(doubled)) > TOL.half_integer:
+    doubled = doubled_half_integer(x)
+    if doubled is None:
         raise ValueError(f"{name} must be a half-integer, got {x}")
-    return int(round(doubled))
+    return doubled
 
 
 @dataclass(frozen=True)

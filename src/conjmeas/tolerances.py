@@ -1,9 +1,11 @@
 """Numerical tolerances shared by the library and its test suite.
 
 Every threshold used in a runtime check lives here so that library code and
-tests cannot drift apart.
+tests cannot drift apart, and so does the one half-integer rule that spins,
+labels and CLI arguments share.
 """
 
+import math
 from dataclasses import dataclass
 
 
@@ -24,3 +26,11 @@ class Tolerances:
 
 
 TOL = Tolerances()
+
+
+def doubled_half_integer(x) -> int | None:
+    """2x as an exact integer when x is a half-integer within ``TOL.half_integer``, else None."""
+    doubled = 2 * float(x)
+    if not math.isfinite(doubled) or abs(doubled - round(doubled)) > TOL.half_integer:
+        return None
+    return round(doubled)

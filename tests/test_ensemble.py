@@ -105,6 +105,13 @@ class TestClosedFormMoments:
         m = spin_moments_closed_form(1)
         assert (m.C, m.D, m.E) == (Fraction(1, 3), Fraction(1, 6), Fraction(1, 12))
 
+    @pytest.mark.parametrize("function", [spin_moments_closed_form, spin_z])
+    def test_rejects_non_half_integer_spin(self, function):
+        # 0.7 is not within TOL.half_integer of a half-integer, so it must not
+        # be rounded to 1/2 and reported under that spin
+        with pytest.raises(ValueError):
+            function(0.7)
+
     def test_moment_identity(self):
         # normalization forces D + 2s*E = C
         for s in (0.5, 1, 1.5, 2, 3.5):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conjmeas import linalg
-from conjmeas.errors import NonInvertibleOperatorError
+from conjmeas.errors import NonInvertibleOperatorError, ZeroProbabilityOutcomeError
 from conjmeas.measurement import KrausSet, completeness_residual
 from conjmeas.metrics import (
     branch_weights_and_amplitudes,
@@ -27,6 +27,31 @@ def two_outcome_set(M):
     return KrausSet((M, comp), (0.0, 1.0))
 
 DIAG_SET = two_outcome_set(np.diag([0.5, 1.0 / 3.0]))
+ZERO_SET = KrausSet((np.zeros((2, 2)), np.eye(2)), (0.0, 1.0))
+
+
+def random_general_set(seed: int, dim: int = 4, n: int = 6) -> KrausSet:
+    """Complete non-diagonal set G_k S^{-1/2} with S = sum G_k^dag G_k."""
+    rng = np.random.default_rng(seed)
+    G = (rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))) / math.sqrt(2)
+    S = np.einsum("kji,kjl->il", G.conj(), G)
+    w, V = np.linalg.eigh(S)
+    return KrausSet(tuple(g @ (V / np.sqrt(w)) @ V.conj().T for g in G), tuple(range(n)))
+
+
+@pytest.mark.parametrize("build", [build_reversing, build_conjugate_minimal])
+def test_complement_annihilates_the_recovered_state(build):
+    # the top eigenvector v of P†P succeeds with certainty, so the complement
+    # must send it to zero; completeness alone only sees C†C, where an error
+    # e in C shows as e²
+    worst = 0.0
+    for seed in range(20):
+        kraus = random_general_set(seed)
+        for m in kraus.labels:
+            P, C = build(kraus, m).kraus.operators
+            v = np.linalg.eigh(P.conj().T @ P)[1][:, -1]
+            worst = max(worst, float(np.linalg.norm(C @ v)))
+    assert worst <= 1e-12
 
 
 class TestBuildReversing:
@@ -81,6 +106,10 @@ class TestBuildReversing:
         with pytest.raises(NonInvertibleOperatorError):
             build_reversing(singular, 0.0)
 
+    def test_zero_operator_rejected(self):
+        with pytest.raises(NonInvertibleOperatorError):
+            build_reversing(ZERO_SET, 0.0)
+
     def test_conditional_success_probability(self, ens2_small):
         cfg = SpinProbeConfig(s=0.5, j=3, g=0.4, theta=1.0)
         kraus = build_forward(cfg)
@@ -112,6 +141,10 @@ class TestBuildConjugateMinimal:
         M = 0.4 * A / np.linalg.norm(A, 2)
         spec = build_conjugate_minimal(two_outcome_set(M), 0.0)
         assert completeness_residual(spec.kraus) < 1e-10
+
+    def test_zero_operator_rejected(self):
+        with pytest.raises(ZeroProbabilityOutcomeError):
+            build_conjugate_minimal(ZERO_SET, 0.0)
 
     def test_composition_is_squared_positive_part(self):
         cfg = SpinProbeConfig(s=1.0, j=2, g=0.3, theta=0.9)

@@ -4,8 +4,8 @@ Every tolerance is read as ``TOL.<field>`` by the library or by the
 benchmark's oracle checks (``TOL.prob_sum`` bounds Σp = 1 there); no library
 module or demo imports a name it never uses (``__init__`` is left out, since
 its imports are the package's exports); and every public top-level function
-and class of the library, and every public method and property of its
-classes, is read by code other than its own tests.
+and class of the library, and every public method, property and annotated
+field of its classes, is read by code other than its own tests.
 """
 
 import ast
@@ -170,15 +170,22 @@ def test_every_public_name_is_read():
     assert [f"{m}.{n}" for m, n in public if (m, n) not in reads] == []
 
 
-def test_every_public_method_is_read():
-    # matched by attribute name alone: a read of ``.effect`` on any object
-    # counts for every class with an ``effect`` method or property
-    reads = {
+def attribute_reads() -> set:
+    """Every attribute name that ``READERS`` load, on any object.
+
+    Members are matched by name alone: a read of ``.effect`` on any object
+    counts for every class with an ``effect`` method, property or field.
+    """
+    return {
         node.attr
         for path in READERS
         for node in ast.walk(parse(path))
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
+
+
+def test_every_public_method_is_read():
+    reads = attribute_reads()
     public = [
         (path.stem, cls.name, node.name)
         for path in LIBRARY
@@ -186,6 +193,22 @@ def test_every_public_method_is_read():
         if isinstance(cls, ast.ClassDef)
         for node in cls.body
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+    assert public
+    assert [f"{m}.{c}.{n}" for m, c, n in public if n not in reads] == []
+
+
+def test_every_public_field_is_read():
+    reads = attribute_reads()
+    public = [
+        (path.stem, cls.name, node.target.id)
+        for path in LIBRARY
+        for cls in parse(path).body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.AnnAssign)
+        and isinstance(node.target, ast.Name)
+        and not node.target.id.startswith("_")
     ]
     assert public
     assert [f"{m}.{c}.{n}" for m, c, n in public if n not in reads] == []
