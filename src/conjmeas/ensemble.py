@@ -11,6 +11,12 @@ z_ij = conj(psi_i) psi_j for i < j.  :func:`form_coefficients` turns B into
 real coefficient rows on those features and :func:`quadratic_forms`
 evaluates them for the whole sample as one real product: over the
 populations alone for a diagonal B, over the d² feature columns otherwise.
+
+A value that needs the mean of one form alone, such as a probability
+mean_a <psi_a|M†M|psi_a>, is the same row on the mean features, i.e.
+Tr(B rho) for the ensemble's average state rho: :func:`mean_expectation`
+reads it in O(d²) from column means cached on the ensemble, not from a
+pass over the N states.
 """
 
 from __future__ import annotations
@@ -73,6 +79,16 @@ class PureStateEnsemble:
         feats.flags.writeable = False
         return feats
 
+    @cached_property
+    def population_means(self) -> np.ndarray:
+        """Column means of ``populations``: the diagonal of the average state."""
+        return self.populations.mean(axis=0)
+
+    @cached_property
+    def feature_means(self) -> np.ndarray:
+        """Column means of ``features``, which a non-diagonal mean form reads."""
+        return self.features.mean(axis=0)
+
 
 def sample_haar(dim: int, n: int, seed: int) -> PureStateEnsemble:
     """Sample ``n`` Haar-uniform pure states in dimension ``dim``.
@@ -132,7 +148,8 @@ def quadratic_forms(
     ``on_populations @ P.T`` when no coherence rows are given, as for a
     diagonal operator, so the features are never built; otherwise one
     product ``[on_populations | on_coherences] @ [P | Re z | Im z].T``.
-    Both evaluators' rows meet here, so this is where a wrong dimension fails.
+    Rows of another length than the ensemble's dimension raise
+    :class:`DimensionMismatchError`; the branch kernel relies on that check.
     """
     if on_populations.shape[-1] != ens.dim:
         raise DimensionMismatchError("operator and ensemble dimensions differ")
@@ -141,12 +158,38 @@ def quadratic_forms(
     return np.hstack([on_populations, on_coherences]) @ ens.features.T
 
 
+def _expectation_row(ens: PureStateEnsemble, A):
+    """Checked coefficient row of <psi|A|psi> for a Hermitian A on ``ens``.
+
+    Returns ``(on_populations, on_coherences)`` of shapes (1, d) and
+    (1, d(d-1)), with ``on_coherences`` None for a diagonal A, whose form
+    reads the populations alone.
+    """
+    A = linalg.check_hermitian(A)
+    if A.shape[0] != ens.dim:
+        raise DimensionMismatchError("operator and ensemble dimensions differ")
+    on_populations, on_coherences = form_coefficients(A)
+    return on_populations[:1], None if linalg.is_diagonal(A) else on_coherences[:1]
+
+
 def expectation_values(ens: PureStateEnsemble, A) -> np.ndarray:
     """Vector of quantum expectations <psi_a|A|psi_a> over the sample."""
-    A = linalg.check_hermitian(A)
-    on_populations, on_coherences = form_coefficients(A)
-    on_coherences = None if linalg.is_diagonal(A) else on_coherences[:1]
-    return quadratic_forms(ens, on_populations[:1], on_coherences)[0]
+    return quadratic_forms(ens, *_expectation_row(ens, A))[0]
+
+
+def mean_expectation(ens: PureStateEnsemble, A) -> float:
+    """Mean over the sample of <psi_a|A|psi_a>, in O(d²).
+
+    The mean of a form is the form on the mean features: A's row dotted with
+    the cached column means of the populations (diagonal A) or of the
+    features.  The dot is an elementwise product and a numpy sum, not a
+    BLAS product, so the value does not depend on the thread count.
+    """
+    on_populations, on_coherences = _expectation_row(ens, A)
+    if on_coherences is None:
+        return float(np.sum(on_populations[0] * ens.population_means))
+    row = np.concatenate([on_populations[0], on_coherences[0]])
+    return float(np.sum(row * ens.feature_means))
 
 
 def spin_z(s) -> np.ndarray:

@@ -29,12 +29,14 @@ Every stage turns its branches into (p, I, F, defined) through
 :func:`branch_statistics`, and each N-length pass is made once: p = mean(w)
 is taken once and handed to the information kernel, and
 F = mean(sqrt(|amp|² w)) / p takes a single square root, in place.  A
-value that needs the weights alone (a second stage's p(m), a success
-probability) is one form read through
-:func:`conjmeas.ensemble.expectation_values`, which makes the same
-diagonal-or-not choice.  The positive-part fidelity F_opt of an outcome,
-which only the regime check reads, is :func:`optimal_fidelity`, computed on
-request and not by the stage statistics.
+value that needs the mean weight alone (the p(m) a second stage is
+conditioned on, read by :func:`conditioning_probability`, or a success
+probability) passes over no state: it is one form on the ensemble's mean
+features, :func:`conjmeas.ensemble.mean_expectation`, in O(d²), which
+makes the same diagonal-or-not choice.  The positive-part fidelity F_opt
+of an outcome, which only the regime check reads, is
+:func:`optimal_fidelity`, computed on request and not by the stage
+statistics.
 
 :func:`two_stage_statistics` serves any second stage, one first outcome at
 a time.  For the Hermitian-conjugate second stage {M_mu†} of a diagonal
@@ -55,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .ensemble import PureStateEnsemble, expectation_values, form_coefficients, quadratic_forms
+from .ensemble import PureStateEnsemble, form_coefficients, mean_expectation, quadratic_forms
 from .errors import (
     DimensionMismatchError,
     InvalidWeightsError,
@@ -237,6 +239,26 @@ def stage_statistics(kraus: KrausSet, ens: PureStateEnsemble) -> StageStatistics
     return StageStatistics(kraus.labels, *branch_statistics(kraus.operators, ens))
 
 
+def conditioning_probability(
+    kraus: KrausSet, first_label, second: KrausSet, ens: PureStateEnsemble
+) -> float:
+    """p(m) of the first outcome that the second stage ``second`` is conditioned on.
+
+    The mean weight of the cached effect M†M, read from the mean features.
+    A second stage of another dimension than the ensemble, and a first
+    outcome at or below the probability floor, are rejected here, before a
+    caller composes C·M or divides by p(m).
+    """
+    if second.dim != ens.dim:
+        raise DimensionMismatchError("measurement and ensemble dimensions differ")
+    p_first = mean_expectation(ens, kraus.effect(first_label))
+    if p_first <= TOL.prob_floor:
+        raise ZeroProbabilityOutcomeError(
+            f"first-stage outcome {first_label} has probability {p_first:.3e}"
+        )
+    return p_first
+
+
 def two_stage_statistics(
     kraus: KrausSet, first_label, second: KrausSet, ens: PureStateEnsemble
 ) -> StageStatistics:
@@ -246,13 +268,7 @@ def two_stage_statistics(
     distribution p(mu | m) of the second outcome.  Means are weighted by
     p(mu | m), i.e. they are the conditional means given the first outcome.
     """
-    if second.dim != ens.dim:
-        raise DimensionMismatchError("measurement and ensemble dimensions differ")
-    p_first = expectation_values(ens, kraus.effect(first_label)).mean()
-    if p_first <= TOL.prob_floor:
-        raise ZeroProbabilityOutcomeError(
-            f"first-stage outcome {first_label} has probability {p_first:.3e}"
-        )
+    p_first = conditioning_probability(kraus, first_label, second, ens)
     M = kraus.operator(first_label)
     composed = [C @ M for C in second.operators]
     prob, info, fid, defined = branch_statistics(composed, ens, p_given=p_first)

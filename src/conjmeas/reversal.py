@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, metrics
-from .ensemble import PureStateEnsemble, expectation_values
+from .ensemble import PureStateEnsemble, mean_expectation
 from .errors import NonInvertibleOperatorError, ZeroProbabilityOutcomeError
 from .measurement import KrausSet
 from .tolerances import TOL
@@ -78,7 +78,7 @@ def build_reversing(kraus: KrausSet, label) -> SecondStageSpec:
             f"operator for outcome {label} is numerically singular"
         )
     X = linalg.dagger(Xh)
-    return _second_stage(float(s[-1]), s[-1] / s, X, W, linalg.dagger(W))
+    return _second_stage(complex(s[-1]), s[-1] / s, X, W, linalg.dagger(W))
 
 
 def build_conjugate_minimal(kraus: KrausSet, label) -> SecondStageSpec:
@@ -119,9 +119,15 @@ def conjugate_preferred_closed_form(
 def conditional_success_probability(
     kraus: KrausSet, label, ens: PureStateEnsemble, spec: SecondStageSpec
 ) -> float:
-    """Probability of the preferred second outcome given the first outcome."""
-    M = kraus.operator(label)
-    composed = spec.preferred_operator @ M
-    p_joint = expectation_values(ens, linalg.dagger(composed) @ composed).mean()
-    p_first = expectation_values(ens, kraus.effect(label)).mean()
-    return float(p_joint / p_first)
+    """Probability of the preferred second outcome given the first outcome.
+
+    The ratio p(m, preferred) / p(m) of two mean weights, each one form on
+    the ensemble's mean features (:func:`conjmeas.ensemble.mean_expectation`,
+    O(d²)).  p(m) is read and checked by
+    :func:`conjmeas.metrics.conditioning_probability`, as in
+    :func:`conjmeas.metrics.two_stage_statistics`, so a second stage of
+    another dimension and a first outcome of zero probability are rejected.
+    """
+    p_first = metrics.conditioning_probability(kraus, label, spec.kraus, ens)
+    composed = spec.preferred_operator @ kraus.operator(label)
+    return mean_expectation(ens, linalg.dagger(composed) @ composed) / p_first

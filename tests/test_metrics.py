@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conjmeas import linalg, metrics, reversal
+from conjmeas import ensemble, linalg, metrics, reversal
 from conjmeas.ensemble import PureStateEnsemble, expectation_values, sample_haar, spin_z
 from conjmeas.errors import (
     DimensionMismatchError,
@@ -345,15 +345,17 @@ def random_diagonal_kraus(rng, dim, n_out, zero_entry=False, unitary_outcome=Fal
     return KrausSet(tuple(np.diag(a) for a in diags), tuple(range(n_out)))
 
 
-def expect_dense_calls(calls, expected):
-    """Check that the dense kernel evaluated ``expected`` branches since the last check.
+def expect_dense_calls(calls, branches, means=0):
+    """Check that the dense reference evaluated ``branches`` branches and
+    ``means`` weight-only means since the last check.
 
-    ``calls`` is the list :func:`use_dense_reference` returns, or None on
+    ``calls`` is the dict :func:`use_dense_reference` returns, or None on
     the library's own path, where there is nothing to check.
     """
     if calls is not None:
-        assert len(calls) == expected
-        calls.clear()
+        assert (len(calls["branch"]), len(calls["mean"])) == (branches, means)
+        for ops in calls.values():
+            ops.clear()
 
 
 def all_statistics(first, second, ens, dense_calls=None):
@@ -368,33 +370,33 @@ def all_statistics(first, second, ens, dense_calls=None):
     out["p2"] = np.array([ts.probability for ts in grids])
     out["F2"] = np.array([ts.fidelity for ts in grids])
     out["I2"] = np.array([ts.info_gain for ts in grids])
-    # p(m), then one branch per second outcome
-    expect_dense_calls(dense_calls, n * (1 + len(second)))
+    # one branch per second outcome, and the mean weight p(m) it is conditioned on
+    expect_dense_calls(dense_calls, n * len(second), means=n)
     out["Fopt_fn"] = np.array([optimal_fidelity(first, ens, m) for m in first.labels])
     expect_dense_calls(dense_calls, n)
     return out
 
 
 def use_dense_reference(monkeypatch):
-    """Route every branch, every weight-only read and every <N> through the dense path.
+    """Route every branch, every weight-only mean and every <N> through the dense path.
 
-    Returns the list of operators the dense branch kernel and the dense
-    expectation values have been called with.
+    Returns the operators the dense branch kernel (``"branch"``) and the
+    dense per-state mean (``"mean"``) have been called with.
     """
-    calls = []
+    calls = {"branch": [], "mean": []}
 
     def dense_squared_moduli(ens, op):
-        calls.append(op)
+        calls["branch"].append(op)
         w, amp = branch_weights_and_amplitudes(ens.states, op)
         return w, np.abs(amp) ** 2
 
-    def dense_expectation_values(ens, A):
-        calls.append(A)
-        return np.einsum("ai,ij,aj->a", ens.states.conj(), A, ens.states).real
+    def dense_mean_expectation(ens, A):
+        calls["mean"].append(A)
+        return float(np.einsum("ai,ij,aj->a", ens.states.conj(), A, ens.states).real.mean())
 
     monkeypatch.setattr(metrics, "branch_weights_and_squared_moduli", dense_squared_moduli)
     for module in (metrics, reversal):
-        monkeypatch.setattr(module, "expectation_values", dense_expectation_values)
+        monkeypatch.setattr(module, "mean_expectation", dense_mean_expectation)
     monkeypatch.setattr(linalg, "is_diagonal", lambda op: False)
     return calls
 
@@ -481,9 +483,9 @@ def general_statistics(kraus, ens, dense_calls=None):
             out["p2"] += list(ts.probability)
             out["F2"] += list(ts.fidelity)
             out["I2"] += list(ts.info_gain)
-            expect_dense_calls(dense_calls, 1 + len(spec.kraus))
+            expect_dense_calls(dense_calls, len(spec.kraus), means=1)
             out["p_success"].append(conditional_success_probability(kraus, m, ens, spec))
-            expect_dense_calls(dense_calls, 2)
+            expect_dense_calls(dense_calls, 0, means=2)
         f_closed, i_closed = conjugate_preferred_closed_form(kraus, m, ens)
         out["F_closed"].append(f_closed)
         out["I_closed"].append(i_closed)
@@ -546,6 +548,24 @@ class TestFormKernel:
         np.testing.assert_allclose(np.sqrt(amp2), np.abs(amp_ref), rtol=0, atol=1e-14 * scale)
 
 
+def test_weight_only_means_pass_over_no_state(monkeypatch):
+    # on a non-diagonal set a success probability evaluates no form on the N
+    # states, and a two-stage run one per branch: p(m) reads the mean features
+    calls = []
+    real = ensemble.quadratic_forms
+    for module in (ensemble, metrics):
+        monkeypatch.setattr(module, "quadratic_forms", lambda *a: calls.append(a) or real(*a))
+    kraus = random_general_kraus(np.random.default_rng(4), 4, 4)
+    ens = sample_haar(4, 500, 12)
+    for m in kraus.labels:
+        for spec in (build_conjugate_minimal(kraus, m), build_reversing(kraus, m)):
+            conditional_success_probability(kraus, m, ens, spec)
+            assert calls == []
+            two_stage_statistics(kraus, m, spec.kraus, ens)
+            assert len(calls) == len(spec.kraus)
+            calls.clear()
+
+
 class TestEvaluatorDimensionCheck:
     """A d=2 operator on a d=3 ensemble is rejected by the evaluators themselves."""
 
@@ -572,12 +592,14 @@ class TestEvaluatorDimensionCheck:
 
 # The non-diagonal set of the benchmark's general_kraus workload, G_k S^{-1/2}
 # with S = sum G_k† G_k, evaluated in a fresh interpreter; prints the repr of
-# every field of a first stage and of a two-stage run.
+# every field of a first stage and of a two-stage run, then per outcome the
+# success probabilities and conditionals of both second stages.
 NON_DIAGONAL_SCRIPT = """
 import numpy as np
 from conjmeas.ensemble import sample_haar
 from conjmeas.measurement import KrausSet
 from conjmeas.metrics import stage_statistics, two_stage_statistics
+from conjmeas.reversal import build_conjugate_minimal, build_reversing, conditional_success_probability
 rng = np.random.default_rng(1234)
 G = (rng.standard_normal((6, 4, 4)) + 1j * rng.standard_normal((6, 4, 4))) / np.sqrt(2)
 w, V = np.linalg.eigh(np.einsum("kji,kjl->il", G.conj(), G))
@@ -586,6 +608,12 @@ ens = sample_haar(4, 20000, 99)
 for st in (stage_statistics(kraus, ens), two_stage_statistics(kraus, 2.0, kraus, ens)):
     fields = (st.probability, st.info_gain, st.fidelity, st.defined, st.conditional)
     print(repr([None if f is None else f.tolist() for f in fields]))
+for m in kraus.labels:
+    specs = (build_conjugate_minimal(kraus, m), build_reversing(kraus, m))
+    print(repr(
+        [conditional_success_probability(kraus, m, ens, spec) for spec in specs]
+        + [two_stage_statistics(kraus, m, spec.kraus, ens).conditional.tolist() for spec in specs]
+    ))
 """
 
 
@@ -599,7 +627,7 @@ def test_non_diagonal_path_independent_of_thread_count():
             capture_output=True, text=True, check=True, env=env,
         )
         outs.append(proc.stdout)
-    assert outs[0].count("\n") == 2
+    assert outs[0].count("\n") == 2 + 6
     assert outs[0] == outs[1]
 
 

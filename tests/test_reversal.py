@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from conjmeas import linalg
-from conjmeas.errors import NonInvertibleOperatorError, ZeroProbabilityOutcomeError
+from conjmeas.errors import (
+    DimensionMismatchError,
+    NonInvertibleOperatorError,
+    ZeroProbabilityOutcomeError,
+)
 from conjmeas.measurement import KrausSet, completeness_residual
 from conjmeas.metrics import (
     branch_weights_and_amplitudes,
@@ -17,7 +21,7 @@ from conjmeas.reversal import (
     conditional_success_probability,
     conjugate_preferred_closed_form,
 )
-from conjmeas.spin_probe import SpinProbeConfig, build_forward
+from conjmeas.spin_probe import SpinProbeConfig, build_forward, build_reversing_probe
 
 
 def two_outcome_set(M):
@@ -120,6 +124,31 @@ class TestBuildReversing:
             assert p == pytest.approx(
                 abs(spec.scale) ** 2 / first.probability[i], rel=1e-9
             )
+
+
+def test_every_builder_stores_a_complex_scale():
+    specs = [build_reversing(DIAG_SET, 0.0), build_conjugate_minimal(DIAG_SET, 0.0)]
+    specs += build_reversing_probe(SpinProbeConfig(s=0.5, j=2, g=0.3, theta=0.9)).values()
+    assert [type(spec.scale) for spec in specs] == [complex] * len(specs)
+
+
+class TestConditionalSuccessProbability:
+    """It rejects what two_stage_statistics rejects, before composing or dividing."""
+
+    def test_second_stage_of_another_dimension(self, ens2_small):
+        spec = build_conjugate_minimal(random_general_set(3, dim=3), 0.0)
+        with pytest.raises(DimensionMismatchError):
+            conditional_success_probability(DIAG_SET, 0.0, ens2_small, spec)
+        with pytest.raises(DimensionMismatchError):
+            two_stage_statistics(DIAG_SET, 0.0, spec.kraus, ens2_small)
+
+    def test_first_outcome_of_zero_probability(self, ens2_small):
+        kraus = KrausSet((np.eye(2), np.zeros((2, 2))), (0.0, 1.0))
+        spec = build_conjugate_minimal(kraus, 0.0)
+        with pytest.raises(ZeroProbabilityOutcomeError):
+            conditional_success_probability(kraus, 1.0, ens2_small, spec)
+        with pytest.raises(ZeroProbabilityOutcomeError):
+            two_stage_statistics(kraus, 1.0, spec.kraus, ens2_small)
 
 
 class TestBuildConjugateMinimal:

@@ -529,7 +529,7 @@ class TestConjugatePairEvaluation:
         counts = {
             "_info_gain": 0,
             "branch_weights_and_squared_moduli": 0,
-            "expectation_values": 0,
+            "mean_expectation": 0,
             "optimal_fidelity": 0,
         }
         for name in counts:
@@ -551,7 +551,7 @@ class TestConjugatePairEvaluation:
         assert counts == {
             "_info_gain": n + n * (n + 1) // 2,
             "branch_weights_and_squared_moduli": n + n * (n + 1) // 2,
-            "expectation_values": 0,
+            "mean_expectation": 0,
             "optimal_fidelity": 0,
         }
 

@@ -5,7 +5,9 @@ benchmark's oracle checks (``TOL.prob_sum`` bounds Σp = 1 there); no library
 module or demo imports a name it never uses (``__init__`` is left out, since
 its imports are the package's exports); and every public top-level function
 and class of the library, and every public method, property and annotated
-field of its classes, is read by code other than its own tests.
+field of its classes, is read by code other than its own tests.  No library
+module takes the mean of ``expectation_values``: a weight-only mean is
+``mean_expectation``, an O(d²) read, not a pass over the N states.
 """
 
 import ast
@@ -212,3 +214,23 @@ def test_every_public_field_is_read():
     ]
     assert public
     assert [f"{m}.{c}.{n}" for m, c, n in public if n not in reads] == []
+
+
+def calls_named(node, name: str) -> bool:
+    """True when ``node`` is a call of ``name`` or of ``<anything>.name``."""
+    return isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None),
+        getattr(node.func, "attr", None),
+    )
+
+
+def test_no_mean_of_expectation_values():
+    # x.mean() and np.mean(x), with x an expectation_values(...) call
+    found = []
+    for path in LIBRARY:
+        for node in ast.walk(parse(path)):
+            if calls_named(node, "mean"):
+                operands = [getattr(node.func, "value", None), *node.args]
+                if any(calls_named(x, "expectation_values") for x in operands):
+                    found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert found == []
