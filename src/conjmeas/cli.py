@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: figures, summary, variances, sweep.  Angles may be given as
-exact fractions of pi ("pi/6", "2pi/3") or as plain radians; spins as
-half-integers ("1/2", "0.5", "7").
+exact fractions of pi ("pi/6", "2pi/3", "2*pi/3") or as plain radians; spins
+as half-integers ("1/2", "0.5", "7").  ``sweep --values`` reads each value
+in its axis's syntax: half-integers for j, angles for g and theta.
 
 Exit codes: 0 success, 2 invalid configuration, a run too large for memory
 or an output directory that cannot be created or written, 3 numeric-contract
@@ -43,13 +44,15 @@ def _ratio(text: str, num: float, den: float) -> float:
 
 
 def parse_angle(text: str) -> float:
+    """An angle ``[k][*]pi[/n]`` or a plain number of radians."""
     t = text.strip().lower().replace(" ", "")
     if "pi" in t:
         num, _, den = t.partition("pi")
+        if den and not den.startswith("/"):
+            raise argparse.ArgumentTypeError(f"{text!r} is not an angle [k][*]pi[/n]")
         num = num.rstrip("*")
-        den = den.lstrip("/")
         factor = float(num) if num not in ("", "+", "-") else (-1.0 if num == "-" else 1.0)
-        divisor = float(den) if den else 1.0
+        divisor = float(den[1:]) if den else 1.0
         return _ratio(text, factor * math.pi, divisor)
     return _ratio(text, float(t), 1.0)
 
@@ -102,10 +105,23 @@ def build_parser() -> argparse.ArgumentParser:
             )
         if name == "sweep":
             sub.add_argument("--axis", choices=SWEEP_AXES, required=True)
-            sub.add_argument(
-                "--values", type=parse_angle, nargs="+", required=True
-            )
+            # each value is parsed by its axis's parser once --axis is known
+            sub.add_argument("--values", nargs="+", required=True)
     return parser
+
+
+def _sweep_values(parser: argparse.ArgumentParser, axis: str, texts: list) -> list:
+    """The ``sweep --values`` of ``axis``: half-integers for j, angles for g and theta."""
+    parse = parse_half_integer if axis == "j" else parse_angle
+    values = []
+    for text in texts:
+        try:
+            values.append(parse(text))
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"argument --values: {exc}")
+        except ValueError:
+            parser.error(f"argument --values: invalid {parse.__name__} value: {text!r}")
+    return values
 
 
 def _emit(tables: dict, args, meta: dict) -> None:
@@ -121,7 +137,10 @@ def _emit(tables: dict, args, meta: dict) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "sweep":
+        args.values = _sweep_values(parser, args.axis, args.values)
     try:
         spin = SpinProbeConfig(s=args.s, j=args.j, g=args.g, theta=args.theta)
         cfg = ExperimentConfig(spin=spin, samples=args.samples, seed=args.seed)

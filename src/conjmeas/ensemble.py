@@ -38,9 +38,12 @@ _GAUSS_SCALE = np.sqrt(0.5)
 class PureStateEnsemble:
     """N unit vectors in C^dim with uniform weights 1/N."""
 
-    dim: int
     states: np.ndarray  # shape (N, dim), complex, rows normalized
     seed: int
+
+    @property
+    def dim(self) -> int:
+        return self.states.shape[1]
 
     @property
     def n(self) -> int:
@@ -104,7 +107,7 @@ def sample_haar(dim: int, n: int, seed: int) -> PureStateEnsemble:
     z = rng.standard_normal((n, 2 * dim)) * _GAUSS_SCALE
     states = z[:, :dim] + 1j * z[:, dim:]
     states /= np.linalg.norm(states, axis=1, keepdims=True)
-    return PureStateEnsemble(dim=dim, states=states, seed=seed)
+    return PureStateEnsemble(states=states, seed=seed)
 
 
 @cache

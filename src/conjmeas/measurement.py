@@ -48,8 +48,8 @@ class KrausSet:
 
     operators: tuple
     labels: tuple
-    _index: dict = field(repr=False, compare=False, default=None)
-    _effects: np.ndarray = field(repr=False, compare=False, default=None)
+    _index: dict = field(init=False, repr=False, compare=False)
+    _effects: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ops = tuple(linalg.as_operator(M) for M in self.operators)

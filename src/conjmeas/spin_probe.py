@@ -60,55 +60,54 @@ class SpinProbeConfig:
         return tuple((k - two_s) / 2.0 for k in range(0, 2 * two_s + 1, 2))
 
 
-def binomial_amplitude(j: float, m: float) -> float:
-    """q_m = 2^{-j} sqrt((2j)! / ((j+m)! (j-m)!)), in log space for large j."""
-    two_j = _half_int(j, "j")
-    two_m = _half_int(m, "m")
-    if abs(two_m) > two_j or (two_j + two_m) % 2 != 0:
-        raise LabelOutOfRangeError(f"m={m} invalid for j={j}")
-    jp = (two_j + two_m) // 2
-    jm = (two_j - two_m) // 2
-    log_q = 0.5 * (
-        math.lgamma(two_j + 1) - math.lgamma(jp + 1) - math.lgamma(jm + 1)
-    ) - j * math.log(2.0)
-    return math.exp(log_q)
+def _diagonals(cfg: SpinProbeConfig, theta: float) -> np.ndarray:
+    """(2j+1, 2s+1) table of a_{m sigma}(theta) = e^{-ij pi/2} q_m (u+v)^{j-m} (u-v)^{j+m}.
+
+    u = e^{-ig sigma} cos(theta/2), v = i e^{ig sigma} sin(theta/2) and
+    q_m = 2^{-j} sqrt((2j)! / ((j+m)! (j-m)!)), in log space for large j.
+    Entries stay numpy scalar products: a vectorised complex multiply rounds
+    differently.
+    """
+    two_j = _half_int(cfg.j, "j")
+    half = theta / 2.0
+    phase = np.exp(-1j * cfg.j * math.pi / 2.0)
+    ends = []
+    for sigma in cfg.sigma_values:
+        plus = np.exp(-1j * cfg.g * sigma) * math.cos(half)
+        minus = 1j * np.exp(1j * cfg.g * sigma) * math.sin(half)
+        ends.append((plus + minus, plus - minus))
+    table = np.empty((two_j + 1, len(ends)), dtype=complex)
+    for jp in range(two_j + 1):  # jp = j + m, jm = j - m
+        jm = two_j - jp
+        log_binom = math.lgamma(two_j + 1) - math.lgamma(jp + 1) - math.lgamma(jm + 1)
+        q = math.exp(0.5 * log_binom - cfg.j * math.log(2.0))
+        table[jp] = [phase * q * u**jm * v**jp for u, v in ends]
+    return table
 
 
 def coefficient(cfg: SpinProbeConfig, m, sigma) -> complex:
     """Probe amplitude a_{m sigma}(theta) multiplying |sigma><sigma| in T_m."""
     if float(sigma) not in cfg.sigma_values:
         raise LabelOutOfRangeError(f"sigma={sigma} invalid for s={cfg.s}")
-    q = binomial_amplitude(cfg.j, m)
-    half = cfg.theta / 2.0
-    plus = np.exp(-1j * cfg.g * sigma) * math.cos(half)
-    minus = 1j * np.exp(1j * cfg.g * sigma) * math.sin(half)
-    jp = (_half_int(cfg.j, "j") + _half_int(m, "m")) // 2
-    jm = (_half_int(cfg.j, "j") - _half_int(m, "m")) // 2
-    phase = np.exp(-1j * cfg.j * math.pi / 2.0)
-    return complex(phase * q * (plus + minus) ** jm * (plus - minus) ** jp)
+    two_j, two_m = _half_int(cfg.j, "j"), _half_int(m, "m")
+    if abs(two_m) > two_j or (two_j + two_m) % 2 != 0:
+        raise LabelOutOfRangeError(f"m={m} invalid for j={cfg.j}")
+    table = _diagonals(cfg, cfg.theta)
+    return complex(table[(two_j + two_m) // 2, cfg.sigma_values.index(float(sigma))])
 
 
-def _diagonals(cfg: SpinProbeConfig, theta: float) -> np.ndarray:
-    """(2j+1, 2s+1) array of diagonal entries of the probe operators."""
-    alt = SpinProbeConfig(cfg.s, cfg.j, cfg.g, theta)
-    return np.array(
-        [
-            [coefficient(alt, m, sig) for sig in alt.sigma_values]
-            for m in alt.outcome_labels
-        ]
-    )
+def _probe_set(cfg: SpinProbeConfig, table: np.ndarray) -> KrausSet:
+    return KrausSet(tuple(np.diag(row) for row in table), cfg.outcome_labels)
 
 
 def build_forward(cfg: SpinProbeConfig) -> KrausSet:
     """The (2j+1)-outcome measurement set {T_m(theta)} on the system."""
-    diags = _diagonals(cfg, cfg.theta)
-    return KrausSet(tuple(np.diag(row) for row in diags), cfg.outcome_labels)
+    return _probe_set(cfg, _diagonals(cfg, cfg.theta))
 
 
 def conjugate_probe_set(cfg: SpinProbeConfig) -> KrausSet:
     """The tipped-complement probe set {T_mu(pi - theta)}; independent of m."""
-    diags = _diagonals(cfg, math.pi - cfg.theta)
-    return KrausSet(tuple(np.diag(row) for row in diags), cfg.outcome_labels)
+    return _probe_set(cfg, _diagonals(cfg, math.pi - cfg.theta))
 
 
 def build_reversing_probe(cfg: SpinProbeConfig) -> dict:
@@ -119,14 +118,13 @@ def build_reversing_probe(cfg: SpinProbeConfig) -> dict:
     O(g²), and the preferred branch does not fully restore the state.
     """
     second = conjugate_probe_set(cfg)
-    alt = SpinProbeConfig(cfg.s, cfg.j, cfg.g, math.pi - cfg.theta)
-    sigma0 = cfg.sigma_values[0]
+    forward = _diagonals(cfg, cfg.theta)[:, 0]
     family = {}
-    for m in cfg.outcome_labels:
-        # scale lam with T_{-m}(pi-theta) T_m(theta) = lam I (exact for s=1/2)
-        lam = coefficient(alt, -m, sigma0) * coefficient(cfg, m, sigma0)
+    for m, back, ahead in zip(cfg.outcome_labels, reversed(second.operators), forward):
+        # lam with T_{-m}(pi-theta) T_m(theta) = lam I (exact for s=1/2); labels
+        # run -j..j, so the reversed conjugate set pairs m with T_{-m}
         family[m] = SecondStageSpec(
-            scale=complex(lam),
+            scale=complex(back[0, 0]) * complex(ahead),
             preferred_label=-m,
             kraus=second,
         )

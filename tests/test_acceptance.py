@@ -208,6 +208,64 @@ class TestCriterion8OracleEquivalence:
                 assert abs(ts.fidelity[k] - float(post @ f_each)) < 1e-10
 
 
+def exact_spin_half_info(b, c) -> float:
+    """I in bits of the branch weight w = b + c·x, with x = |psi_+|² ~ U[0, 1].
+
+    At s = 1/2 a Haar state's population x is uniform on [0, 1], so
+    p = b + c/2 and ∫ w ln w dx = [w² (2 ln w - 1) / 4c] from w = b to b + c.
+    Divided by b this depends on r = c/b alone: I ln 2 = h(r) / (1 + r/2) with
+    h(r) = [(1+r)² (2 ln(1+r) - 1) + 1] / 4r - (1 + r/2) ln(1 + r/2).  h cancels
+    for small r, so below |r| = 1e-2 its series Σ_k≥2 (-r)^k (1/(k+1) - 2^-k) / (k(k-1))
+    is summed instead; the terms past k = 11 are below 1e-22 of the first.
+    """
+    r = c / b
+    if abs(r) < 1e-2:
+        h = sum((-r) ** k * (1.0 / (k + 1) - 0.5**k) / (k * (k - 1)) for k in range(2, 12))
+    else:
+        h = ((1.0 + r) ** 2 * (2.0 * math.log1p(r) - 1.0) + 1.0) / (4.0 * r)
+        h -= (1.0 + r / 2.0) * math.log1p(r / 2.0)
+    return h / ((1.0 + r / 2.0) * LN2)
+
+
+class TestExactInformationAtSpinHalf:
+    """Sampled I(m) and I(m, mu) against the exact s = 1/2 values."""
+
+    CHUNKS = 20
+
+    @pytest.mark.parametrize("r", [1e-2, -1e-2])
+    def test_closed_form_meets_series(self, r):
+        # the two branches of the oracle agree where it switches between them
+        closed = exact_spin_half_info(1.0, r)
+        series = exact_spin_half_info(1.0, r * (1.0 - 1e-12))
+        assert closed == pytest.approx(series, rel=1e-10)
+
+    @pytest.mark.parametrize("c, bits", [(0.0, 0.0), (-1.0 + 2.0**-40, 1.0 - 0.5 / LN2)])
+    def test_limits(self, c, bits):
+        # a constant w carries no information; w -> 1 - x carries 1 - 1/(2 ln 2) bits
+        assert exact_spin_half_info(1.0, c) == pytest.approx(bits, abs=1e-10)
+
+    def test_within_five_batch_standard_errors(self, paper_cfg, paper_run, ens2_big):
+        first, grid = paper_run
+        # |a_{m sigma}|² per outcome; a grid pair's weights are products of two rows
+        a2 = np.abs([np.diagonal(M) for M in build_forward(paper_cfg).operators]) ** 2
+        n = len(a2)
+        weights = np.concatenate([a2, (a2[:, None, :] * a2[None, :, :]).reshape(n * n, 2)]).T
+        sampled = np.concatenate([first.info_gain, grid.info_gain.ravel()])
+        defined = np.concatenate([first.defined, grid.defined.ravel()])
+        assert defined.sum() == n + n * n
+        # batch means: the same plug-in estimator on contiguous chunks of the sample
+        chunks = []
+        for pops in np.split(ens2_big.populations, self.CHUNKS):
+            w = pops @ weights
+            p = w.mean(axis=0)
+            chunks.append(((w * np.log2(w)).mean(axis=0) - p * np.log2(p)) / p)
+        std_err = np.std(chunks, axis=0, ddof=1) / math.sqrt(self.CHUNKS)
+        # column sigma = -1/2 is weighted by 1 - x, sigma = +1/2 by x
+        exact = np.array([exact_spin_half_info(lo, hi - lo) for lo, hi in weights.T])
+        gap = np.abs(sampled - exact)
+        assert np.all(gap <= 5.0 * std_err + 1e-12)
+
+
 def _perturbative_deviations(run, cfg, km_max):
     """Worst relative deviation of exact grid values from the O(g²) forms."""
     s, g, theta = float(cfg.s), cfg.g, cfg.theta

@@ -6,6 +6,7 @@ import pytest
 from scipy import stats
 
 from conjmeas.ensemble import (
+    PureStateEnsemble,
     expectation_values,
     mean_expectation,
     sample_haar,
@@ -27,6 +28,14 @@ def test_deterministic_for_seed():
     a = sample_haar(3, 500, 7)
     b = sample_haar(3, 500, 7)
     np.testing.assert_array_equal(a.states, b.states)
+
+
+def test_dimension_is_read_from_the_states():
+    # no separate dim argument that could disagree with the states
+    states = sample_haar(2, 10, 1).states
+    assert PureStateEnsemble(states, 1).dim == 2
+    with pytest.raises(TypeError):
+        PureStateEnsemble(3, states, 1)
 
 
 def test_chunked_sampling_matches_sequential():

@@ -45,6 +45,13 @@ def test_incomplete_set_rejected():
         KrausSet((0.5 * np.eye(2),), (0.0,))
 
 
+@pytest.mark.parametrize("name", ["_index", "_effects"])
+def test_derived_fields_are_not_arguments(name):
+    # the constructor computes both; an argument would be silently overwritten
+    with pytest.raises(TypeError):
+        KrausSet((np.eye(2),), (0.0,), **{name: None})
+
+
 def test_half_integer_labels():
     cfg = SpinProbeConfig(s=0.5, j=1.5, g=0.1, theta=math.pi / 4)
     kraus = build_forward(cfg)

@@ -307,16 +307,17 @@ class TestOptimalFidelity:
 def test_weak_measurement_information_law(ens2_big):
     # small-disturbance limit: info gain per outcome is twice the classical
     # variance of the perturbation, expressed in bits
-    from conjmeas.spin_probe import binomial_amplitude
-
     cfg = SpinProbeConfig(s=0.5, j=7, g=0.01, theta=math.pi / 6)
     kraus = build_forward(cfg)
+    # q_m = |a_{m sigma}| of the bare probe, g = 0 and theta = 0
+    bare = build_forward(SpinProbeConfig(s=0.5, j=cfg.j, g=0.0, theta=0.0))
     stats = stage_statistics(kraus, ens2_big)
     for i, m in enumerate(kraus.labels):
         if m == 0.0:
             continue  # perturbation vanishes identically at m = 0
         # T_m = q_m e^{i gamma} e^{i Gamma} (I + eps): eps = |diag T_m| / q_m - 1
-        eps = np.diag(np.abs(np.diagonal(kraus.operator(m))) / binomial_amplitude(cfg.j, m) - 1.0)
+        q = abs(bare.operator(m)[0, 0])
+        eps = np.diag(np.abs(np.diagonal(kraus.operator(m))) / q - 1.0)
         ev = np.real(
             np.einsum("ad,dc,ac->a", ens2_big.states.conj(), eps, ens2_big.states)
         )
@@ -524,7 +525,7 @@ class TestFormKernel:
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         v /= np.linalg.norm(v)
         phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 200))
-        ens = PureStateEnsemble(dim, phases[:, None] * v[None, :], seed=0)
+        ens = PureStateEnsemble(phases[:, None] * v[None, :], seed=0)
         w, amp2 = metrics.branch_weights_and_squared_moduli(ens, np.eye(dim) - np.outer(v, v.conj()))
         assert np.all(w >= 0) and w.max() < 1e-15
         assert np.sqrt(amp2).max() < 1e-15

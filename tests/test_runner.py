@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -265,13 +266,19 @@ class TestParsers:
         assert parse_angle("pi") == pytest.approx(math.pi)
         assert parse_angle("0.75") == 0.75
         assert parse_angle("-pi/2") == pytest.approx(-math.pi / 2)
+        assert parse_angle("2*pi/3") == pytest.approx(2 * math.pi / 3)
+        assert parse_angle("-pi/6") == pytest.approx(-math.pi / 6)
+
+    @pytest.mark.parametrize("text", ["pi2", "2pi3", "pi-1"])
+    def test_parse_angle_rejects_text_after_pi(self, text):
+        # only "/<number>" may follow pi: "pi2" is not pi/2
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse_angle(text)
 
     def test_parse_half_integer(self):
         assert parse_half_integer("1/2") == 0.5
         assert parse_half_integer("7") == 7.0
         assert parse_half_integer("1.5") == 1.5
-        import argparse
-
         with pytest.raises(argparse.ArgumentTypeError):
             parse_half_integer("0.3")
 
@@ -307,6 +314,13 @@ class TestCli:
         args += ["--axis", "theta", "--values", "pi/6", "pi/4"]
         assert main(args) == 0
         assert (tmp_path / "sweep.csv").exists()
+
+    def test_sweep_along_j_reads_half_integers(self, tmp_path):
+        args = ["sweep"] + self.common(tmp_path)
+        args += ["--axis", "j", "--values", "1/2", "3/2"]
+        assert main(args) == 0
+        rows = [line.split(",") for line in (tmp_path / "sweep.csv").read_text().splitlines()]
+        assert {float(r[1]) for r in rows if r[0] == "j"} == {0.5, 1.5}
 
     def test_invalid_config_exit_code(self, tmp_path, capsys):
         args = ["summary"] + self.common(tmp_path)

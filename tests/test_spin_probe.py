@@ -11,7 +11,6 @@ from conjmeas.measurement import completeness_residual
 from conjmeas.runner import disturbance_outcomes
 from conjmeas.spin_probe import (
     SpinProbeConfig,
-    binomial_amplitude,
     build_forward,
     build_reversing_probe,
     coefficient,
@@ -52,25 +51,108 @@ class TestConfig:
             SpinProbeConfig(s=0.5, j=-1, g=0.1, theta=1.0)
 
 
+def reference_amplitude(cfg, theta, m, sigma) -> complex:
+    """a_{m sigma}(theta), one entry at a time: the formula the tables must match bit for bit."""
+    two_j, two_m = round(2 * cfg.j), round(2 * m)
+    jp, jm = (two_j + two_m) // 2, (two_j - two_m) // 2
+    log_q = 0.5 * (
+        math.lgamma(two_j + 1) - math.lgamma(jp + 1) - math.lgamma(jm + 1)
+    ) - cfg.j * math.log(2.0)
+    q = math.exp(log_q)
+    half = theta / 2.0
+    plus = np.exp(-1j * cfg.g * sigma) * math.cos(half)
+    minus = 1j * np.exp(1j * cfg.g * sigma) * math.sin(half)
+    phase = np.exp(-1j * cfg.j * math.pi / 2.0)
+    return complex(phase * q * (plus + minus) ** jm * (plus - minus) ** jp)
+
+
+def reference_table(cfg, theta) -> np.ndarray:
+    return np.array(
+        [[reference_amplitude(cfg, theta, m, sig) for sig in cfg.sigma_values]
+         for m in cfg.outcome_labels]
+    )
+
+
+def diagonals(kraus) -> np.ndarray:
+    return np.array([np.diagonal(op) for op in kraus.operators])
+
+
+# j = 0 has one outcome; at j = 60 exponents above 100 take numpy's
+# general-power branch; theta = 0 zeroes v and theta = pi zeroes u
+EDGE_CONFIGS = [
+    SpinProbeConfig(s=1.5, j=0, g=0.3, theta=1.0),
+    SpinProbeConfig(s=0.5, j=60, g=0.25, theta=math.pi / 6),
+    SpinProbeConfig(s=1.0, j=3.5, g=0.4, theta=0.0),
+    SpinProbeConfig(s=2.5, j=4, g=-0.7, theta=math.pi),
+]
+
+
+class TestAmplitudeTable:
+    """Every probe set and reversing scale is the per-entry formula, bit for bit."""
+
+    @staticmethod
+    def check(cfg):
+        flipped = math.pi - cfg.theta
+        assert np.array_equal(diagonals(build_forward(cfg)), reference_table(cfg, cfg.theta))
+        assert np.array_equal(diagonals(conjugate_probe_set(cfg)), reference_table(cfg, flipped))
+        sigma0 = cfg.sigma_values[0]
+        family = build_reversing_probe(cfg)
+        scales = [family[m].scale for m in cfg.outcome_labels]
+        expected = [
+            reference_amplitude(cfg, flipped, -m, sigma0) * reference_amplitude(cfg, cfg.theta, m, sigma0)
+            for m in cfg.outcome_labels
+        ]
+        assert np.array_equal(scales, expected)
+        assert all(type(scale) is complex for scale in scales)
+
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=CONFIGS)
+    def test_matches_reference_property(self, cfg):
+        self.check(cfg)
+
+    @pytest.mark.parametrize("cfg", EDGE_CONFIGS, ids=["j=0", "j=60", "theta=0", "theta=pi"])
+    def test_matches_reference_at_edges(self, cfg):
+        self.check(cfg)
+
+    @pytest.mark.parametrize("cfg", [REF, *EDGE_CONFIGS])
+    def test_coefficient_reads_the_table(self, cfg):
+        table = diagonals(build_forward(cfg))
+        for i, m in enumerate(cfg.outcome_labels):
+            for k, sig in enumerate(cfg.sigma_values):
+                assert coefficient(cfg, m, sig) == table[i, k]
+
+
+def binomial_weights(j) -> np.ndarray:
+    """q_m over m = -j..j, read as |a_{m sigma}| of the table at g = 0, theta = 0."""
+    return np.abs(diagonals(build_forward(SpinProbeConfig(s=0.5, j=j, g=0.0, theta=0.0))))
+
+
 class TestBinomialAmplitude:
     def test_known_values(self):
-        assert binomial_amplitude(1, 0) == pytest.approx(math.sqrt(2) / 2, abs=1e-14)
-        assert binomial_amplitude(7, 7) == pytest.approx(2.0**-7, rel=1e-12)
-        assert binomial_amplitude(7, 0) == pytest.approx(
-            math.sqrt(3432) / 2**7, abs=1e-14
-        )
+        assert binomial_weights(1)[1, 0] == pytest.approx(math.sqrt(2) / 2, abs=1e-14)
+        assert binomial_weights(7)[14, 0] == pytest.approx(2.0**-7, rel=1e-12)
+        assert binomial_weights(7)[7, 0] == pytest.approx(math.sqrt(3432) / 2**7, abs=1e-14)
 
     def test_squares_sum_to_one(self):
-        for j in (0.5, 1, 3.5, 7, 20):
-            cfg = SpinProbeConfig(s=0.5, j=j, g=0.0, theta=0.0)
-            total = sum(binomial_amplitude(j, m) ** 2 for m in cfg.outcome_labels)
-            assert total == pytest.approx(1.0, abs=1e-12)
+        for j in (0, 0.5, 1, 3.5, 7, 20, 60):
+            assert (binomial_weights(j)[:, 0] ** 2).sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_squares_are_the_binomial_pmf(self):
+        # q_m² = P(j + m successes in 2j fair trials), on every sigma
+        for j in (0, 0.5, 1, 3.5, 7, 20, 60):
+            q = binomial_weights(j)
+            assert np.all(q[:, 0] == q[:, 1])
+            m = np.arange(-j, j + 1)
+            np.testing.assert_allclose(q[:, 0] ** 2, binom.pmf(j + m, 2 * j, 0.5), rtol=1e-12)
 
     def test_rejects_bad_label(self):
+        cfg = SpinProbeConfig(s=0.5, j=1, g=0.2, theta=0.4)
         with pytest.raises(LabelOutOfRangeError):
-            binomial_amplitude(1, 1.5)
+            coefficient(cfg, 1.5, 0.5)  # out of range
         with pytest.raises(LabelOutOfRangeError):
-            binomial_amplitude(1, 0.5)
+            coefficient(cfg, 0.5, 0.5)  # wrong parity
+        with pytest.raises(ValueError, match="half-integer"):
+            coefficient(cfg, 0.3, 0.5)
 
 
 class TestCoefficient:
@@ -99,7 +181,7 @@ class TestCoefficient:
         cfg = SpinProbeConfig(s=0.5, j=3, g=0.0, theta=0.7)
         for m in cfg.outcome_labels:
             for sig in cfg.sigma_values:
-                expected = binomial_amplitude(cfg.j, m) * np.exp(
+                expected = binomial_weights(cfg.j)[int(cfg.j + m), 0] * np.exp(
                     -1j * (cfg.j * math.pi / 2.0 + m * cfg.theta)
                 )
                 assert coefficient(cfg, m, sig) == pytest.approx(expected, abs=1e-12)
@@ -214,7 +296,8 @@ class TestWeakQuantities:
     def parts(cfg, m):
         a = np.array([coefficient(cfg, m, sig) for sig in cfg.sigma_values])
         gamma = -cfg.j * math.pi / 2.0 - m * cfg.theta
-        return np.abs(a) / binomial_amplitude(cfg.j, m) - 1.0, np.angle(a * np.exp(-1j * gamma))
+        q = binomial_weights(cfg.j)[int(cfg.j + m), 0]
+        return np.abs(a) / q - 1.0, np.angle(a * np.exp(-1j * gamma))
 
     def test_epsilon_slope(self):
         # leading order: epsilon ~ 2 g m sin(theta) S_z
