@@ -1,9 +1,9 @@
 """Command-line entry point.
 
-Subcommands: figures, summary, variances, sweep.  Angles may be given as
-exact fractions of pi ("pi/6", "2pi/3", "2*pi/3") or as plain radians; spins
-as half-integers ("1/2", "0.5", "7").  ``sweep --values`` reads each value
-in its axis's syntax: half-integers for j, angles for g and theta.
+Subcommands: figures, summary, variances, sweep.  Angles (theta, and the
+rotation angle g) may be given as exact fractions of pi ("pi/6", "2*pi/3")
+or as plain radians; spins as half-integers ("1/2", "0.5", "7").
+``sweep --values`` reads each value in its axis's syntax.
 
 Exit codes: 0 success, 2 invalid configuration, a run too large for memory
 or an output directory that cannot be created or written, 3 numeric-contract
@@ -72,7 +72,7 @@ def parse_half_integer(text: str) -> float:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--s", type=parse_half_integer, default=0.5, help="system spin")
     sub.add_argument("--j", type=parse_half_integer, default=7.0, help="probe spin")
-    sub.add_argument("--g", type=float, default=0.25, help="interaction strength")
+    sub.add_argument("--g", type=parse_angle, default=0.25, help="coupling angle (e.g. pi/8)")
     sub.add_argument(
         "--theta", type=parse_angle, default=math.pi / 6, help="probe angle (e.g. pi/6)"
     )

@@ -25,7 +25,7 @@ it forms before the evaluators.  The dense O(N·d²)
 against.  Reductions over the N states are numpy means and sums, so
 results do not depend on the BLAS thread count.
 
-Every stage turns its branches into (p, I, F, defined) through
+Every stage turns its branches into (p, I, F) through
 :func:`branch_statistics`, and each N-length pass is made once: p = mean(w)
 is taken once and handed to the information kernel, and
 F = mean(sqrt(|amp|² w)) / p takes a single square root, in place.  A
@@ -37,6 +37,10 @@ makes the same diagonal-or-not choice.  The positive-part fidelity F_opt
 of an outcome, which only the regime check reads, is
 :func:`optimal_fidelity`, computed on request and not by the stage
 statistics.
+
+NaN in I and F is the only mark of an undefined outcome (p at the floor).
+:func:`weighted_sum`, Σ p·v with zero weight on NaN, is the one reduction
+behind the stage means and the summary scalars of :mod:`conjmeas.runner`.
 
 :func:`two_stage_statistics` serves any second stage, one first outcome at
 a time.  For the Hermitian-conjugate second stage {M_mu†} of a diagonal
@@ -112,6 +116,11 @@ def _info_gain(w, mw) -> float:
     return float(max(gain, 0.0))
 
 
+def weighted_sum(p, values):
+    """Σ p·v over the last axis, with zero weight on every NaN (undefined) value."""
+    return np.sum(np.where(np.isnan(values), 0.0, p * values), axis=-1)
+
+
 @dataclass(frozen=True)
 class StageStatistics:
     """Per-outcome probabilities, information gains, and fidelities.
@@ -119,9 +128,9 @@ class StageStatistics:
     For a first-stage measurement ``probability`` is p(m); for a two-stage
     run it is the joint p(m, mu) and ``conditional`` holds p(mu | m).
     Outcomes whose probability (p(m), or p(mu | m) for a two-stage run) is
-    at or below the floor are flagged undefined, their I and F are NaN, and
-    they are excluded (with zero weight) from the means; with none defined,
-    the means are NaN.  The fields of a two-stage grid
+    at or below the floor are undefined: their I and F are NaN, which is
+    what ``defined`` reads, and they get zero weight in the means; with none
+    defined, the means are NaN.  The fields of a two-stage grid
     (:func:`conjugate_two_stage_statistics`) are n×n arrays indexed by
     (m, mu), and the means reduce over mu: they are the vectors F'(m) and
     I'(m) instead of a float.
@@ -131,14 +140,17 @@ class StageStatistics:
     probability: np.ndarray
     info_gain: np.ndarray
     fidelity: np.ndarray
-    defined: np.ndarray
     conditional: np.ndarray | None = None
+
+    @property
+    def defined(self) -> np.ndarray:
+        return ~np.isnan(self.info_gain)
 
     def _mean(self, values: np.ndarray):
         """Σ p v / Σ p over the last axis, over the defined entries only."""
-        p = np.where(self.defined, self.probability, 0.0)
+        p = self.probability
         with np.errstate(invalid="ignore"):
-            mean = np.sum(p * np.where(self.defined, values, 0.0), axis=-1) / np.sum(p, axis=-1)
+            mean = weighted_sum(p, values) / weighted_sum(p, self.defined)
         return mean if mean.ndim else float(mean)
 
     @property
@@ -202,7 +214,7 @@ def branch_weights_and_squared_moduli(ens: PureStateEnsemble, op: np.ndarray):
 
 
 def branch_statistics(composed_ops, ens: PureStateEnsemble, p_given=1.0):
-    """Per-branch p, I, F and definedness: the one routine behind every stage.
+    """Per-branch p, I and F: the one routine behind every stage.
 
     A branch is undefined (NaN I and F) when p / p_given is at the floor;
     ``p_given``, one per branch or one for all, is the probability of the
@@ -213,16 +225,14 @@ def branch_statistics(composed_ops, ens: PureStateEnsemble, p_given=1.0):
     prob = np.zeros(n_out)
     info = np.full(n_out, np.nan)
     fid = np.full(n_out, np.nan)
-    defined = np.zeros(n_out, dtype=bool)
     for i, op in enumerate(composed_ops):
         w, amp2 = branch_weights_and_squared_moduli(ens, op)
         p = w.mean()
         prob[i] = p
         if p / p_given[i] <= TOL.prob_floor:
             continue
-        defined[i] = True
         info[i], fid[i] = _info_gain(w, p), _fidelity(w, amp2, p)
-    return prob, info, fid, defined
+    return prob, info, fid
 
 
 def _fidelity(w, amp2, p) -> float:
@@ -271,55 +281,49 @@ def two_stage_statistics(
     p_first = conditioning_probability(kraus, first_label, second, ens)
     M = kraus.operator(first_label)
     composed = [C @ M for C in second.operators]
-    prob, info, fid, defined = branch_statistics(composed, ens, p_given=p_first)
-    return StageStatistics(
-        second.labels, prob, info, fid, defined, conditional=prob / p_first
-    )
+    prob, info, fid = branch_statistics(composed, ens, p_given=p_first)
+    return StageStatistics(second.labels, prob, info, fid, conditional=prob / p_first)
 
 
-def conjugate_two_stage_statistics(
-    kraus: KrausSet, first: StageStatistics, ens: PureStateEnsemble
-) -> StageStatistics:
-    """Two-stage grid of the Hermitian-conjugate second stage {M_mu†}.
+def conjugate_two_stage_statistics(kraus: KrausSet, ens: PureStateEnsemble) -> tuple:
+    """``(first, grid)``: ``stage_statistics(kraus, ens)`` and the {M_mu†} grid.
 
-    ``first`` is ``stage_statistics(kraus, ens)``; its p(m) conditions the
-    second stage.  Every field of the result is an n×n array indexed by
-    (m, mu), and row m is ``two_stage_statistics(kraus, m, {M_mu†}, ens)``:
-    the joint ``probability``, the ``conditional`` p(mu | m), and the
-    ``info_gain``, ``fidelity`` and ``defined`` of each branch.  A branch is
-    defined when p(mu | m) is above the floor, and its I and F are NaN
-    otherwise; every entry in the row of an undefined first outcome is NaN.
+    The first stage's p(m) conditions the second stage.  Every field of
+    ``grid`` is an n×n array indexed by (m, mu), and row m is
+    ``two_stage_statistics(kraus, m, {M_mu†}, ens)``: the joint
+    ``probability``, the ``conditional`` p(mu | m), and the ``info_gain``
+    and ``fidelity`` of each branch, NaN where p(mu | m) is at the floor and
+    in the whole row of an undefined first outcome.
     For diagonal M the branches (m, mu) and (mu, m) are M_mu† M_m and its
     adjoint, with the same weights and amplitude moduli on every state, so
     p, I and F are symmetric in (m, mu): each unordered pair is evaluated
     once, when a row that needs it is defined, and mirrored.
     """
-    if first.labels != kraus.labels:
-        raise ValidationError("first-stage statistics belong to another measurement")
     if not all(linalg.is_diagonal(M) for M in kraus.operators):
         raise ValidationError("the pair evaluation needs diagonal Kraus operators")
+    first = stage_statistics(kraus, ens)
     ops = kraus.operators
     n = len(ops)
-    p_first = first.probability
+    p_first, defined = first.probability, first.defined
     # a pair is conditioned on the least likely defined row that reads it
-    p_row = np.where(first.defined, p_first, np.inf)
+    p_row = np.where(defined, p_first, np.inf)
     joint = np.full((n, n), np.nan)
     info = np.full((n, n), np.nan)
     fid = np.full((n, n), np.nan)
     for i in range(n):
-        ks = [k for k in range(i, n) if first.defined[i] or first.defined[k]]
+        ks = [k for k in range(i, n) if defined[i] or defined[k]]
         row = branch_statistics(
             [linalg.dagger(ops[k]) @ ops[i] for k in ks], ens, np.minimum(p_row[i], p_row[ks])
         )
-        # definedness is set per row below, on p(mu | m)
+        # NaN is set per row below, on p(mu | m)
         for grid, values in zip((joint, info, fid), row):
             grid[i, ks] = grid[ks, i] = values
-    joint[~first.defined] = np.nan
+    joint[~defined] = np.nan
     conditional = joint / p_first[:, None]
-    defined = conditional > TOL.prob_floor
-    info[~defined] = np.nan
-    fid[~defined] = np.nan
-    return StageStatistics(kraus.labels, joint, info, fid, defined, conditional=conditional)
+    at_floor = ~(conditional > TOL.prob_floor)  # not <=: it also takes the NaN rows
+    info[at_floor] = np.nan
+    fid[at_floor] = np.nan
+    return first, StageStatistics(kraus.labels, joint, info, fid, conditional=conditional)
 
 
 def optimal_fidelity(kraus: KrausSet, ens: PureStateEnsemble, label) -> float:

@@ -112,7 +112,7 @@ def conjugate_preferred_closed_form(
     These agree with the full two-stage statistics on that branch because
     the composed operator is proportional to N² = M†M (NaN at the floor).
     """
-    _, info, fid, _ = metrics.branch_statistics([kraus.effect(label)], ens)
+    _, info, fid = metrics.branch_statistics([kraus.effect(label)], ens)
     return float(fid[0]), float(info[0])
 
 

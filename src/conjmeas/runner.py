@@ -24,10 +24,10 @@ from .ensemble import (
 )
 from .measurement import KrausSet
 from .metrics import (
-    StageStatistics,
     conjugate_two_stage_statistics,
     optimal_fidelity,
     stage_statistics,
+    weighted_sum,
 )
 from .spin_probe import (
     SpinProbeConfig,
@@ -63,7 +63,6 @@ class ExperimentConfig:
 
 @dataclass
 class Table:
-    name: str
     columns: tuple
     rows: list = field(default_factory=list)
 
@@ -110,34 +109,25 @@ def write_json(tables: dict, path, meta: dict) -> None:
 def compute_spin_run(spin: SpinProbeConfig, ens: PureStateEnsemble) -> tuple:
     """First stage T_m(theta), then the conjugate stage T_mu(pi - theta).
 
-    Returns ``(first, grid)``, the first stage's :class:`StageStatistics`
-    and the (m, mu) grid of :func:`conjugate_two_stage_statistics`: since
-    T_mu(pi - theta) = (-1)^{j+mu} T_mu(theta)† and a branch's statistics do
-    not depend on a global phase, the second stage is the Hermitian
-    conjugate {T_mu†}, evaluated once per unordered pair.
+    Returns ``(first, grid)`` of :func:`conjugate_two_stage_statistics`:
+    since T_mu(pi - theta) = (-1)^{j+mu} T_mu(theta)† and a branch's
+    statistics do not depend on a global phase, the second stage is the
+    Hermitian conjugate {T_mu†}, evaluated once per unordered pair.
     """
-    forward = build_forward(spin)
-    first = stage_statistics(forward, ens)
-    return first, conjugate_two_stage_statistics(forward, first, ens)
+    return conjugate_two_stage_statistics(build_forward(spin), ens)
 
 
-def _weighted_sum(p: np.ndarray, values: np.ndarray) -> float:
-    """Σ p·v over the outcomes, with zero weight on every NaN (undefined) value."""
-    return float(np.sum(np.where(np.isnan(values), 0.0, p * values)))
-
-
-def disturbance_outcomes(
-    kraus: KrausSet, first: StageStatistics, ens: PureStateEnsemble
-) -> tuple:
+def disturbance_outcomes(kraus: KrausSet, ens: PureStateEnsemble) -> tuple:
     """Defined first-stage outcomes m that disturb far more than they must.
 
-    ``first`` is ``stage_statistics(kraus, ens)``.  m is marked when its
+    F(m) is read from ``stage_statistics(kraus, ens)``.  m is marked when its
     fidelity loss 1 - F exceeds ``TOL.disturbance_ratio`` times the loss
     1 - F_opt of the positive-part operator (:func:`optimal_fidelity`, on
     the same ensemble), or when 1 - F_opt is at the floor: T_m is then
     proportional to a unitary, with no removable disturbance at all, and the
     limiting ratio condition holds trivially.
     """
+    first = stage_statistics(kraus, ens)
     marked = []
     for m, ok, fid in zip(first.labels, first.defined, first.fidelity):
         if not ok:
@@ -163,11 +153,10 @@ def run_figures(cfg: ExperimentConfig) -> dict:
     first, grid = compute_spin_run(cfg.spin, ens)
     p_preferred = np.diagonal(grid.conditional)  # p(mu0 = m | m)
     fidelity_prime, info_prime = grid.mean_fidelity, grid.mean_info
-    fig1 = Table("fig1", ("m", "p_m", "p_preferred_given_m"))
-    fig2 = Table("fig2", ("m", "fidelity_m", "fidelity_prime_m"))
-    fig3 = Table("fig3", ("m", "info_m", "info_prime_m"))
+    fig1 = Table(("m", "p_m", "p_preferred_given_m"))
+    fig2 = Table(("m", "fidelity_m", "fidelity_prime_m"))
+    fig3 = Table(("m", "info_m", "info_prime_m"))
     fig4 = Table(
-        "fig4",
         (
             "m",
             "mu",
@@ -206,8 +195,10 @@ def _summary(spin: SpinProbeConfig, ens: PureStateEnsemble) -> dict:
     first, grid = compute_spin_run(spin, ens)
     report = regime_diagnostics(spin)
     p = first.probability
-    f, i = _weighted_sum(p, first.fidelity), _weighted_sum(p, first.info_gain)
-    fp, ip = _weighted_sum(p, grid.mean_fidelity), _weighted_sum(p, grid.mean_info)
+    f, i, fp, ip = (
+        float(weighted_sum(p, v))
+        for v in (first.fidelity, first.info_gain, grid.mean_fidelity, grid.mean_info)
+    )
     return {
         "mean_fidelity": f,
         "mean_info": i,
@@ -221,7 +212,7 @@ def _summary(spin: SpinProbeConfig, ens: PureStateEnsemble) -> dict:
 
 
 def summary_table(summary: dict) -> Table:
-    t = Table("summary", ("quantity", "value"))
+    t = Table(("quantity", "value"))
     for k, v in summary.items():
         t.rows.append((k, float(v) if not isinstance(v, bool) else v))
     return t
@@ -229,7 +220,7 @@ def summary_table(summary: dict) -> Table:
 
 def run_variances(s_list, samples: int, seed: int) -> Table:
     """Monte Carlo spin moments against their closed forms, with z-scores."""
-    t = Table("variances", ("s", "quantity", "estimate", "target", "stderr", "z"))
+    t = Table(("s", "quantity", "estimate", "target", "stderr", "z"))
     for k, s in enumerate(s_list):
         moments = spin_moments_closed_form(s)
         dim = int(2 * moments.s) + 1
@@ -268,7 +259,7 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values) -> Table:
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}")
     spins = [replace(cfg.spin, **{axis: v}) for v in values]
-    t = Table("sweep", ("axis", "value", "metric", "metric_value"))
+    t = Table(("axis", "value", "metric", "metric_value"))
     ens = sample_haar(cfg.spin.dim, cfg.samples, cfg.seed)
     for v, spin in zip(values, spins):
         summary = _summary(spin, ens)

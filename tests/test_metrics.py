@@ -200,16 +200,16 @@ class TestConditionalMean:
     def test_undefined_entries_get_no_weight(self):
         weights = np.array([[0.5, 0.3, 0.2], [np.nan, np.nan, np.nan]])
         values = np.array([[1.0, np.nan, 3.0], [np.nan, np.nan, np.nan]])
-        defined = np.array([[True, False, True], [False, False, False]])
-        grid = metrics.StageStatistics((0, 1, 2), weights, values, values, defined)
+        grid = metrics.StageStatistics((0, 1, 2), weights, values, values)
+        np.testing.assert_array_equal(grid.defined, [[True, False, True], [False, False, False]])
         for got in (grid.mean_fidelity, grid.mean_info):
             assert got[0] == (0.5 * 1.0 + 0.2 * 3.0) / (0.5 + 0.2)
             assert np.isnan(got[1])
         # a single stage reduces to a float, NaN when nothing is defined
-        stage = metrics.StageStatistics((0, 1, 2), weights[0], values[0], values[0], defined[0])
+        stage = metrics.StageStatistics((0, 1, 2), weights[0], values[0], values[0])
         assert stage.mean_fidelity == (0.5 * 1.0 + 0.2 * 3.0) / (0.5 + 0.2)
         assert isinstance(stage.mean_fidelity, float)
-        empty = metrics.StageStatistics((0, 1, 2), weights[1], values[1], values[1], defined[1])
+        empty = metrics.StageStatistics((0, 1, 2), weights[1], values[1], values[1])
         assert np.isnan(empty.mean_info)
 
 
@@ -223,9 +223,12 @@ class TestConjugateTwoStageStatistics:
         rng = np.random.default_rng(2000 + dim)
         kraus = random_diagonal_kraus(rng, dim, 5, zero_entry=True, unitary_outcome=True)
         ens = sample_haar(dim, 1500, 40 + dim)
-        first = stage_statistics(kraus, ens)
         adjoint = KrausSet(tuple(linalg.dagger(M) for M in kraus.operators), kraus.labels)
-        grid = metrics.conjugate_two_stage_statistics(kraus, first, ens)
+        first, grid = metrics.conjugate_two_stage_statistics(kraus, ens)
+        ref = stage_statistics(kraus, ens)
+        assert first.labels == ref.labels and first.conditional is None
+        for field in ("probability", "info_gain", "fidelity"):
+            assert np.array_equal(getattr(first, field), getattr(ref, field), equal_nan=True)
         assert grid.labels == kraus.labels
         np.testing.assert_array_equal(
             grid.conditional, grid.probability / first.probability[:, None]
@@ -250,9 +253,8 @@ class TestConjugateTwoStageStatistics:
         a = np.array([[0.0, 0.0], [0.6, 0.8], [0.8, 0.6]])
         kraus = KrausSet(tuple(np.diag(row) for row in a), (0, 1, 2))
         ens = sample_haar(2, 500, 3)
-        first = stage_statistics(kraus, ens)
+        first, grid = metrics.conjugate_two_stage_statistics(kraus, ens)
         assert not first.defined[0] and first.defined[1:].all()
-        grid = metrics.conjugate_two_stage_statistics(kraus, first, ens)
         for values in (grid.probability, grid.conditional, grid.info_gain, grid.fidelity):
             assert np.isnan(values[0]).all()
         defined, info = grid.defined, grid.info_gain
@@ -262,19 +264,12 @@ class TestConjugateTwoStageStatistics:
         np.testing.assert_array_equal(grid.probability[1:, 0], 0.0)
         assert np.isnan(grid.mean_fidelity[0]) and np.isnan(grid.mean_info[0])
 
-    def test_rejects_non_diagonal_and_foreign_first_stage(self, ens2_small, paper_cfg):
-        kraus = build_forward(paper_cfg)
-        first = stage_statistics(kraus, ens2_small)
-        rng = np.random.default_rng(5)
-        general = random_general_kraus(rng, 2, 3)
+    def test_rejects_non_diagonal_and_foreign_ensemble(self, ens2_small, paper_cfg):
+        general = random_general_kraus(np.random.default_rng(5), 2, 3)
         with pytest.raises(ValidationError):
-            metrics.conjugate_two_stage_statistics(
-                general, stage_statistics(general, ens2_small), ens2_small
-            )
-        with pytest.raises(ValidationError):
-            metrics.conjugate_two_stage_statistics(general, first, ens2_small)
+            metrics.conjugate_two_stage_statistics(general, ens2_small)
         with pytest.raises(DimensionMismatchError):
-            metrics.conjugate_two_stage_statistics(kraus, first, sample_haar(3, 100, 1))
+            metrics.conjugate_two_stage_statistics(build_forward(paper_cfg), sample_haar(3, 100, 1))
 
 
 class TestOptimalFidelity:

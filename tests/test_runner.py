@@ -246,7 +246,7 @@ class TestSerialization:
     def test_json_writes_non_finite_values_as_null(self, tmp_path):
         # a huge g makes the weakness overflow to inf; JSON has no token for it
         path = tmp_path / "out.json"
-        t = Table("t", ("a", "b", "c", "d", "e"), [(math.nan, math.inf, -math.inf, 1.5, True)])
+        t = Table(("a", "b", "c", "d", "e"), [(math.nan, math.inf, -math.inf, 1.5, True)])
         write_json({"t": t}, path, SMALL.metadata())
         assert "NaN" not in path.read_text() and "Infinity" not in path.read_text()
         assert json.loads(path.read_text())["tables"]["t"]["rows"] == [[None, None, None, 1.5, True]]
@@ -322,6 +322,11 @@ class TestCli:
         rows = [line.split(",") for line in (tmp_path / "sweep.csv").read_text().splitlines()]
         assert {float(r[1]) for r in rows if r[0] == "j"} == {0.5, 1.5}
 
+    def test_coupling_reads_the_angle_syntax(self, tmp_path):
+        # g is a rotation angle, as the sweep's g axis already reads it
+        assert main(["summary", "--g", "pi/8", "--samples", "1000", "--out", str(tmp_path)]) == 0
+        assert "# g=0.39269908169872414\n" in (tmp_path / "summary.csv").read_text()
+
     def test_invalid_config_exit_code(self, tmp_path, capsys):
         args = ["summary"] + self.common(tmp_path)
         args[args.index("--theta") + 1] = "2pi"  # outside [0, pi]
@@ -336,6 +341,7 @@ class TestCli:
             (["sweep", "--axis", "theta", "--values", "pi/0"], "divides by zero"),
             (["summary", "--j", "1e400"], "not a finite number"),
             (["sweep", "--axis", "j", "--values", "inf"], "not a finite number"),
+            (["summary", "--g", "inf"], "not a finite number"),
         ],
     )
     def test_unparsable_numbers_exit_code_2(self, tmp_path, capsys, args, message):
@@ -590,7 +596,7 @@ def test_spin_run_properties(s, j, g, theta, seed):
         return
     forward = build_forward(spin)
     defined = [m for m, ok in zip(first.labels, first.defined) if ok]
-    assert set(disturbance_outcomes(forward, first, ens)) <= set(defined)
+    assert set(disturbance_outcomes(forward, ens)) <= set(defined)
     f_opt = np.array([optimal_fidelity(forward, ens, m) for m in defined])
     assert np.sum(first.probability) == pytest.approx(1.0, abs=TOL.prob_sum)
     # each defined first outcome's second stage is a distribution; the rest are NaN

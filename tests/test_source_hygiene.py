@@ -7,7 +7,10 @@ its imports are the package's exports); and every public top-level function
 and class of the library, and every public method, property and annotated
 field of its classes, is read by code other than its own tests.  No library
 module takes the mean of ``expectation_values``: a weight-only mean is
-``mean_expectation``, an O(d²) read, not a pass over the N states.
+``mean_expectation``, an O(d²) read, not a pass over the N states.  No
+library module but ``metrics`` calls ``isnan``: NaN marks an undefined
+outcome, and ``metrics`` alone reads that mark (``StageStatistics.defined``,
+``weighted_sum``).
 """
 
 import ast
@@ -233,4 +236,15 @@ def test_no_mean_of_expectation_values():
                 operands = [getattr(node.func, "value", None), *node.args]
                 if any(calls_named(x, "expectation_values") for x in operands):
                     found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert found == []
+
+
+def test_only_metrics_reads_the_nan_mark():
+    found = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in LIBRARY
+        if path.stem != "metrics"
+        for node in ast.walk(parse(path))
+        if calls_named(node, "isnan")
+    ]
     assert found == []
