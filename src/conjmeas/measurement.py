@@ -6,7 +6,10 @@ doubled-integer value, so label lookup never depends on float comparison.
 
 A set keeps its effects E_m = M_m†M_m, formed once for the completeness
 check, so every outcome probability Re Tr(E_m rho) is one product over
-them, a draw validates rho once, and :meth:`KrausSet.effect` serves M†M.
+them and :meth:`KrausSet.effect` serves M†M.  It also keeps the cumulative
+Born table of the last state it was sampled on, keyed by that state's
+content: repeated draws on one rho validate it once and then cost one
+uniform double each.
 """
 
 from __future__ import annotations
@@ -50,6 +53,8 @@ class KrausSet:
     labels: tuple
     _index: dict = field(init=False, repr=False, compare=False)
     _effects: np.ndarray = field(init=False, repr=False, compare=False)
+    # (key, cdf) of the last state sample_outcome drew from; see there
+    _last_draw: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ops = tuple(linalg.as_operator(M) for M in self.operators)
@@ -137,12 +142,24 @@ def sample_outcome(rho, kraus: KrausSet, rng: np.random.Generator):
 
     The label is that of ``rng.choice(n, p=p / p.sum())``: the same
     cumulative table and the same one uniform double, without choice's
-    second validation of p.
+    second validation of p.  The set keeps the read-only table of the last
+    state it drew from, keyed by the state's shape and bytes, so repeated
+    draws on one rho validate it (:func:`outcome_distribution`) once; a
+    state changed in place is a new key and is validated again, and a
+    state that fails validation leaves the kept table as it was.
     """
-    p = outcome_distribution(rho, kraus)
-    total = p.sum()
-    if total <= 0:
-        raise ZeroProbabilityOutcomeError("all outcomes have zero probability")
-    cdf = (p / total).cumsum()
-    cdf /= cdf[-1]
+    rho = np.asarray(rho, dtype=complex)
+    key = (rho.shape, rho.tobytes())
+    last = kraus._last_draw
+    if last is not None and last[0] == key:
+        cdf = last[1]
+    else:
+        p = outcome_distribution(rho, kraus)
+        total = p.sum()
+        if total <= 0:
+            raise ZeroProbabilityOutcomeError("all outcomes have zero probability")
+        cdf = (p / total).cumsum()
+        cdf /= cdf[-1]
+        cdf.flags.writeable = False
+        object.__setattr__(kraus, "_last_draw", (key, cdf))
     return kraus.labels[int(cdf.searchsorted(rng.random(), side="right"))], rng

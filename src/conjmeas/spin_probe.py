@@ -3,8 +3,9 @@
 The probe starts in a coherent state tipped by ``theta`` from the z axis,
 couples to the system via an Ising-type J_z S_z interaction of effective
 strength ``g``, and is then read out projectively.  The resulting Kraus
-operators are diagonal in the S_z basis with amplitudes given by
-:func:`coefficient`; the probe's Hilbert space never needs to be simulated.
+operators are diagonal in the S_z basis.  Their amplitudes are one table
+per probe angle, computed by ``_diagonals``; :func:`coefficient` reads one
+entry of it.  The probe's Hilbert space never needs to be simulated.
 """
 
 from __future__ import annotations
@@ -144,8 +145,8 @@ def regime_diagnostics(cfg: SpinProbeConfig) -> RegimeReport:
 
     These depend on the configuration alone.  The disturbance window needs
     the per-outcome fidelities F(m) and F_opt(m) on a sampled ensemble:
-    it is :func:`conjmeas.runner.disturbance_outcomes` of the forward set,
-    its first-stage statistics and that ensemble.
+    it is :func:`conjmeas.runner.disturbance_outcomes` of the forward set
+    and that ensemble.
     """
     s, j, g = float(cfg.s), float(cfg.j), cfg.g
     weakness = (2.0 / 3.0) * g * g * s * (s + 1.0) * j * math.sin(cfg.theta) ** 2

@@ -202,13 +202,27 @@ class TestSampling:
             assert abs(counts[m] / n - p) < 4 * se + 1e-12
 
 
-def choice_draws(rho, kraus, seed, k):
-    """Reference sampler: the Born distribution from one einsum over the
-    stacked operators, then one ``rng.choice`` per draw."""
+def choice_draws(rhos, kraus, seed):
+    """Reference sampler on one stream: for each state in turn, the Born
+    distribution from one einsum over the stacked operators, then one
+    ``rng.choice``."""
     rng = np.random.default_rng(seed)
     ops = np.stack(kraus.operators)
-    p = np.clip(np.einsum("mij,jk,mik->m", ops, rho, ops.conj()).real, 0.0, 1.0)
-    return tuple(kraus.labels[rng.choice(len(p), p=p / p.sum())] for _ in range(k))
+    draws = []
+    for rho in rhos:
+        p = np.clip(np.einsum("mij,jk,mik->m", ops, rho, ops.conj()).real, 0.0, 1.0)
+        draws.append(kraus.labels[rng.choice(len(p), p=p / p.sum())])
+    return tuple(draws)
+
+
+def sampled_draws(rhos, kraus, seed):
+    """``sample_outcome`` on each state in turn, on one stream."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for rho in rhos:
+        label, rng = sample_outcome(rho, kraus, rng)
+        draws.append(label)
+    return tuple(draws)
 
 
 class TestDrawStream:
@@ -222,16 +236,62 @@ class TestDrawStream:
 
     def test_same_labels_as_rng_choice(self, monkeypatch, case):
         kraus, rho = case
-        expected = choice_draws(rho, kraus, 41, 300)
+        expected = choice_draws([rho] * 300, kraus, 41)
         assert len(set(expected)) > 1
         checks = count_checks(monkeypatch)
+        assert sampled_draws([rho] * 300, kraus, 41) == expected
+        # 300 draws on one state validate it once
+        assert len(checks) == 1
+
+    def test_alternating_states_share_one_stream(self, monkeypatch, case):
+        kraus, rho = case
+        other = random_density_matrix(np.random.default_rng(9), kraus.dim)
+        which = np.random.default_rng(3).integers(0, 2, 200)
+        rhos = [(rho, other)[i] for i in which]
+        expected = choice_draws(rhos, kraus, 41)
+        assert len(set(expected)) > 1
+        checks = count_checks(monkeypatch)
+        assert sampled_draws(rhos, kraus, 41) == expected
+        # one check per run of draws on one state
+        assert len(checks) == 1 + np.count_nonzero(np.diff(which))
+
+    def test_state_changed_in_place_is_validated_again(self, monkeypatch, case):
+        kraus, rho = case
+        checks = count_checks(monkeypatch)
         rng = np.random.default_rng(41)
-        draws = []
-        for _ in range(300):
-            label, rng = sample_outcome(rho, kraus, rng)
-            draws.append(label)
-        assert tuple(draws) == expected
-        assert len(checks) == 300
+        _, rng = sample_outcome(rho, kraus, rng)
+        kept = kraus._last_draw
+        rho *= 2  # trace 2
+        with pytest.raises(NotDensityMatrixError):
+            sample_outcome(rho, kraus, rng)
+        assert kraus._last_draw is kept
+        rho /= 2  # exact: the kept table serves it again
+        sample_outcome(rho, kraus, rng)
+        assert len(checks) == 2
+
+    def test_kept_table_is_read_only(self, case):
+        kraus, rho = case
+        sample_outcome(rho, kraus, np.random.default_rng(41))
+        _, cdf = kraus._last_draw
+        assert not cdf.flags.writeable
+        p = outcome_distribution(rho, kraus)
+        np.testing.assert_allclose(cdf, np.cumsum(p) / p.sum(), rtol=0, atol=1e-15)
+
+    def test_two_sets_on_one_state_read_their_own_effects(self):
+        rng = np.random.default_rng(8)
+        kraus_a, kraus_b = rotated_probe(rng), rotated_probe(rng)
+        rho = random_density_matrix(rng, 4)
+        expected_a = choice_draws([rho] * 100, kraus_a, 41)
+        expected_b = choice_draws([rho] * 100, kraus_b, 41)
+        assert expected_a != expected_b
+        rng_a, rng_b = np.random.default_rng(41), np.random.default_rng(41)
+        draws_a, draws_b = [], []
+        for _ in range(100):
+            label, rng_a = sample_outcome(rho, kraus_a, rng_a)
+            draws_a.append(label)
+            label, rng_b = sample_outcome(rho, kraus_b, rng_b)
+            draws_b.append(label)
+        assert (tuple(draws_a), tuple(draws_b)) == (expected_a, expected_b)
 
     def test_cached_effects(self, case):
         kraus, _ = case

@@ -10,7 +10,9 @@ module takes the mean of ``expectation_values``: a weight-only mean is
 ``mean_expectation``, an O(d²) read, not a pass over the N states.  No
 library module but ``metrics`` calls ``isnan``: NaN marks an undefined
 outcome, and ``metrics`` alone reads that mark (``StageStatistics.defined``,
-``weighted_sum``).
+``weighted_sum``).  ``linalg.check_density_matrix`` has one caller,
+``measurement.outcome_distribution``, so the draw table ``sample_outcome``
+keeps is built only from a validated state.
 """
 
 import ast
@@ -248,3 +250,16 @@ def test_only_metrics_reads_the_nan_mark():
         if calls_named(node, "isnan")
     ]
     assert found == []
+
+
+def test_one_caller_validates_density_matrices():
+    # every load of the name, called or not, outside its own definition
+    callers = [
+        f"{path.stem}.{getattr(stmt, 'name', '<module>')}"
+        for path in LIBRARY
+        for stmt in parse(path).body
+        for node in ast.walk(stmt)
+        if isinstance(getattr(node, "ctx", None), ast.Load)
+        and "check_density_matrix" in (getattr(node, "id", None), getattr(node, "attr", None))
+    ]
+    assert callers == ["measurement.outcome_distribution"]
