@@ -48,6 +48,8 @@ def positive_sqrt(P) -> np.ndarray:
 
     Eigenvalues in ``[eig_floor, 0)`` are treated as numerical noise and
     clipped to zero; anything below the floor raises ``NotPositiveError``.
+    The positive part sqrt(M†M) of an operator is :func:`polar_decompose`'s
+    N instead: an eigensolve of M†M squares the condition number of M.
     """
     P = check_hermitian(P)
     w, V = np.linalg.eigh(P)

@@ -44,9 +44,8 @@ class KrausSet:
     """Ordered set of measurement operators {M_m} on one Hilbert space.
 
     The constructor enforces the completeness condition Σ M†M = I within
-    ``TOL.completeness``; use :func:`completeness_residual` to inspect a
-    candidate set before building one.  The effects M_m†M_m it checks are
-    kept as one read-only (n, d, d) array.
+    ``TOL.completeness`` (:func:`completeness_residual`).  The effects
+    M_m†M_m it checks are kept as one read-only (n, d, d) array.
     """
 
     operators: tuple
@@ -72,7 +71,7 @@ class KrausSet:
         if len(index) != len(labels):
             raise ValidationError(f"outcome labels must be distinct, got {labels}")
         object.__setattr__(self, "_index", index)
-        effects = _effect_stack(ops)
+        effects = np.array([linalg.dagger(M) @ M for M in ops])
         effects.flags.writeable = False
         object.__setattr__(self, "_effects", effects)
         res = completeness_residual(self)
@@ -100,16 +99,9 @@ class KrausSet:
         return self._effects[self.index_of(label)]
 
 
-def _effect_stack(ops) -> np.ndarray:
-    """The effects M†M of the operators, stacked into one (n, d, d) array."""
-    ops = [np.asarray(M, dtype=complex) for M in ops]
-    return np.array([linalg.dagger(M) @ M for M in ops])
-
-
-def completeness_residual(kraus) -> float:
-    """Max-abs deviation of Σ M†M from the identity (pure diagnostic)."""
-    effects = kraus._effects if isinstance(kraus, KrausSet) else _effect_stack(kraus)
-    return linalg.max_abs(effects.sum(axis=0) - np.eye(effects.shape[1]))
+def completeness_residual(kraus: KrausSet) -> float:
+    """Max-abs deviation of Σ M†M from the identity, read from the cached effects."""
+    return linalg.max_abs(kraus._effects.sum(axis=0) - np.eye(kraus.dim))
 
 
 def outcome_distribution(rho, kraus: KrausSet) -> np.ndarray:
@@ -131,9 +123,10 @@ def optimal_part(kraus: KrausSet) -> KrausSet:
     """The positive parts {N_m = sqrt(M†M)} as a measurement in their own right.
 
     Outcome statistics are identical to the input set for every state; only
-    the state change differs (the unitary polar factor is dropped).
+    the state change differs (the unitary polar factor is dropped).  Each N_m
+    comes from the SVD of M_m (:func:`conjmeas.linalg.polar_decompose`).
     """
-    ops = tuple(linalg.positive_sqrt(kraus.effect(m)) for m in kraus.labels)
+    ops = tuple(linalg.polar_decompose(M)[1] for M in kraus.operators)
     return KrausSet(ops, kraus.labels)
 
 

@@ -329,11 +329,11 @@ def conjugate_two_stage_statistics(kraus: KrausSet, ens: PureStateEnsemble) -> t
 def optimal_fidelity(kraus: KrausSet, ens: PureStateEnsemble, label) -> float:
     """Fidelity the outcome would have had under the positive-part measurement.
 
-    mean_a[ sqrt(<N²>) <N> ] / mean_a <N²>  with N = sqrt(M†M), i.e. the
-    branch fidelity of N (diagonal for a diagonal M).  The regime check
-    :func:`conjmeas.runner.disturbance_outcomes` asks for it; the stage
-    statistics do not compute it.
+    mean_a[ sqrt(<N²>) <N> ] / mean_a <N²>  with N = sqrt(M†M) from the SVD
+    of M (:func:`conjmeas.linalg.polar_decompose`), i.e. the branch fidelity
+    of N.  The regime check :func:`conjmeas.runner.disturbance_outcomes`
+    asks for it; the stage statistics do not compute it.
     """
-    N = linalg.positive_sqrt(kraus.effect(label))
+    _, N = linalg.polar_decompose(kraus.operator(label))
     w, n2 = branch_weights_and_squared_moduli(ens, N)
     return _fidelity(w, n2, w.mean())

@@ -1,20 +1,20 @@
 """Second-stage measurements that undo (or partially undo) a first outcome.
 
-Two constructions are provided for a first-stage operator M = U N:
+For a first-stage operator M = W diag(s) X† = U N, with N = sqrt(M†M), both
+constructions are points of one rule, :func:`_second_stage`: with
+t = s**beta, the preferred operator X diag(r) W† has r = t / max(t), so it
+is proportional to N^beta U† and its composition with M to N^(1+beta); the
+complement L diag(sqrt(1 - r²)) W† makes the set complete.
 
-* reversing: preferred operator proportional to M^{-1}; perfect state
-  recovery, zero net information.
-* Hermitian conjugate: preferred operator proportional to M†; approximate
-  recovery for weak measurements with enhanced information gain, since the
-  composition applies the positive part twice (C M ∝ N²).
+* reversing, beta = -1: preferred operator proportional to M^{-1}; perfect
+  state recovery, zero net information (L = W).
+* Hermitian conjugate, beta = +1: preferred operator proportional to M†;
+  approximate recovery for weak measurements with enhanced information
+  gain, since the composition applies the positive part twice (C M ∝ N²)
+  (L = X).
 
-Both come from one SVD M = W diag(s) X† and have the same form: preferred
-operator X diag(r) W† and complement L diag(sqrt(1 - r²)) W†, with
-r = s_min/s, L = W (reversing) or r = s/s_max, L = X (conjugate).  Each r
-is a ratio of singular values, so its largest entry is exactly 1 and the
-complement sends the state the preferred outcome recovers with certainty
-to zero up to roundoff (a root of the completeness gap I - P†P would take
-the square root of that gap's roundoff-level eigenvalue there).
+The largest r is exactly 1, so the complement sends the state the preferred
+outcome recovers with certainty to zero up to roundoff.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class SecondStageSpec:
     for where that holds only approximately.
     """
 
-    scale: complex           # lambda (reversing) or kappa (conjugate)
+    scale: complex           # 1 / max(s**beta): s_min (reversing) or 1/s_max (conjugate)
     preferred_label: float
     kraus: KrausSet
 
@@ -48,55 +48,43 @@ class SecondStageSpec:
         return self.kraus.operator(self.preferred_label)
 
 
-def _second_stage(scale, r: np.ndarray, X, L, Wh) -> SecondStageSpec:
-    """Preferred X diag(r) W† and complement L diag(sqrt(1 - r²)) W†.
+def _second_stage(kraus: KrausSet, label, beta: float) -> SecondStageSpec:
+    """The second stage of exponent ``beta`` for outcome ``label``, from one SVD.
 
+    M = W diag(s) X† and t = s**beta give r = t / max(t) and scale
+    1 / max(t); the preferred operator is X diag(r) W† and the complement
+    L diag(sqrt(1 - r²)) W†, with L = X for beta > 0 and W for beta < 0.
     The complement is dropped when every 1 - r² is below ``TOL.prob_floor``.
     """
+    W, s, Xh = np.linalg.svd(kraus.operator(label))
+    if beta < 0 and not s[-1] > TOL.invertible_ratio * s[0]:
+        raise NonInvertibleOperatorError(f"operator for outcome {label} is numerically singular")
+    if not s[0] > 0.0:
+        raise ZeroProbabilityOutcomeError(f"operator for outcome {label} is zero")
+    X, Wh = linalg.dagger(Xh), linalg.dagger(W)
+    # t / max(t) as a ratio of singular values to the power |beta|: exactly
+    # s/s_max at beta = 1 and s_min/s at beta = -1
+    if beta > 0:
+        L, r, scale = X, (s / s[0]) ** beta, 1.0 / s[0] ** beta
+    else:
+        L, r, scale = W, (s[-1] / s) ** -beta, s[-1] ** -beta
     preferred = (X * r) @ Wh
     gap = 1.0 - r * r
     if gap.max() < TOL.prob_floor:
         ops, labels = (preferred,), (0.0,)
     else:
         ops, labels = (preferred, (L * np.sqrt(gap)) @ Wh), (0.0, 1.0)
-    return SecondStageSpec(scale=scale, preferred_label=0.0, kraus=KrausSet(ops, labels))
+    return SecondStageSpec(scale=complex(scale), preferred_label=0.0, kraus=KrausSet(ops, labels))
 
 
 def build_reversing(kraus: KrausSet, label) -> SecondStageSpec:
-    """Two-outcome reversing measurement for one first-stage outcome.
-
-    The preferred operator is lam * M^{-1} with the largest admissible real
-    scale, lam = s_min, the smallest singular value of M = W diag(s) X†;
-    that is X diag(s_min/s) W†.  The complement W diag(sqrt(1 - r²)) W†,
-    r = s_min/s, is the positive root of I - R†R; when M is unitary it
-    vanishes and a single-outcome set is returned.
-    """
-    M = kraus.operator(label)
-    W, s, Xh = np.linalg.svd(M)
-    if not s[-1] > TOL.invertible_ratio * s[0]:
-        raise NonInvertibleOperatorError(
-            f"operator for outcome {label} is numerically singular"
-        )
-    X = linalg.dagger(Xh)
-    return _second_stage(complex(s[-1]), s[-1] / s, X, W, linalg.dagger(W))
+    """Reversing stage (beta = -1): preferred s_min M^{-1}, so C M = s_min I."""
+    return _second_stage(kraus, label, -1.0)
 
 
 def build_conjugate_minimal(kraus: KrausSet, label) -> SecondStageSpec:
-    """Minimal two-outcome Hermitian conjugate measurement for one outcome.
-
-    The preferred operator is kappa * M† with the largest admissible real
-    scale, kappa = 1/s_max for M = W diag(s) X† = U N; that is
-    X diag(s/s_max) W†.  The complement X diag(sqrt(1 - r²)) W†, r = s/s_max,
-    equals sqrt(I - kappa² N²) U†; it satisfies completeness exactly and
-    reduces to the small-disturbance series of the two-outcome model when
-    the positive part is close to a multiple of the identity.
-    """
-    M = kraus.operator(label)
-    W, s, Xh = np.linalg.svd(M)
-    if not s[0] > 0.0:
-        raise ZeroProbabilityOutcomeError(f"operator for outcome {label} is zero")
-    X = linalg.dagger(Xh)
-    return _second_stage(complex(1.0 / s[0]), s / s[0], X, X, linalg.dagger(W))
+    """Minimal conjugate stage (beta = +1): preferred M† / s_max, so C M = N² / s_max."""
+    return _second_stage(kraus, label, 1.0)
 
 
 def conjugate_preferred_closed_form(

@@ -20,7 +20,7 @@ from conjmeas.measurement import (
 )
 from conjmeas.spin_probe import SpinProbeConfig, build_forward
 
-from conftest import random_density_matrix
+from conftest import near_singular_set, random_density_matrix
 
 KET0 = np.diag([1.0, 0.0]).astype(complex)
 KET1 = np.diag([0.0, 1.0]).astype(complex)
@@ -142,6 +142,10 @@ class TestOptimalPart:
                 outcome_distribution(rho, positive),
                 atol=1e-10,
             )
+
+    def test_near_singular_outcome_to_roundoff(self):
+        kraus, N = near_singular_set()
+        np.testing.assert_allclose(optimal_part(kraus).operators[0], N, rtol=0, atol=1e-14)
 
 
 def rotated_probe(rng):

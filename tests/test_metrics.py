@@ -34,6 +34,8 @@ from conjmeas.reversal import (
 from conjmeas.runner import compute_spin_run
 from conjmeas.spin_probe import SpinProbeConfig, build_forward, conjugate_probe_set
 
+from conftest import haar_unitary, near_singular_set
+
 LN2 = math.log(2.0)
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -298,6 +300,12 @@ class TestOptimalFidelity:
             else:
                 assert r <= 4.0
 
+    def test_near_singular_outcome_to_roundoff(self):
+        kraus, N = near_singular_set()
+        ens = sample_haar(4, 2000, 5)
+        _, _, fid = metrics.branch_statistics([N], ens)
+        assert abs(optimal_fidelity(kraus, ens, 0.0) - fid[0]) < 1e-14
+
 
 def test_weak_measurement_information_law(ens2_big):
     # small-disturbance limit: info gain per outcome is twice the classical
@@ -460,8 +468,7 @@ def random_general_kraus(rng, dim, n_out):
     S = np.einsum("kji,kjl->il", G.conj(), G)
     w, V = np.linalg.eigh(S)
     ops = [0.6 * g @ (V / np.sqrt(w)) @ V.conj().T for g in G]
-    Q, R = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-    ops.append(0.8 * Q * (np.diagonal(R) / np.abs(np.diagonal(R))))
+    ops.append(0.8 * haar_unitary(rng, dim))
     return KrausSet(tuple(ops), tuple(range(n_out)))
 
 

@@ -12,7 +12,10 @@ library module but ``metrics`` calls ``isnan``: NaN marks an undefined
 outcome, and ``metrics`` alone reads that mark (``StageStatistics.defined``,
 ``weighted_sum``).  ``linalg.check_density_matrix`` has one caller,
 ``measurement.outcome_distribution``, so the draw table ``sample_outcome``
-keeps is built only from a validated state.
+keeps is built only from a validated state.  No library module but
+``linalg`` loads ``positive_sqrt``: every positive part N = sqrt(M†M) comes
+from an SVD of M, not from an eigensolve of M†M, which squares its
+condition number.
 """
 
 import ast
@@ -252,14 +255,21 @@ def test_only_metrics_reads_the_nan_mark():
     assert found == []
 
 
-def test_one_caller_validates_density_matrices():
-    # every load of the name, called or not, outside its own definition
-    callers = [
+def loads_of(name: str) -> list:
+    """``module.statement`` of every load of ``name`` in the library, called or not."""
+    return [
         f"{path.stem}.{getattr(stmt, 'name', '<module>')}"
         for path in LIBRARY
         for stmt in parse(path).body
         for node in ast.walk(stmt)
         if isinstance(getattr(node, "ctx", None), ast.Load)
-        and "check_density_matrix" in (getattr(node, "id", None), getattr(node, "attr", None))
+        and name in (getattr(node, "id", None), getattr(node, "attr", None))
     ]
-    assert callers == ["measurement.outcome_distribution"]
+
+
+def test_one_caller_validates_density_matrices():
+    assert loads_of("check_density_matrix") == ["measurement.outcome_distribution"]
+
+
+def test_no_positive_part_from_an_eigensolve():
+    assert [c for c in loads_of("positive_sqrt") if not c.startswith("linalg.")] == []
