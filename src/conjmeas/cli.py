@@ -1,9 +1,10 @@
 """Command-line entry point.
 
-Subcommands: figures, summary, variances, sweep.  Angles (theta, and the
-rotation angle g) may be given as exact fractions of pi ("pi/6", "2*pi/3")
-or as plain radians; spins as half-integers ("1/2", "0.5", "7").
-``sweep --values`` reads each value in its axis's syntax.
+Subcommands: figures, summary, variances, sweep.  Every number, spin or
+angle, is read in one syntax: a multiple of pi ("pi/6", "2*pi/3"), a
+fraction ("1/2", "-3/2") or a plain decimal ("0.5", "7").  Whether a spin
+is a half-integer is checked by the library, which stores it snapped to
+the exact half-integer.
 
 Exit codes: 0 success, 2 invalid configuration, a run too large for memory
 or an output directory that cannot be created or written, 3 numeric-contract
@@ -30,51 +31,35 @@ from .runner import (
     write_json,
 )
 from .spin_probe import SpinProbeConfig
-from .tolerances import doubled_half_integer
 
 
-def _ratio(text: str, num: float, den: float) -> float:
-    """num / den, rejecting a zero divisor and a non-finite result."""
-    if den == 0.0:
+def parse_number(text: str) -> float:
+    """A number ``[k][*]pi[/n]``, ``a/b`` or a plain decimal."""
+    t = text.strip().lower().replace(" ", "")
+    numer, slash, den = t.partition("/")
+    head, pi, tail = numer.partition("pi")
+    if tail:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number [k][*]pi[/n]")
+    if pi:
+        head = head.rstrip("*")
+        num = float(head + "1" if head in ("", "+", "-") else head) * math.pi
+    else:
+        num = float(head)
+    divisor = float(den) if slash else 1.0
+    if divisor == 0.0:
         raise argparse.ArgumentTypeError(f"{text!r} divides by zero")
-    value = num / den
+    value = num / divisor
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
     return value
 
 
-def parse_angle(text: str) -> float:
-    """An angle ``[k][*]pi[/n]`` or a plain number of radians."""
-    t = text.strip().lower().replace(" ", "")
-    if "pi" in t:
-        num, _, den = t.partition("pi")
-        if den and not den.startswith("/"):
-            raise argparse.ArgumentTypeError(f"{text!r} is not an angle [k][*]pi[/n]")
-        num = num.rstrip("*")
-        factor = float(num) if num not in ("", "+", "-") else (-1.0 if num == "-" else 1.0)
-        divisor = float(den[1:]) if den else 1.0
-        return _ratio(text, factor * math.pi, divisor)
-    return _ratio(text, float(t), 1.0)
-
-
-def parse_half_integer(text: str) -> float:
-    t = text.strip()
-    if "/" in t:
-        num, den = t.split("/")
-        value = _ratio(text, float(num), float(den))
-    else:
-        value = _ratio(text, float(t), 1.0)
-    if doubled_half_integer(value) is None:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a half-integer")
-    return value
-
-
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--s", type=parse_half_integer, default=0.5, help="system spin")
-    sub.add_argument("--j", type=parse_half_integer, default=7.0, help="probe spin")
-    sub.add_argument("--g", type=parse_angle, default=0.25, help="coupling angle (e.g. pi/8)")
+    sub.add_argument("--s", type=parse_number, default=0.5, help="system spin")
+    sub.add_argument("--j", type=parse_number, default=7.0, help="probe spin")
+    sub.add_argument("--g", type=parse_number, default=0.25, help="coupling angle (e.g. pi/8)")
     sub.add_argument(
-        "--theta", type=parse_angle, default=math.pi / 6, help="probe angle (e.g. pi/6)"
+        "--theta", type=parse_number, default=math.pi / 6, help="probe angle (e.g. pi/6)"
     )
     sub.add_argument("--samples", type=int, default=100_000)
     sub.add_argument("--seed", type=int, default=202408)
@@ -99,29 +84,14 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "variances":
             sub.add_argument(
                 "--spins",
-                type=parse_half_integer,
+                type=parse_number,
                 nargs="+",
                 default=[0.5, 1.0, 1.5],
             )
         if name == "sweep":
             sub.add_argument("--axis", choices=SWEEP_AXES, required=True)
-            # each value is parsed by its axis's parser once --axis is known
-            sub.add_argument("--values", nargs="+", required=True)
+            sub.add_argument("--values", type=parse_number, nargs="+", required=True)
     return parser
-
-
-def _sweep_values(parser: argparse.ArgumentParser, axis: str, texts: list) -> list:
-    """The ``sweep --values`` of ``axis``: half-integers for j, angles for g and theta."""
-    parse = parse_half_integer if axis == "j" else parse_angle
-    values = []
-    for text in texts:
-        try:
-            values.append(parse(text))
-        except argparse.ArgumentTypeError as exc:
-            parser.error(f"argument --values: {exc}")
-        except ValueError:
-            parser.error(f"argument --values: invalid {parse.__name__} value: {text!r}")
-    return values
 
 
 def _emit(tables: dict, args, meta: dict) -> None:
@@ -137,10 +107,7 @@ def _emit(tables: dict, args, meta: dict) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "sweep":
-        args.values = _sweep_values(parser, args.axis, args.values)
+    args = build_parser().parse_args(argv)
     try:
         spin = SpinProbeConfig(s=args.s, j=args.j, g=args.g, theta=args.theta)
         cfg = ExperimentConfig(spin=spin, samples=args.samples, seed=args.seed)

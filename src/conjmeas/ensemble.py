@@ -34,7 +34,7 @@ from .tolerances import doubled_half_integer
 _GAUSS_SCALE = np.sqrt(0.5)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureStateEnsemble:
     """N unit vectors in C^dim with uniform weights 1/N."""
 
@@ -97,7 +97,9 @@ def sample_haar(dim: int, n: int, seed: int) -> PureStateEnsemble:
     """Sample ``n`` Haar-uniform pure states in dimension ``dim``.
 
     Deterministic for a fixed seed (counter-based Philox stream, so the
-    sample for index a never depends on how the batch is chunked).
+    sample for index a never depends on how the batch is chunked).  The
+    states are read-only: the populations, the features and their column
+    means are cached from them.
     """
     if dim < 2:
         raise ValueError("dim must be at least 2")
@@ -107,6 +109,7 @@ def sample_haar(dim: int, n: int, seed: int) -> PureStateEnsemble:
     z = rng.standard_normal((n, 2 * dim)) * _GAUSS_SCALE
     states = z[:, :dim] + 1j * z[:, dim:]
     states /= np.linalg.norm(states, axis=1, keepdims=True)
+    states.flags.writeable = False
     return PureStateEnsemble(states=states, seed=seed)
 
 

@@ -39,24 +39,28 @@ def _label_key(label: float) -> int:
     return key
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausSet:
     """Ordered set of measurement operators {M_m} on one Hilbert space.
 
     The constructor enforces the completeness condition Σ M†M = I within
-    ``TOL.completeness`` (:func:`completeness_residual`).  The effects
-    M_m†M_m it checks are kept as one read-only (n, d, d) array.
+    ``TOL.completeness`` (:func:`completeness_residual`).  The set keeps
+    read-only copies of the operators, so a caller's later change to its
+    own arrays cannot desynchronise them from the effects M_m†M_m it
+    checks, which are kept as one read-only (n, d, d) array.
     """
 
     operators: tuple
     labels: tuple
-    _index: dict = field(init=False, repr=False, compare=False)
-    _effects: np.ndarray = field(init=False, repr=False, compare=False)
+    _index: dict = field(init=False, repr=False)
+    _effects: np.ndarray = field(init=False, repr=False)
     # (key, cdf) of the last state sample_outcome drew from; see there
-    _last_draw: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _last_draw: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        ops = tuple(linalg.as_operator(M) for M in self.operators)
+        ops = tuple(linalg.as_operator(M).copy() for M in self.operators)
+        for M in ops:
+            M.flags.writeable = False
         if not ops:
             raise ValueError("a KrausSet needs at least one operator")
         d = ops[0].shape[0]

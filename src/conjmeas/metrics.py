@@ -121,7 +121,7 @@ def weighted_sum(p, values):
     return np.sum(np.where(np.isnan(values), 0.0, p * values), axis=-1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StageStatistics:
     """Per-outcome probabilities, information gains, and fidelities.
 

@@ -30,7 +30,7 @@ from .measurement import KrausSet
 from .tolerances import TOL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SecondStageSpec:
     """A second-stage Kraus set with its preferred (recovery) outcome.
 

@@ -219,17 +219,19 @@ def summary_table(summary: dict) -> Table:
 
 
 def run_variances(s_list, samples: int, seed: int) -> Table:
-    """Monte Carlo spin moments against their closed forms, with z-scores."""
+    """Monte Carlo spin moments against their closed forms, with z-scores.
+
+    Every spin's closed form is built first, so a spin that is not a
+    positive half-integer fails before any ensemble is sampled.
+    """
     t = Table(("s", "quantity", "estimate", "target", "stderr", "z"))
-    for k, s in enumerate(s_list):
-        moments = spin_moments_closed_form(s)
+    for k, moments in enumerate([spin_moments_closed_form(s) for s in s_list]):
         dim = int(2 * moments.s) + 1
         ens = sample_haar(dim, samples, seed + k)
-        sz = spin_z(s)
+        sz = spin_z(moments.s)
         ev = expectation_values(ens, sz)
         ev2 = expectation_values(ens, sz @ sz)
-        p0 = np.abs(ens.states[:, 0]) ** 2
-        p1 = np.abs(ens.states[:, 1]) ** 2
+        p0, p1 = ens.populations[:, 0], ens.populations[:, 1]
         quantities = {
             "V_I": ((ev - ev.mean()) ** 2, float(moments.v_i)),
             "V_F": (ev2 - ev**2, float(moments.v_f)),
@@ -255,14 +257,16 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values) -> Table:
     any point runs.  No axis changes the system spin s, so every point uses
     the same (dim, samples, seed) ensemble: it is sampled once, before the
     first point, and each point gives the summary ``run_summary`` would give.
+    A point's value is the one its configuration stores: a spin is snapped
+    to its half-integer.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}")
     spins = [replace(cfg.spin, **{axis: v}) for v in values]
     t = Table(("axis", "value", "metric", "metric_value"))
     ens = sample_haar(cfg.spin.dim, cfg.samples, cfg.seed)
-    for v, spin in zip(values, spins):
-        summary = _summary(spin, ens)
+    for spin in spins:
+        value, summary = float(getattr(spin, axis)), _summary(spin, ens)
         for metric in (
             "mean_fidelity",
             "mean_info",
@@ -271,5 +275,5 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values) -> Table:
             "weakness",
             "phase",
         ):
-            t.rows.append((axis, float(v), metric, float(summary[metric])))
+            t.rows.append((axis, value, metric, float(summary[metric])))
     return t

@@ -41,6 +41,10 @@ class SpinProbeConfig:
         two_j = _half_int(self.j, "j")
         if two_s < 0 or two_j < 0:
             raise ValueError("spins must be nonnegative")
+        # a spin within TOL.half_integer of a half-integer is stored as it, so
+        # the probe table, the diagnostics and the metadata read one value
+        object.__setattr__(self, "s", two_s / 2)
+        object.__setattr__(self, "j", two_j / 2)
         if not math.isfinite(self.g):
             raise ValueError("g must be finite")
         if not 0.0 <= self.theta <= math.pi:

@@ -1,8 +1,8 @@
 """Numerical tolerances shared by the library and its test suite.
 
 Every threshold used in a runtime check lives here so that library code and
-tests cannot drift apart, and so does the one half-integer rule that spins,
-labels and CLI arguments share.
+tests cannot drift apart, and so does the one half-integer rule that spins
+and outcome labels share.
 """
 
 import math

@@ -158,6 +158,11 @@ def test_haar_invariance_ks(ens2_small):
     assert d < critical
 
 
+def test_states_are_read_only():
+    # the populations, the features and their means are cached from them
+    assert not sample_haar(2, 10, 1).states.flags.writeable
+
+
 def test_populations_cached_and_read_only(ens2_small):
     pops = ens2_small.populations
     np.testing.assert_allclose(pops, np.abs(ens2_small.states) ** 2, rtol=1e-15, atol=0)

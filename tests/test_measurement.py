@@ -18,6 +18,9 @@ from conjmeas.measurement import (
     outcome_distribution,
     sample_outcome,
 )
+from conjmeas.ensemble import sample_haar
+from conjmeas.metrics import stage_statistics
+from conjmeas.reversal import build_conjugate_minimal
 from conjmeas.spin_probe import SpinProbeConfig, build_forward
 
 from conftest import near_singular_set, random_density_matrix
@@ -50,6 +53,38 @@ def test_derived_fields_are_not_arguments(name):
     # the constructor computes both; an argument would be silently overwritten
     with pytest.raises(TypeError):
         KrausSet((np.eye(2),), (0.0,), **{name: None})
+
+
+def test_owns_read_only_copies_of_its_operators():
+    M0, M1 = KET0.copy(), KET1.copy()
+    kraus = KrausSet((M0, M1), (0.0, 1.0))
+    M0 *= 3  # the caller's array, not the set's
+    np.testing.assert_array_equal(kraus.operators[0], KET0)
+    assert outcome_distribution(np.eye(2) / 2, kraus).sum() == 1.0
+    assert completeness_residual(kraus) == 0.0
+    assert not any(M.flags.writeable for M in kraus.operators)
+    with pytest.raises(ValueError):
+        kraus.operators[1][0, 0] = 1.0
+
+
+def test_mixed_dimensions_rejected():
+    with pytest.raises(DimensionMismatchError):
+        KrausSet((np.eye(2), np.zeros((3, 3))), (0.0, 1.0))
+
+
+def test_array_holders_compare_by_identity():
+    # their fields hold arrays, whose == has no single truth value
+    ens = sample_haar(2, 10, 1)
+    spec = build_conjugate_minimal(PROJECTIVE, 0.0)
+    first = stage_statistics(PROJECTIVE, ens)
+    for obj, twin in (
+        (PROJECTIVE, KrausSet((KET0, KET1), (0.0, 1.0))),
+        (ens, sample_haar(2, 10, 1)),
+        (spec, build_conjugate_minimal(PROJECTIVE, 0.0)),
+        (first, stage_statistics(PROJECTIVE, ens)),
+    ):
+        assert obj == obj and obj != twin
+        assert hash(obj) == hash(obj)
 
 
 def test_half_integer_labels():

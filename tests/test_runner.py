@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conjmeas import cli, metrics, runner
-from conjmeas.cli import main, parse_angle, parse_half_integer
+from conjmeas.cli import main, parse_number
 from conjmeas.ensemble import sample_haar
 from conjmeas.errors import MeasurementModelError, ZeroProbabilityOutcomeError
 from conjmeas.runner import (
@@ -158,6 +158,19 @@ class TestVariances:
             z = row[5]
             assert abs(z) < 5.0
 
+    def test_checks_every_spin_before_sampling(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return sample_haar(*args)
+
+        monkeypatch.setattr(runner, "sample_haar", counted)
+        # s = 0.3 is no half-integer; the valid s = 1/2 before it is not sampled
+        with pytest.raises(ValueError):
+            run_variances([0.5, 0.3], samples=1000, seed=5)
+        assert calls == []
+
     def test_targets_are_closed_form(self):
         t = run_variances([0.5], samples=1000, seed=5)
         targets = {row[1]: row[3] for row in t.rows}
@@ -198,6 +211,9 @@ class TestSweep:
             summary = run_summary(ExperimentConfig(spin, SMALL.samples, SMALL.seed))
             for metric in ("mean_fidelity", "mean_info", "mean_fidelity_conj", "mean_info_conj"):
                 assert rows[(v, metric)] == summary[metric]
+
+    def test_near_half_integer_j_is_snapped(self):
+        assert run_sweep(SMALL, "j", [7.0000000004]).rows == run_sweep(SMALL, "j", [7.0]).rows
 
     def test_bad_axis_rejected(self):
         with pytest.raises(ValueError):
@@ -261,26 +277,31 @@ class TestSerialization:
 
 class TestParsers:
     def test_parse_angle(self):
-        assert parse_angle("pi/6") == pytest.approx(math.pi / 6)
-        assert parse_angle("2pi/3") == pytest.approx(2 * math.pi / 3)
-        assert parse_angle("pi") == pytest.approx(math.pi)
-        assert parse_angle("0.75") == 0.75
-        assert parse_angle("-pi/2") == pytest.approx(-math.pi / 2)
-        assert parse_angle("2*pi/3") == pytest.approx(2 * math.pi / 3)
-        assert parse_angle("-pi/6") == pytest.approx(-math.pi / 6)
+        assert parse_number("pi/6") == math.pi / 6  # the headline theta, bit for bit
+        assert parse_number("2pi/3") == pytest.approx(2 * math.pi / 3)
+        assert parse_number("pi") == pytest.approx(math.pi)
+        assert parse_number("0.75") == 0.75
+        assert parse_number("-pi/2") == pytest.approx(-math.pi / 2)
+        assert parse_number("2*pi/3") == pytest.approx(2 * math.pi / 3)
+        assert parse_number("-pi/6") == pytest.approx(-math.pi / 6)
 
     @pytest.mark.parametrize("text", ["pi2", "2pi3", "pi-1"])
     def test_parse_angle_rejects_text_after_pi(self, text):
         # only "/<number>" may follow pi: "pi2" is not pi/2
         with pytest.raises(argparse.ArgumentTypeError):
-            parse_angle(text)
+            parse_number(text)
 
-    def test_parse_half_integer(self):
-        assert parse_half_integer("1/2") == 0.5
-        assert parse_half_integer("7") == 7.0
-        assert parse_half_integer("1.5") == 1.5
-        with pytest.raises(argparse.ArgumentTypeError):
-            parse_half_integer("0.3")
+    def test_parse_fraction(self):
+        assert parse_number("1/2") == 0.5
+        assert parse_number("-3/2") == -1.5
+        assert parse_number("7") == 7.0
+        assert parse_number("1.5") == 1.5
+        # not a half-integer, but a number: the library checks spins
+        assert parse_number("0.3") == 0.3
+        with pytest.raises(argparse.ArgumentTypeError, match="divides by zero"):
+            parse_number("1/0")
+        with pytest.raises(ValueError):
+            parse_number("1/2/3")
 
 
 class TestCli:
@@ -349,6 +370,33 @@ class TestCli:
             main(args + ["--out", str(tmp_path)])
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["summary", "--s", "0.3"],
+            ["summary", "--j", "0.3"],
+            ["variances", "--spins", "0.3"],
+            ["sweep", "--axis", "j", "--values", "0.3"],
+        ],
+    )
+    def test_invalid_spin_exit_code_2(self, tmp_path, capsys, args):
+        # the library's half-integer check rejects it: one line, nothing written
+        assert main(args + ["--samples", "1000", "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("invalid configuration: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_near_half_integer_spin_is_snapped(self, tmp_path, capsys):
+        # 7.0000000004 is within TOL.half_integer of 7: the same run, byte for byte
+        for j in ("7", "7.0000000004"):
+            assert main(
+                ["summary", "--j", j, "--samples", "1000", "--out", str(tmp_path / j)]
+            ) == 0
+        exact, near = ((tmp_path / j / "summary.csv").read_bytes() for j in ("7", "7.0000000004"))
+        assert near == exact
 
     @pytest.mark.parametrize("out", ["taken", "taken/sub"])
     def test_unwritable_out_exit_code_2(self, tmp_path, out):

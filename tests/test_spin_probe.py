@@ -44,6 +44,15 @@ class TestConfig:
         assert cfg.outcome_labels == (-2.5, -1.5, -0.5, 0.5, 1.5, 2.5)
         assert cfg.sigma_values == (-1.5, -0.5, 0.5, 1.5)
 
+    def test_near_half_integer_spins_are_snapped(self):
+        # within TOL.half_integer of 1/2 and 7: stored as 1/2 and 7, so every
+        # reader of the configuration sees the exact half-integer
+        near = SpinProbeConfig(s=0.5 + 2e-10, j=7.0000000004, g=REF.g, theta=REF.theta)
+        assert (near.s, near.j) == (0.5, 7.0)
+        assert regime_diagnostics(near) == regime_diagnostics(REF)
+        for a, b in zip(build_forward(near).operators, build_forward(REF).operators):
+            np.testing.assert_array_equal(a, b)
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             SpinProbeConfig(s=0.3, j=1, g=0.1, theta=1.0)
