@@ -4,7 +4,9 @@ Subcommands: figures, summary, variances, sweep.  Every number, spin or
 angle, is read in one syntax: a multiple of pi ("pi/6", "2*pi/3"), a
 fraction ("1/2", "-3/2") or a plain decimal ("0.5", "7").  Whether a spin
 is a half-integer is checked by the library, which stores it snapped to
-the exact half-integer.
+the exact half-integer.  ``variances`` builds no probe: it reads
+``--spins``, ``--samples`` and ``--seed``, and its header carries only the
+sample count, the seed and the version.
 
 Exit codes: 0 success, 2 invalid configuration, a run too large for memory
 or an output directory that cannot be created or written, 3 numeric-contract
@@ -22,6 +24,7 @@ from .errors import MeasurementModelError, NumericContractError, ValidationError
 from .runner import (
     SWEEP_AXES,
     ExperimentConfig,
+    _sample_metadata,
     run_figures,
     run_summary,
     run_sweep,
@@ -109,9 +112,13 @@ def _emit(tables: dict, args, meta: dict) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        spin = SpinProbeConfig(s=args.s, j=args.j, g=args.g, theta=args.theta)
-        cfg = ExperimentConfig(spin=spin, samples=args.samples, seed=args.seed)
-        meta = cfg.metadata()
+        if args.command == "variances":
+            # no probe: --s, --j, --g and --theta are not read
+            meta = _sample_metadata(args.samples, args.seed)
+        else:
+            spin = SpinProbeConfig(s=args.s, j=args.j, g=args.g, theta=args.theta)
+            cfg = ExperimentConfig(spin=spin, samples=args.samples, seed=args.seed)
+            meta = cfg.metadata()
         # before the run, so a bad --out fails at once
         args.out.mkdir(parents=True, exist_ok=True)
         if args.command == "figures":

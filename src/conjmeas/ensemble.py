@@ -8,9 +8,12 @@ ensemble averages.
 Every quadratic form <psi|B|psi> is real-linear in the per-state features
 [P | Re z | Im z]: the populations P_i = |psi_i|² and the coherences
 z_ij = conj(psi_i) psi_j for i < j.  :func:`form_coefficients` turns B into
-real coefficient rows on those features and :func:`quadratic_forms`
-evaluates them for the whole sample as one real product: over the
-populations alone for a diagonal B, over the d² feature columns otherwise.
+real coefficient rows on those features.  Two places evaluate such rows on
+the whole sample: :func:`expectation_values`, one form as one real product,
+over the populations alone for a diagonal B and over the d² feature columns
+otherwise, and the branch kernel of :mod:`conjmeas.metrics`, which reads
+the same columns for the weight and amplitude of many branches at once.
+No other module reads the populations or the features.
 
 A value that needs the mean of one form alone, such as a probability
 mean_a <psi_a|M†M|psi_a>, is the same row on the mean features, i.e.
@@ -130,38 +133,23 @@ def form_coefficients(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(on_populations, on_coherences)`` of shapes (2, d) and
     (2, d(d-1)); row 0 gives Re <psi|B|psi> and row 1 gives Im <psi|B|psi>.
-    With z = conj(psi_i) psi_j, the pair (i, j) contributes
-    z B_ij + conj(z) B_ji, whose real and imaginary parts are
+    A stack of matrices, shape (..., d, d), gives the rows of each, shapes
+    (..., 2, d) and (..., 2, d(d-1)).  With z = conj(psi_i) psi_j, the pair
+    (i, j) contributes z B_ij + conj(z) B_ji, whose real and imaginary
+    parts are
     Re z Re(B_ij + B_ji) - Im z Im(B_ij - B_ji) and
     Re z Im(B_ij + B_ji) + Im z Re(B_ij - B_ji).
     """
-    rows, cols = _pairs(B.shape[0])
-    upper, lower = B[rows, cols], B[cols, rows]
+    rows, cols = _pairs(B.shape[-1])
+    upper, lower = B[..., rows, cols], B[..., cols, rows]
     s, t = upper + lower, upper - lower
-    a = np.diagonal(B)
-    on_populations = np.stack([a.real, a.imag])
+    a = np.diagonal(B, axis1=-2, axis2=-1)
+    on_populations = np.stack([a.real, a.imag], axis=-2)
     on_coherences = np.stack(
-        [np.concatenate([s.real, -t.imag]), np.concatenate([s.imag, t.real])]
+        [np.concatenate([s.real, -t.imag], axis=-1), np.concatenate([s.imag, t.real], axis=-1)],
+        axis=-2,
     )
     return on_populations, on_coherences
-
-
-def quadratic_forms(
-    ens: PureStateEnsemble, on_populations: np.ndarray, on_coherences=None
-) -> np.ndarray:
-    """Evaluate k real coefficient rows on every state: a (k, N) array.
-
-    ``on_populations @ P.T`` when no coherence rows are given, as for a
-    diagonal operator, so the features are never built; otherwise one
-    product ``[on_populations | on_coherences] @ [P | Re z | Im z].T``.
-    Rows of another length than the ensemble's dimension raise
-    :class:`DimensionMismatchError`; the branch kernel relies on that check.
-    """
-    if on_populations.shape[-1] != ens.dim:
-        raise DimensionMismatchError("operator and ensemble dimensions differ")
-    if on_coherences is None:
-        return on_populations @ ens.populations.T
-    return np.hstack([on_populations, on_coherences]) @ ens.features.T
 
 
 def _expectation_row(ens: PureStateEnsemble, A):
@@ -179,8 +167,16 @@ def _expectation_row(ens: PureStateEnsemble, A):
 
 
 def expectation_values(ens: PureStateEnsemble, A) -> np.ndarray:
-    """Vector of quantum expectations <psi_a|A|psi_a> over the sample."""
-    return quadratic_forms(ens, *_expectation_row(ens, A))[0]
+    """Vector of quantum expectations <psi_a|A|psi_a> over the sample.
+
+    One product: A's row on the populations for a diagonal A, so the
+    features are never built, and on the features [P | Re z | Im z]
+    otherwise.
+    """
+    on_populations, on_coherences = _expectation_row(ens, A)
+    if on_coherences is None:
+        return (on_populations @ ens.populations.T)[0]
+    return (np.hstack([on_populations, on_coherences]) @ ens.features.T)[0]
 
 
 def mean_expectation(ens: PureStateEnsemble, A) -> float:

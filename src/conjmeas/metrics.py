@@ -1,42 +1,42 @@
 """Information gain and fidelity statistics over a pure-state ensemble.
 
-All information quantities are in bits (base-2 logarithms).  The single
-likelihood kernel :func:`likelihood_info_gain` serves every stage: the
-per-outcome weights are ``<A†A>_a`` for whichever operator A maps the
-initial state to the (unnormalized) branch state.
+All information quantities are in bits (base-2 logarithms).  The same
+likelihood formula serves every stage, :func:`likelihood_info_gain` for a
+list of weights: the per-outcome weights are ``<A†A>_a`` for whichever
+operator A maps the initial state to the (unnormalized) branch state.
 
-Every per-branch quantity comes from one kernel,
-:func:`branch_weights_and_squared_moduli`, which returns the weight
-``w = <A†A>`` and the squared modulus ``|<psi|A|psi>|²`` for each state.
-Both are quadratic forms in psi, hence real-linear in the per-state
-features of the ensemble (see :mod:`conjmeas.ensemble`): the populations
-P_i = |psi_i|² (N×d floats, cached on first use) and the coherences
-z_ij = conj(psi_i) psi_j, i < j.  A diagonal operator (every off-diagonal
-entry exactly zero, as for the spin-probe operators and their
-compositions) reads the populations alone: with a = diag(A) the three rows
-[|a|², Re a, Im a] give w, Re amp and Im amp in one (3×d)·(d×N) product.
-Any other operator reads the feature matrix [P | Re z | Im z] (N×d²
-floats, built only when a non-diagonal operator is first evaluated): the
-rows of A†A and A on it give w, Re amp and Im amp in one (3×d²)·(d²×N)
-product.  :func:`conjmeas.ensemble.quadratic_forms` rejects an operator
-whose dimension is not the ensemble's, so a caller checks only a product
-it forms before the evaluators.  The dense O(N·d²)
+Every per-branch quantity comes from one private kernel, ``_branch_sums``,
+which takes all of a call's operators at once and returns three numbers
+per branch: p = mean(w), Σ w log2 w and Σ sqrt(w |amp|²), with the weight
+w = <A†A> and the amplitude amp = <psi|A|psi> of each state.  Both are
+quadratic forms in psi, hence real-linear in the per-state features of the
+ensemble (see :mod:`conjmeas.ensemble`): the populations P_i = |psi_i|²
+(N×d floats, cached on first use) and the coherences z_ij = conj(psi_i)
+psi_j, i < j.  If every operator is diagonal (every off-diagonal entry
+exactly zero, as for the spin-probe operators and their compositions) the
+rows [|a|², Re a, Im a] of a = diag(A) read the populations alone; any
+other call reads the feature matrix [P | Re z | Im z] (N×d² floats, built
+only then) with the rows of A†A and of A.  p is the w row on the cached
+column means, the rule of :func:`conjmeas.ensemble.mean_expectation`, with
+no pass over the states.  The two sums take one pass, over blocks of at
+most 2^15 branch×state elements, so that a block's rows stay in cache:
+each branch's rows on a block are one BLAS product whose shape depends on
+N alone, and each sum adds fixed 256-state leaf sums made by numpy, not by
+a BLAS dot.  A branch's bits therefore depend on N alone, not on the other
+branches of the call or on the BLAS thread count.  An operator whose
+dimension is not the ensemble's is rejected there.  The dense O(N·d²)
 :func:`branch_weights_and_amplitudes` is the reference the tests compare
-against.  Reductions over the N states are numpy means and sums, so
-results do not depend on the BLAS thread count.
+against.
 
-Every stage turns its branches into (p, I, F) through
-:func:`branch_statistics`, and each N-length pass is made once: p = mean(w)
-is taken once and handed to the information kernel, and
-F = mean(sqrt(|amp|² w)) / p takes a single square root, in place.  A
-value that needs the mean weight alone (the p(m) a second stage is
+One function turns (p, Σ w log2 w, Σ sqrt(w |amp|²)) into I and F, for
+every stage (:func:`branch_statistics`) and for :func:`likelihood_info_gain`.
+A value that needs the mean weight alone (the p(m) a second stage is
 conditioned on, read by :func:`conditioning_probability`, or a success
-probability) passes over no state: it is one form on the ensemble's mean
-features, :func:`conjmeas.ensemble.mean_expectation`, in O(d²), which
-makes the same diagonal-or-not choice.  The positive-part fidelity F_opt
-of an outcome, which only the regime check reads, is
-:func:`optimal_fidelity`, computed on request and not by the stage
-statistics.
+probability) passes over no state either: it is one form on the mean
+features, :func:`conjmeas.ensemble.mean_expectation`, in O(d²).  The
+positive-part fidelity F_opt of an outcome, which only the regime check
+reads, is :func:`optimal_fidelity`, computed on request and not by the
+stage statistics.
 
 NaN in I and F is the only mark of an undefined outcome (p at the floor).
 :func:`weighted_sum`, Σ p·v with zero weight on NaN, is the one reduction
@@ -50,8 +50,8 @@ returns the whole (m, mu) grid as one :class:`StageStatistics` of n×n
 arrays, with one branch per unordered pair {m, mu}: branch (mu, m) is
 M_m† M_mu = (M_mu† M_m)†, whose weights and amplitude moduli equal those
 of (m, mu) on every state because diagonal operators commute, so p, I and
-F are symmetric and each pair (one row's pairs mu >= m per
-:func:`branch_statistics` call) is evaluated once and mirrored.
+F are symmetric and each pair is evaluated once and mirrored.  The first
+stage is one kernel call and all the pairs are another.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .ensemble import PureStateEnsemble, form_coefficients, mean_expectation, quadratic_forms
+from .ensemble import PureStateEnsemble, form_coefficients, mean_expectation
 from .errors import (
     DimensionMismatchError,
     InvalidWeightsError,
@@ -71,6 +71,10 @@ from .errors import (
 )
 from .measurement import KrausSet, _label_key
 from .tolerances import TOL
+
+# States per leaf sum, and branch×state elements per block of the branch kernel
+_LEAF = 256
+_BLOCK = 2**15
 
 
 def likelihood_info_gain(weights) -> float:
@@ -85,35 +89,32 @@ def likelihood_info_gain(weights) -> float:
     clipped at zero.  Weights that overflow the kernel are rejected.
     """
     w = np.asarray(weights, dtype=float)
-    if not w.size:
-        raise InvalidWeightsError("weights must be nonnegative with a positive mean")
     try:
         with np.errstate(over="raise", invalid="raise"):
-            return _info_gain(w, w.mean())
+            # for w >= 0, mean(w) > 0 holds exactly when some w > 0, unless
+            # the mean underflows to zero; testing the mean covers both
+            if not w.size or w.min() < 0 or not w.mean() > 0:
+                raise InvalidWeightsError("weights must be nonnegative with a positive mean")
+            p = np.array([w.mean()])
+            w_log_w = np.sum(w * np.log2(w, out=np.zeros_like(w), where=w > 0))
+            info, _ = _gain_and_fidelity(p, w_log_w, 0.0, w.size)
     except FloatingPointError as exc:
         raise InvalidWeightsError(f"weights overflow the information kernel: {exc}") from None
+    return float(info[0])
 
 
-def _info_gain(w, mw) -> float:
-    """:func:`likelihood_info_gain` of the float array w, given mw = mean(w).
+def _gain_and_fidelity(p, w_log_w, root, n):
+    """(I, F) of branches from p and their sums over the n states.
 
-    For w >= 0, mean(w) > 0 holds exactly when some w > 0, unless the mean
-    underflows to zero; testing the mean covers both.
+    ``w_log_w`` is Σ w log2 w and ``root`` is Σ sqrt(w |amp|²):
+    I = (Σ w log2 w / n - p log2 p) / p, clipped at zero, and
+    F = Σ sqrt(w |amp|²) / n / p.  An I below ``TOL.info_roundoff`` is a
+    failure of the kernel, not roundoff, and raises.
     """
-    w_min = w.min()
-    if w_min < 0 or not mw > 0:
-        raise InvalidWeightsError("weights must be nonnegative with a positive mean")
-    # 0 log 0 = 0; the unmasked log2 is faster and gives the same values
-    if w_min > 0:
-        w_log_w = np.log2(w)
-    else:
-        w_log_w = np.log2(w, out=np.zeros_like(w), where=w > 0)
-    w_log_w *= w
-    wlw = w_log_w.mean()
-    gain = (wlw - mw * np.log2(mw)) / mw
-    if gain < TOL.info_roundoff:
-        raise InvalidWeightsError(f"information kernel returned {gain:.3e}")
-    return float(max(gain, 0.0))
+    gain = (w_log_w / n - p * np.log2(p)) / p
+    if np.any(gain < TOL.info_roundoff):
+        raise InvalidWeightsError(f"information kernel returned {gain.min():.3e}")
+    return np.maximum(gain, 0.0), root / n / p
 
 
 def weighted_sum(p, values):
@@ -177,10 +178,9 @@ class StageStatistics:
 def branch_weights_and_amplitudes(states: np.ndarray, op: np.ndarray):
     """Per-state branch weight <A†A> and transition amplitude <psi|A|psi>.
 
-    The dense O(N·d²) evaluation, for any operator A.  The library computes
-    both from the per-state features instead
-    (:func:`branch_weights_and_squared_moduli`); this stays as the reference
-    the tests compare against.
+    The dense O(N·d²) evaluation, for any operator A.  The branch kernel
+    computes both from the per-state features instead; this stays as the
+    reference the tests compare against.
     """
     out = states @ op.T
     w = np.einsum("ad,ad->a", out.conj(), out).real
@@ -188,60 +188,112 @@ def branch_weights_and_amplitudes(states: np.ndarray, op: np.ndarray):
     return w, amp
 
 
-def branch_weights_and_squared_moduli(ens: PureStateEnsemble, op: np.ndarray):
-    """Per-state branch weight <A†A> and squared amplitude modulus |<psi|A|psi>|².
+def _branch_rows(ops, diagonal: bool) -> np.ndarray:
+    """(K, 3, c) real rows [w; Re amp; Im amp] of the K operators on the ensemble features.
 
-    Both are quadratic forms, evaluated as three real rows on the ensemble
-    features: from the populations alone for a diagonal operator, and from
-    the full features [P | Re z | Im z] otherwise.
+    Diagonal operators (a = diag(A)) read the populations, c = d: the rows
+    |a|², Re a and Im a.  Any other set reads the features [P | Re z | Im z],
+    c = d²: the rows of A†A and of A from :func:`conjmeas.ensemble.form_coefficients`.
     """
-    if linalg.is_diagonal(op):
-        a = np.diagonal(op)
-        coeffs = np.stack([a.real**2 + a.imag**2, a.real, a.imag])
-        w, re, im = quadratic_forms(ens, coeffs)
+    A = np.array(ops)
+    if diagonal:
+        a = np.diagonal(A, axis1=1, axis2=2)
+        return np.stack([a.real**2 + a.imag**2, a.real, a.imag], axis=1)
+    h_pop, h_coh = form_coefficients(np.conj(np.swapaxes(A, 1, 2)) @ A)
+    a_pop, a_coh = form_coefficients(A)
+    return np.concatenate(
+        [np.concatenate([h_pop[:, :1], a_pop], axis=1), np.concatenate([h_coh[:, :1], a_coh], axis=1)],
+        axis=2,
+    )
+
+
+def _branch_sums(ops, ens: PureStateEnsemble):
+    """``(p, w_log_w, root)`` of every branch A in ``ops``: the branch kernel.
+
+    p = mean(w) is the w row on the cached feature means, with no pass over
+    the states; w_log_w = Σ w log2 w and root = Σ sqrt(w |amp|²) take one
+    pass.  It walks the states in blocks of ``_BLOCK`` states, or of all N
+    when N is smaller, with as many branches per block as keep it within
+    ``_BLOCK`` elements.  Each branch's rows on a block are a BLAS product
+    of the same shape in every call on the ensemble, and each sum adds
+    ``_LEAF``-state leaf sums: a branch's bits depend on the other branches
+    of the call only through the one diagonal-or-not choice.
+    """
+    if any(op.shape != (ens.dim, ens.dim) for op in ops):
+        raise DimensionMismatchError("operator and ensemble dimensions differ")
+    diagonal = all(linalg.is_diagonal(op) for op in ops)
+    rows = _branch_rows(ops, diagonal)
+    if diagonal:
+        columns, means = ens.populations.T, ens.population_means
     else:
-        h_pop, h_coh = form_coefficients(linalg.dagger(op) @ op)
-        a_pop, a_coh = form_coefficients(op)
-        w, re, im = quadratic_forms(
-            ens, np.vstack([h_pop[:1], a_pop]), np.vstack([h_coh[:1], a_coh])
-        )
-        # w = ||A psi||² >= 0; the form can land a few ulps below zero
-        np.maximum(w, 0.0, out=w)
-    re *= re
-    im *= im
-    re += im
-    return w, re
+        columns, means = ens.features.T, ens.feature_means
+    p = np.sum(rows[:, 0] * means, axis=-1)
+    k, n = len(rows), ens.n
+    width = min(n, _BLOCK)
+    group = min(k, _BLOCK // width)
+    work = np.empty(3 * group * width)
+    leaves = np.empty((group, 2, -(-n // _LEAF)))
+    sums = np.empty((k, 2))
+    # log2(0) = -inf and 0·-inf = NaN: a leaf with w = 0 is summed again below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for g0 in range(0, k, group):
+            batch = rows[g0 : g0 + group]
+            g = len(batch)
+            for b0 in range(0, n, width):
+                cols = columns[:, b0 : b0 + width]
+                block = work[: 3 * g * cols.shape[1]].reshape(g, 3, -1)
+                for r, out in zip(batch, block):
+                    np.matmul(r, cols, out=out)
+                w, amp2, im = block[:, 0], block[:, 1], block[:, 2]
+                if not diagonal:
+                    # w = ||A psi||² >= 0; a form on the features can land a few ulps below
+                    np.maximum(w, 0.0, out=w)
+                amp2 *= amp2
+                im *= im
+                amp2 += im
+                amp2 *= w
+                np.sqrt(amp2, out=amp2)
+                w_log_w = np.log2(w, out=im)
+                w_log_w *= w
+                # rows 1 and 2 now hold sqrt(w |amp|²) and w log2 w
+                at = slice(b0 // _LEAF, -(-(b0 + cols.shape[1]) // _LEAF))
+                _leaf_sums(block[:, 1:], leaves[:g, :, at])
+                if np.isnan(leaves[:g, 1, at]).any():
+                    w_log_w[w == 0.0] = 0.0  # 0 log 0 = 0
+                    _leaf_sums(block[:, 1:], leaves[:g, :, at])
+            leaves[:g].sum(axis=-1, out=sums[g0 : g0 + g])
+    return p, sums[:, 1], sums[:, 0]
+
+
+def _leaf_sums(x, out):
+    """Sums of the rows of x over consecutive ``_LEAF``-column leaves, into ``out``.
+
+    Every leaf but a last partial one is ``_LEAF`` columns wide, summed by
+    numpy along its contiguous last axis; ``x`` starts on a leaf boundary.
+    """
+    *rows, width = x.shape
+    full = width // _LEAF
+    x[..., : full * _LEAF].reshape(*rows, full, _LEAF).sum(axis=-1, out=out[..., :full])
+    if width > full * _LEAF:
+        x[..., full * _LEAF :].sum(axis=-1, out=out[..., full])
 
 
 def branch_statistics(composed_ops, ens: PureStateEnsemble, p_given=1.0):
     """Per-branch p, I and F: the one routine behind every stage.
 
+    All branches are evaluated together by one pass of the branch kernel.
     A branch is undefined (NaN I and F) when p / p_given is at the floor;
     ``p_given``, one per branch or one for all, is the probability of the
     outcome it is conditioned on (1 for a first stage).
     """
-    n_out = len(composed_ops)
-    p_given = np.broadcast_to(p_given, (n_out,))
-    prob = np.zeros(n_out)
-    info = np.full(n_out, np.nan)
-    fid = np.full(n_out, np.nan)
-    for i, op in enumerate(composed_ops):
-        w, amp2 = branch_weights_and_squared_moduli(ens, op)
-        p = w.mean()
-        prob[i] = p
-        if p / p_given[i] <= TOL.prob_floor:
-            continue
-        info[i], fid[i] = _info_gain(w, p), _fidelity(w, amp2, p)
-    return prob, info, fid
-
-
-def _fidelity(w, amp2, p) -> float:
-    """F = Σ_a p(a|outcome) |<psi|A|psi>| / sqrt(w_a) = mean(sqrt(|amp|² w)) / p.
-
-    One square root, taken in place: ``amp2`` is overwritten.
-    """
-    amp2 *= w
-    return float(np.sqrt(amp2, out=amp2).mean() / p)
+    p, w_log_w, root = _branch_sums(composed_ops, ens)
+    defined = p / p_given > TOL.prob_floor
+    info = np.full(p.shape, np.nan)
+    fid = np.full(p.shape, np.nan)
+    info[defined], fid[defined] = _gain_and_fidelity(
+        p[defined], w_log_w[defined], root[defined], ens.n
+    )
+    return p, info, fid
 
 
 def stage_statistics(kraus: KrausSet, ens: PureStateEnsemble) -> StageStatistics:
@@ -296,8 +348,9 @@ def conjugate_two_stage_statistics(kraus: KrausSet, ens: PureStateEnsemble) -> t
     in the whole row of an undefined first outcome.
     For diagonal M the branches (m, mu) and (mu, m) are M_mu† M_m and its
     adjoint, with the same weights and amplitude moduli on every state, so
-    p, I and F are symmetric in (m, mu): each unordered pair is evaluated
-    once, when a row that needs it is defined, and mirrored.
+    p, I and F are symmetric in (m, mu): each unordered pair mu >= m that a
+    defined row needs is evaluated once, all in one kernel call, and
+    mirrored.
     """
     if not all(linalg.is_diagonal(M) for M in kraus.operators):
         raise ValidationError("the pair evaluation needs diagonal Kraus operators")
@@ -307,17 +360,20 @@ def conjugate_two_stage_statistics(kraus: KrausSet, ens: PureStateEnsemble) -> t
     p_first, defined = first.probability, first.defined
     # a pair is conditioned on the least likely defined row that reads it
     p_row = np.where(defined, p_first, np.inf)
+    m, mu = np.triu_indices(n)
+    read = defined[m] | defined[mu]
+    m, mu = m[read], mu[read]
+    pairs = branch_statistics(
+        [linalg.dagger(ops[k]) @ ops[i] for i, k in zip(m, mu)],
+        ens,
+        np.minimum(p_row[m], p_row[mu]),
+    )
     joint = np.full((n, n), np.nan)
     info = np.full((n, n), np.nan)
     fid = np.full((n, n), np.nan)
-    for i in range(n):
-        ks = [k for k in range(i, n) if defined[i] or defined[k]]
-        row = branch_statistics(
-            [linalg.dagger(ops[k]) @ ops[i] for k in ks], ens, np.minimum(p_row[i], p_row[ks])
-        )
-        # NaN is set per row below, on p(mu | m)
-        for grid, values in zip((joint, info, fid), row):
-            grid[i, ks] = grid[ks, i] = values
+    # NaN is set per row below, on p(mu | m)
+    for grid, values in zip((joint, info, fid), pairs):
+        grid[m, mu] = grid[mu, m] = values
     joint[~defined] = np.nan
     conditional = joint / p_first[:, None]
     at_floor = ~(conditional > TOL.prob_floor)  # not <=: it also takes the NaN rows
@@ -331,9 +387,9 @@ def optimal_fidelity(kraus: KrausSet, ens: PureStateEnsemble, label) -> float:
 
     mean_a[ sqrt(<N²>) <N> ] / mean_a <N²>  with N = sqrt(M†M) from the SVD
     of M (:func:`conjmeas.linalg.polar_decompose`), i.e. the branch fidelity
-    of N.  The regime check :func:`conjmeas.runner.disturbance_outcomes`
-    asks for it; the stage statistics do not compute it.
+    of N, NaN at the probability floor.  The regime check
+    :func:`conjmeas.runner.disturbance_outcomes` asks for it; the stage
+    statistics do not compute it.
     """
     _, N = linalg.polar_decompose(kraus.operator(label))
-    w, n2 = branch_weights_and_squared_moduli(ens, N)
-    return _fidelity(w, n2, w.mean())
+    return float(branch_statistics([N], ens)[2][0])

@@ -39,6 +39,21 @@ from .tolerances import TOL
 MIN_FIGURE_SAMPLES = 1000
 
 
+def _check_samples(samples: int) -> None:
+    if samples < MIN_FIGURE_SAMPLES:
+        raise ValueError(f"need at least {MIN_FIGURE_SAMPLES} samples")
+
+
+def _sample_metadata(samples: int, seed: int) -> dict:
+    """Header fields of every run: sample count, seed and library version.
+
+    A run that builds no probe (``variances``) writes these alone.  Fewer
+    than ``MIN_FIGURE_SAMPLES`` samples are rejected.
+    """
+    _check_samples(samples)
+    return {"samples": samples, "seed": seed, "version": __version__}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     spin: SpinProbeConfig
@@ -46,8 +61,7 @@ class ExperimentConfig:
     seed: int = 20_2408
 
     def __post_init__(self):
-        if self.samples < MIN_FIGURE_SAMPLES:
-            raise ValueError(f"need at least {MIN_FIGURE_SAMPLES} samples")
+        _check_samples(self.samples)
 
     def metadata(self) -> dict:
         return {
@@ -55,9 +69,7 @@ class ExperimentConfig:
             "j": float(self.spin.j),
             "g": self.spin.g,
             "theta": self.spin.theta,
-            "samples": self.samples,
-            "seed": self.seed,
-            "version": __version__,
+            **_sample_metadata(self.samples, self.seed),
         }
 
 
@@ -222,8 +234,10 @@ def run_variances(s_list, samples: int, seed: int) -> Table:
     """Monte Carlo spin moments against their closed forms, with z-scores.
 
     Every spin's closed form is built first, so a spin that is not a
-    positive half-integer fails before any ensemble is sampled.
+    positive half-integer, or a sample count below ``MIN_FIGURE_SAMPLES``,
+    fails before any ensemble is sampled.
     """
+    _check_samples(samples)
     t = Table(("s", "quantity", "estimate", "target", "stderr", "z"))
     for k, moments in enumerate([spin_moments_closed_form(s) for s in s_list]):
         dim = int(2 * moments.s) + 1
@@ -231,7 +245,7 @@ def run_variances(s_list, samples: int, seed: int) -> Table:
         sz = spin_z(moments.s)
         ev = expectation_values(ens, sz)
         ev2 = expectation_values(ens, sz @ sz)
-        p0, p1 = ens.populations[:, 0], ens.populations[:, 1]
+        p0, p1 = (expectation_values(ens, np.diag(np.eye(dim)[i])) for i in (0, 1))
         quantities = {
             "V_I": ((ev - ev.mean()) ** 2, float(moments.v_i)),
             "V_F": (ev2 - ev**2, float(moments.v_f)),

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -381,24 +382,31 @@ def all_statistics(first, second, ens, dense_calls=None):
     return out
 
 
+def dense_branch_sums(ens, op):
+    """(p, Σ w log2 w, Σ sqrt(w |amp|²)) of one branch from the dense per-state values."""
+    w, amp = branch_weights_and_amplitudes(ens.states, op)
+    w_log_w = w * np.log2(w, out=np.zeros_like(w), where=w > 0)
+    return w.mean(), w_log_w.sum(), np.sqrt(w * np.abs(amp) ** 2).sum()
+
+
 def use_dense_reference(monkeypatch):
     """Route every branch, every weight-only mean and every <N> through the dense path.
 
-    Returns the operators the dense branch kernel (``"branch"``) and the
-    dense per-state mean (``"mean"``) have been called with.
+    Returns the operators the dense branch kernel (``"branch"``, one entry
+    per branch) and the dense per-state mean (``"mean"``) have been called
+    with.
     """
     calls = {"branch": [], "mean": []}
 
-    def dense_squared_moduli(ens, op):
-        calls["branch"].append(op)
-        w, amp = branch_weights_and_amplitudes(ens.states, op)
-        return w, np.abs(amp) ** 2
+    def dense_kernel(ops, ens):
+        calls["branch"].extend(ops)
+        return tuple(np.array(s) for s in zip(*(dense_branch_sums(ens, op) for op in ops)))
 
     def dense_mean_expectation(ens, A):
         calls["mean"].append(A)
         return float(np.einsum("ai,ij,aj->a", ens.states.conj(), A, ens.states).real.mean())
 
-    monkeypatch.setattr(metrics, "branch_weights_and_squared_moduli", dense_squared_moduli)
+    monkeypatch.setattr(metrics, "_branch_sums", dense_kernel)
     for module in (metrics, reversal):
         monkeypatch.setattr(module, "mean_expectation", dense_mean_expectation)
     monkeypatch.setattr(linalg, "is_diagonal", lambda op: False)
@@ -454,12 +462,12 @@ class TestPopulationsKernel:
         assert "features" not in vars(ens)
         # an operator with one tiny off-diagonal entry takes the form path
         general = np.array([[0.6, 1e-300], [0.0, 0.8]])
-        w, amp2 = metrics.branch_weights_and_squared_moduli(ens, general)
+        sums = metrics._branch_sums([general], ens)
         assert "features" in vars(ens)
         assert calls == []
-        w_ref, amp_ref = dense(ens.states, general)
-        np.testing.assert_allclose(w, w_ref, rtol=POP_RTOL, atol=0)
-        np.testing.assert_allclose(np.sqrt(amp2), np.abs(amp_ref), rtol=POP_RTOL, atol=0)
+        np.testing.assert_allclose(
+            np.ravel(sums), dense_branch_sums(ens, general), rtol=POP_RTOL, atol=0
+        )
 
 
 def random_general_kraus(rng, dim, n_out):
@@ -528,9 +536,11 @@ class TestFormKernel:
         v /= np.linalg.norm(v)
         phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 200))
         ens = PureStateEnsemble(phases[:, None] * v[None, :], seed=0)
-        w, amp2 = metrics.branch_weights_and_squared_moduli(ens, np.eye(dim) - np.outer(v, v.conj()))
-        assert np.all(w >= 0) and w.max() < 1e-15
-        assert np.sqrt(amp2).max() < 1e-15
+        p, w_log_w, root = metrics._branch_sums([np.eye(dim) - np.outer(v, v.conj())], ens)
+        # a negative w would read NaN in both sums (log2 and sqrt of w < 0)
+        assert abs(p[0]) < 1e-15
+        assert -1e-11 < w_log_w[0] <= 0.0
+        assert 0.0 <= root[0] < ens.n * 1e-15
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -541,23 +551,96 @@ class TestFormKernel:
         e = np.asarray(entries)
         op = (e[: dim * dim] + 1j * e[16 : 16 + dim * dim]).reshape(dim, dim)
         ens = PROPERTY_ENSEMBLES[dim]
-        w, amp2 = metrics.branch_weights_and_squared_moduli(ens, op)
+        # the kernel's per-state rows [w; Re amp; Im amp] on the features
+        w, re, im = metrics._branch_rows([op], diagonal=False)[0] @ ens.features.T
+        amp2 = re**2 + im**2
         w_ref, amp_ref = branch_weights_and_amplitudes(ens.states, op)
         scale = max(1.0, float(np.sum(np.abs(op) ** 2)))
-        assert np.all(w >= 0)
         # Cauchy-Schwarz: |<psi|A|psi>|² <= ||A psi||²
         assert np.all(amp2 <= w + 1e-14 * scale)
         np.testing.assert_allclose(w, w_ref, rtol=0, atol=1e-14 * scale)
         np.testing.assert_allclose(np.sqrt(amp2), np.abs(amp_ref), rtol=0, atol=1e-14 * scale)
+        # and the kernel's sums: p, and Σ sqrt(w |amp|²) <= Σ w
+        p, _, root = metrics._branch_sums([op], ens)
+        assert abs(p[0] - w_ref.mean()) <= 1e-14 * scale
+        assert 0.0 <= root[0] <= np.sum(np.maximum(w, 0.0)) * (1 + 1e-14) + 1e-14 * scale
+
+
+def spin_branches(j):
+    """The s=1/2 probe's first-stage operators, then its unordered conjugate pairs."""
+    ops = build_forward(SpinProbeConfig(s=0.5, j=j, g=0.25, theta=math.pi / 6)).operators
+    n = len(ops)
+    return list(ops) + [linalg.dagger(ops[k]) @ ops[i] for i in range(n) for k in range(i, n)]
+
+
+class TestBranchBatching:
+    """A branch's (p, I, F) are the same bits alone, inside a call of any size
+    and for any block size.
+
+    N = 100 is below one leaf, 1000 is three leaves and a partial one, and
+    33037 is two blocks of states.
+    """
+
+    @staticmethod
+    def assert_batch_equals_alone(ops, ens):
+        batch = metrics.branch_statistics(ops, ens)
+        alone = np.array([metrics.branch_statistics([op], ens) for op in ops])[:, :, 0].T
+        for got, want in zip(batch, alone):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [100, 1000, 33_037])
+    def test_headline_branches(self, n):
+        ops = spin_branches(7)
+        assert len(ops) == 135
+        self.assert_batch_equals_alone(ops, sample_haar(2, n, 21))
+
+    def test_block_size(self, monkeypatch):
+        # the leaf sums do not depend on how the states are cut into blocks
+        ops = spin_branches(7)
+        ens = sample_haar(2, 33_037, 21)
+        default = metrics.branch_statistics(ops, ens)
+        monkeypatch.setattr(metrics, "_BLOCK", 2**12)
+        for got, want in zip(metrics.branch_statistics(ops, ens), default):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [100, 1000])
+    def test_wide_grid_branches(self, n):
+        ops = spin_branches(40)
+        assert len(ops) == 3402
+        self.assert_batch_equals_alone(ops, sample_haar(2, n, 22))
+
+    @pytest.mark.parametrize("n", [100, 1000, 33_037])
+    def test_non_diagonal_branches(self, n):
+        kraus = random_general_kraus(np.random.default_rng(23), 4, 6)
+        ops = [C @ M for C in kraus.operators for M in kraus.operators]
+        assert not any(linalg.is_diagonal(op) for op in ops)
+        self.assert_batch_equals_alone(list(kraus.operators) + ops, sample_haar(4, n, 24))
+
+
+@pytest.mark.parametrize("j", [7, 40])
+def test_working_memory_does_not_grow_with_branches(j):
+    # one kernel call on 135 or 3402 branches: the block buffers hold at most
+    # 3·2^15 doubles (768 KiB) and the leaf sums 2·N/256 per branch of a
+    # block; one block over all 3402 branches and 256 states would take 21 MB
+    ops = spin_branches(j)
+    ens = sample_haar(2, 20_000, 25)
+    ens.population_means  # the cached populations are the ensemble's, not the call's
+    tracemalloc.start()
+    try:
+        metrics.branch_statistics(ops, ens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_weight_only_means_pass_over_no_state(monkeypatch):
-    # on a non-diagonal set a success probability evaluates no form on the N
-    # states, and a two-stage run one per branch: p(m) reads the mean features
+    # on a non-diagonal set a success probability makes no pass over the N
+    # states, and a two-stage run one kernel pass over its branches: p(m)
+    # reads the mean features
     calls = []
-    real = ensemble.quadratic_forms
-    for module in (ensemble, metrics):
-        monkeypatch.setattr(module, "quadratic_forms", lambda *a: calls.append(a) or real(*a))
+    real = metrics._branch_sums
+    monkeypatch.setattr(metrics, "_branch_sums", lambda ops, ens: calls.append(len(ops)) or real(ops, ens))
     kraus = random_general_kraus(np.random.default_rng(4), 4, 4)
     ens = sample_haar(4, 500, 12)
     for m in kraus.labels:
@@ -565,7 +648,7 @@ def test_weight_only_means_pass_over_no_state(monkeypatch):
             conditional_success_probability(kraus, m, ens, spec)
             assert calls == []
             two_stage_statistics(kraus, m, spec.kraus, ens)
-            assert len(calls) == len(spec.kraus)
+            assert calls == [len(spec.kraus)]
             calls.clear()
 
 
@@ -596,7 +679,9 @@ class TestEvaluatorDimensionCheck:
 # The non-diagonal set of the benchmark's general_kraus workload, G_k S^{-1/2}
 # with S = sum G_k† G_k, evaluated in a fresh interpreter; prints the repr of
 # every field of a first stage and of a two-stage run, then per outcome the
-# success probabilities and conditionals of both second stages.
+# success probabilities and conditionals of both second stages.  At N = 2·10⁴
+# each branch is one block of the kernel; at N = 40037 it is two blocks of
+# states, the second one ending in a partial leaf.
 NON_DIAGONAL_SCRIPT = """
 import numpy as np
 from conjmeas.ensemble import sample_haar
@@ -607,22 +692,23 @@ rng = np.random.default_rng(1234)
 G = (rng.standard_normal((6, 4, 4)) + 1j * rng.standard_normal((6, 4, 4))) / np.sqrt(2)
 w, V = np.linalg.eigh(np.einsum("kji,kjl->il", G.conj(), G))
 kraus = KrausSet(tuple(g @ (V / np.sqrt(w)) @ V.conj().T for g in G), tuple(range(6)))
-ens = sample_haar(4, 20000, 99)
-for st in (stage_statistics(kraus, ens), two_stage_statistics(kraus, 2.0, kraus, ens)):
-    fields = (st.probability, st.info_gain, st.fidelity, st.defined, st.conditional)
-    print(repr([None if f is None else f.tolist() for f in fields]))
-for m in kraus.labels:
-    specs = (build_conjugate_minimal(kraus, m), build_reversing(kraus, m))
-    print(repr(
-        [conditional_success_probability(kraus, m, ens, spec) for spec in specs]
-        + [two_stage_statistics(kraus, m, spec.kraus, ens).conditional.tolist() for spec in specs]
-    ))
+for n in (20000, 40037):
+    ens = sample_haar(4, n, 99)
+    for st in (stage_statistics(kraus, ens), two_stage_statistics(kraus, 2.0, kraus, ens)):
+        fields = (st.probability, st.info_gain, st.fidelity, st.defined, st.conditional)
+        print(repr([None if f is None else f.tolist() for f in fields]))
+    for m in kraus.labels:
+        specs = (build_conjugate_minimal(kraus, m), build_reversing(kraus, m))
+        print(repr(
+            [conditional_success_probability(kraus, m, ens, spec) for spec in specs]
+            + [two_stage_statistics(kraus, m, spec.kraus, ens).conditional.tolist() for spec in specs]
+        ))
 """
 
 
 def test_non_diagonal_path_independent_of_thread_count():
     outs = []
-    for threads in ("1", "2"):
+    for threads in ("1", "2", "4"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC_DIR, env.get("PYTHONPATH"))))
         proc = subprocess.run(
@@ -630,8 +716,8 @@ def test_non_diagonal_path_independent_of_thread_count():
             capture_output=True, text=True, check=True, env=env,
         )
         outs.append(proc.stdout)
-    assert outs[0].count("\n") == 2 + 6
-    assert outs[0] == outs[1]
+    assert outs[0].count("\n") == 2 * (2 + 6)
+    assert outs[0] == outs[1] == outs[2]
 
 
 class TestStageStatisticsGet:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import conjmeas
 from conjmeas import cli, metrics, runner
 from conjmeas.cli import main, parse_number
 from conjmeas.ensemble import sample_haar
@@ -330,6 +331,24 @@ class TestCli:
         ) == 0
         assert (tmp_path / "variances.csv").exists()
 
+    def test_variances_reads_no_probe(self, tmp_path, capsys):
+        # --s, --j, --g and --theta configure a probe that variances never
+        # builds: a value no probe accepts does not stop it, and the header
+        # names none of them
+        args = ["variances", "--s", "0.3", "--j", "0.3", "--theta", "2pi", "--spins", "1/2"]
+        assert main(args + ["--samples", "1000", "--seed", "4", "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        header = [
+            line for line in (tmp_path / "variances.csv").read_text().splitlines()
+            if line.startswith("#")
+        ]
+        assert header == ["# samples=1000", "# seed=4", f"# version={conjmeas.__version__}"]
+
+    def test_variances_rejects_too_few_samples(self, tmp_path, capsys):
+        assert main(["variances", "--samples", "999", "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("invalid configuration: need at least 1000")
+        assert not (tmp_path / "out").exists()
+
     def test_sweep(self, tmp_path):
         args = ["sweep"] + self.common(tmp_path)
         args += ["--axis", "theta", "--values", "pi/6", "pi/4"]
@@ -594,17 +613,17 @@ class TestConjugatePairEvaluation:
         assert np.isnan(grid.fidelity).any()
 
     def test_one_evaluation_per_unordered_pair(self, monkeypatch):
+        # the branches each kernel call evaluates, and the calls of the rest
         counts = {
-            "_info_gain": 0,
-            "branch_weights_and_squared_moduli": 0,
-            "mean_expectation": 0,
-            "optimal_fidelity": 0,
+            "_branch_sums": [],
+            "mean_expectation": [],
+            "optimal_fidelity": [],
         }
         for name in counts:
             fn = getattr(metrics, name)
 
             def wrapper(*args, _fn=fn, _name=name):
-                counts[_name] += 1
+                counts[_name].append(len(args[0]) if _name == "_branch_sums" else 1)
                 return _fn(*args)
 
             # wherever the library binds the name
@@ -615,12 +634,11 @@ class TestConjugatePairEvaluation:
         first, grid = compute_spin_run(spin, sample_haar(2, 1000, 3))
         n = len(spin.outcome_labels)
         assert first.probability.min() > TOL.prob_floor and np.isfinite(grid.info_gain).all()
-        # the first stage, then the pairs; no F_opt work
+        # one kernel call for the first stage, one for all pairs; no F_opt work
         assert counts == {
-            "_info_gain": n + n * (n + 1) // 2,
-            "branch_weights_and_squared_moduli": n + n * (n + 1) // 2,
-            "mean_expectation": 0,
-            "optimal_fidelity": 0,
+            "_branch_sums": [n, n * (n + 1) // 2],
+            "mean_expectation": [],
+            "optimal_fidelity": [],
         }
 
 

@@ -15,7 +15,8 @@ outcome, and ``metrics`` alone reads that mark (``StageStatistics.defined``,
 keeps is built only from a validated state.  No library module but
 ``linalg`` loads ``positive_sqrt``: every positive part N = sqrt(M†M) comes
 from an SVD of M, not from an eigensolve of M†M, which squares its
-condition number.
+condition number.  The per-state populations and features are read only by
+``ensemble`` and by the branch kernel ``metrics._branch_sums``.
 """
 
 import ast
@@ -269,6 +270,13 @@ def loads_of(name: str) -> list:
 
 def test_one_caller_validates_density_matrices():
     assert loads_of("check_density_matrix") == ["measurement.outcome_distribution"]
+
+
+def test_only_the_two_evaluators_read_the_sample():
+    # the per-state populations and features are read by ensemble and by
+    # the branch kernel alone; every other value goes through one of them
+    readers = set(loads_of("populations") + loads_of("features"))
+    assert {r for r in readers if not r.startswith("ensemble.")} == {"metrics._branch_sums"}
 
 
 def test_no_positive_part_from_an_eigensolve():
