@@ -4,9 +4,10 @@ Subcommands: figures, summary, variances, sweep.  Every number, spin or
 angle, is read in one syntax: a multiple of pi ("pi/6", "2*pi/3"), a
 fraction ("1/2", "-3/2") or a plain decimal ("0.5", "7").  Whether a spin
 is a half-integer is checked by the library, which stores it snapped to
-the exact half-integer.  ``variances`` builds no probe: it reads
-``--spins``, ``--samples`` and ``--seed``, and its header carries only the
-sample count, the seed and the version.
+the exact half-integer.  ``variances`` builds no probe and takes no probe
+option (``--s``, ``--j``, ``--g``, ``--theta``): it reads ``--spins``,
+``--samples`` and ``--seed``, and its header carries only the sample
+count, the seed and the version.
 
 Exit codes: 0 success, 2 invalid configuration, a run too large for memory
 or an output directory that cannot be created or written, 3 numeric-contract
@@ -57,13 +58,16 @@ def parse_number(text: str) -> float:
     return value
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_probe(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--s", type=parse_number, default=0.5, help="system spin")
     sub.add_argument("--j", type=parse_number, default=7.0, help="probe spin")
     sub.add_argument("--g", type=parse_number, default=0.25, help="coupling angle (e.g. pi/8)")
     sub.add_argument(
         "--theta", type=parse_number, default=math.pi / 6, help="probe angle (e.g. pi/6)"
     )
+
+
+def _add_run(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--samples", type=int, default=100_000)
     sub.add_argument("--seed", type=int, default=202408)
     sub.add_argument("--out", type=Path, default=Path("."), help="output directory")
@@ -83,7 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
         ("sweep", "summary metrics along one parameter axis"),
     ):
         sub = subs.add_parser(name, help=help_text)
-        _add_common(sub)
+        if name != "variances":
+            _add_probe(sub)
+        _add_run(sub)
         if name == "variances":
             sub.add_argument(
                 "--spins",
@@ -113,7 +119,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "variances":
-            # no probe: --s, --j, --g and --theta are not read
             meta = _sample_metadata(args.samples, args.seed)
         else:
             spin = SpinProbeConfig(s=args.s, j=args.j, g=args.g, theta=args.theta)

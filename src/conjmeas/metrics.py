@@ -6,31 +6,45 @@ list of weights: the per-outcome weights are ``<A†A>_a`` for whichever
 operator A maps the initial state to the (unnormalized) branch state.
 
 Every per-branch quantity comes from one private kernel, ``_branch_sums``,
-which takes all of a call's operators at once and returns three numbers
-per branch: p = mean(w), Σ w log2 w and Σ sqrt(w |amp|²), with the weight
-w = <A†A> and the amplitude amp = <psi|A|psi> of each state.  Both are
-quadratic forms in psi, hence real-linear in the per-state features of the
-ensemble (see :mod:`conjmeas.ensemble`): the populations P_i = |psi_i|²
-(N×d floats, cached on first use) and the coherences z_ij = conj(psi_i)
-psi_j, i < j.  If every operator is diagonal (every off-diagonal entry
-exactly zero, as for the spin-probe operators and their compositions) the
-rows [|a|², Re a, Im a] of a = diag(A) read the populations alone; any
-other call reads the feature matrix [P | Re z | Im z] (N×d² floats, built
-only then) with the rows of A†A and of A.  p is the w row on the cached
-column means, the rule of :func:`conjmeas.ensemble.mean_expectation`, with
-no pass over the states.  The two sums take one pass, over blocks of at
-most 2^15 branch×state elements, so that a block's rows stay in cache:
-each branch's rows on a block are one BLAS product whose shape depends on
-N alone, and each sum adds fixed 256-state leaf sums made by numpy, not by
-a BLAS dot.  A branch's bits therefore depend on N alone, not on the other
-branches of the call or on the BLAS thread count.  An operator whose
-dimension is not the ensemble's is rejected there.  The dense O(N·d²)
-:func:`branch_weights_and_amplitudes` is the reference the tests compare
-against.
+which takes all of a call's operators at once and returns four numbers
+per branch: p = mean(w), the pair mean(x) and Σ x log2 x of one form x
+proportional to w, and Σ sqrt(w |amp|²), with the weight w = <A†A> and
+the amplitude amp = <psi|A|psi> of each state.  Both are quadratic forms
+in psi, hence real-linear in the per-state features of the ensemble (see
+:mod:`conjmeas.ensemble`): the populations P_i = |psi_i|² (N×d floats,
+cached on first use) and the coherences z_ij = conj(psi_i) psi_j, i < j.
+If every operator is diagonal (every off-diagonal entry exactly zero, as
+for the spin-probe operators and their compositions) the rows
+[|a|², Re a, Im a] of a = diag(A) read the populations alone; any other
+call reads the feature matrix [P | Re z | Im z] (N×d² floats, built only
+then) with the rows of A†A and of A.  p is the w row on the cached column
+means, the rule of :func:`conjmeas.ensemble.mean_expectation`, with no
+pass over the states.
 
-One function turns (p, Σ w log2 w, Σ sqrt(w |amp|²)) into I and F, for
-every stage (:func:`branch_statistics`) and for :func:`likelihood_info_gain`.
-A value that needs the mean weight alone (the p(m) a second stage is
+I does not change when w is scaled, so a diagonal call sums x = f, the
+branch's weight direction: f = û·P, with û the w row over p, each entry
+rounded to a mantissa grid of ``TOL.direction_grid``, and mean(f) = û·means
+about 1, which leaves no p log2 p to cancel.  Branches on one grid point
+share one log pass: the spin probe's pair weights |a_m|²|a_mu|² point in a
+direction set by m + mu alone, 29 for the 120 pairs at j = 7.  Any other
+call sums x = w itself, with mean(x) = p: its directions seldom repeat, and
+a grid row would cost one more product over d² columns.
+
+The sums take one pass, over blocks of at most 2^15 branch×state elements,
+so that a block's rows stay in cache: each branch's rows on a block are one
+BLAS product whose shape depends on N alone (the first branch on a grid
+point adds one for its f row), and each sum adds fixed 256-state leaf sums
+made by numpy, not by a BLAS dot.  A branch's p and F therefore depend on its own
+operator and N alone, and its I on its grid row (diagonal) or operator
+(otherwise) and N: not on the other branches of the call, whether they
+share its direction or not, nor on the BLAS thread count.  An operator
+whose dimension is not the ensemble's is rejected there.  The dense
+O(N·d²) :func:`branch_weights_and_amplitudes` is the reference the tests
+compare against.
+
+One function turns the four sums into I and F, for every stage
+(:func:`branch_statistics`) and for :func:`likelihood_info_gain`.  A
+value that needs the mean weight alone (the p(m) a second stage is
 conditioned on, read by :func:`conditioning_probability`, or a success
 probability) passes over no state either: it is one form on the mean
 features, :func:`conjmeas.ensemble.mean_expectation`, in O(d²).  The
@@ -97,21 +111,23 @@ def likelihood_info_gain(weights) -> float:
                 raise InvalidWeightsError("weights must be nonnegative with a positive mean")
             p = np.array([w.mean()])
             w_log_w = np.sum(w * np.log2(w, out=np.zeros_like(w), where=w > 0))
-            info, _ = _gain_and_fidelity(p, w_log_w, 0.0, w.size)
+            info, _ = _gain_and_fidelity(p, p, w_log_w, 0.0, w.size)
     except FloatingPointError as exc:
         raise InvalidWeightsError(f"weights overflow the information kernel: {exc}") from None
     return float(info[0])
 
 
-def _gain_and_fidelity(p, w_log_w, root, n):
+def _gain_and_fidelity(p, mean, x_log_x, root, n):
     """(I, F) of branches from p and their sums over the n states.
 
-    ``w_log_w`` is Σ w log2 w and ``root`` is Σ sqrt(w |amp|²):
-    I = (Σ w log2 w / n - p log2 p) / p, clipped at zero, and
-    F = Σ sqrt(w |amp|²) / n / p.  An I below ``TOL.info_roundoff`` is a
-    failure of the kernel, not roundoff, and raises.
+    ``mean`` and ``x_log_x`` are mean(x) and Σ x log2 x of one form x
+    proportional to the weight w, and ``root`` is Σ sqrt(w |amp|²):
+    I = (Σ x log2 x / n - mean log2 mean) / mean, clipped at zero, which
+    does not change when x is scaled, and F = Σ sqrt(w |amp|²) / n / p.
+    An I below ``TOL.info_roundoff`` is a failure of the kernel, not
+    roundoff, and raises.
     """
-    gain = (w_log_w / n - p * np.log2(p)) / p
+    gain = (x_log_x / n - mean * np.log2(mean)) / mean
     if np.any(gain < TOL.info_roundoff):
         raise InvalidWeightsError(f"information kernel returned {gain.min():.3e}")
     return np.maximum(gain, 0.0), root / n / p
@@ -207,17 +223,29 @@ def _branch_rows(ops, diagonal: bool) -> np.ndarray:
     )
 
 
+def _snap(x):
+    """x with each mantissa rounded to a multiple of ``TOL.direction_grid``."""
+    mantissa, exponent = np.frexp(x)
+    return np.ldexp(np.round(mantissa / TOL.direction_grid) * TOL.direction_grid, exponent)
+
+
 def _branch_sums(ops, ens: PureStateEnsemble):
-    """``(p, w_log_w, root)`` of every branch A in ``ops``: the branch kernel.
+    """``(p, mean, x_log_x, root)`` of every branch A in ``ops``: the branch kernel.
 
     p = mean(w) is the w row on the cached feature means, with no pass over
-    the states; w_log_w = Σ w log2 w and root = Σ sqrt(w |amp|²) take one
-    pass.  It walks the states in blocks of ``_BLOCK`` states, or of all N
-    when N is smaller, with as many branches per block as keep it within
-    ``_BLOCK`` elements.  Each branch's rows on a block are a BLAS product
-    of the same shape in every call on the ensemble, and each sum adds
-    ``_LEAF``-state leaf sums: a branch's bits depend on the other branches
-    of the call only through the one diagonal-or-not choice.
+    the states, and root = Σ sqrt(w |amp|²).  I reads mean = mean(x) and
+    x_log_x = Σ x log2 x of one form x.  In a diagonal call x is the
+    branch's weight direction f = û·P: û is its w row over p, snapped to
+    the grid ``TOL.direction_grid``, and mean = û·means is about 1.  Only
+    the first branch on each grid point takes a log pass, and the others
+    of the call share its sums.  In any other call x = w and mean = p.
+    The sums take one pass.  It walks the states in blocks of ``_BLOCK``
+    states, or of all N when N is smaller, with as many branches per block
+    as keep it within ``_BLOCK`` elements.  Each branch's rows [w; Re amp;
+    Im amp] on a block, and a leader's f row, are BLAS products of the same
+    shapes in every call on the ensemble, and each sum adds ``_LEAF``-state
+    leaf sums: a branch's bits depend on the other branches of the call
+    only through the one diagonal-or-not choice.
     """
     if any(op.shape != (ens.dim, ens.dim) for op in ops):
         raise DimensionMismatchError("operator and ensemble dimensions differ")
@@ -229,21 +257,38 @@ def _branch_sums(ops, ens: PureStateEnsemble):
         columns, means = ens.features.T, ens.feature_means
     p = np.sum(rows[:, 0] * means, axis=-1)
     k, n = len(rows), ens.n
+    if diagonal:
+        # p = 0 (w = 0 on every state) gives a NaN direction, on an undefined branch
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = _snap(rows[:, 0] / p[:, None])
+        rows = np.concatenate([rows, u[:, None]], axis=1)
+        mean = np.sum(u * means, axis=-1)
+        _, lead, share = np.unique(u, axis=0, return_index=True, return_inverse=True)
+        # the branches that take a log pass come first, and no batch mixes the two kinds
+        order = np.concatenate([lead, np.flatnonzero(lead[share] != np.arange(k))])
+        n_log = len(lead)
+    else:
+        mean, order, share, n_log = p, slice(None), slice(None), k
+    rows = rows[order]
+    height = rows.shape[1]
     width = min(n, _BLOCK)
     group = min(k, _BLOCK // width)
-    work = np.empty(3 * group * width)
+    work = np.empty(height * group * width)
     leaves = np.empty((group, 2, -(-n // _LEAF)))
     sums = np.empty((k, 2))
-    # log2(0) = -inf and 0·-inf = NaN: a leaf with w = 0 is summed again below
+    # log2(0) = -inf and 0·-inf = NaN: a leaf with x = 0 is summed again below
     with np.errstate(divide="ignore", invalid="ignore"):
-        for g0 in range(0, k, group):
-            batch = rows[g0 : g0 + group]
-            g = len(batch)
+        for g0 in (*range(0, n_log, group), *range(n_log, k, group)):
+            logs = g0 < n_log
+            batch = rows[g0 : min(g0 + group, n_log if logs else k)]
+            g, s = len(batch), 2 if logs else 1
             for b0 in range(0, n, width):
                 cols = columns[:, b0 : b0 + width]
-                block = work[: 3 * g * cols.shape[1]].reshape(g, 3, -1)
+                block = work[: height * g * cols.shape[1]].reshape(g, height, -1)
                 for r, out in zip(batch, block):
-                    np.matmul(r, cols, out=out)
+                    np.matmul(r[:3], cols, out=out[:3])
+                    if logs and diagonal:
+                        np.matmul(r[3], cols, out=out[3])
                 w, amp2, im = block[:, 0], block[:, 1], block[:, 2]
                 if not diagonal:
                     # w = ||A psi||² >= 0; a form on the features can land a few ulps below
@@ -253,16 +298,20 @@ def _branch_sums(ops, ens: PureStateEnsemble):
                 amp2 += im
                 amp2 *= w
                 np.sqrt(amp2, out=amp2)
-                w_log_w = np.log2(w, out=im)
-                w_log_w *= w
-                # rows 1 and 2 now hold sqrt(w |amp|²) and w log2 w
+                if logs:
+                    x = block[:, 3] if diagonal else w
+                    x_log_x = np.log2(x, out=im)
+                    x_log_x *= x
+                # rows 1 and 2 now hold sqrt(w |amp|²) and, with logs, x log2 x
                 at = slice(b0 // _LEAF, -(-(b0 + cols.shape[1]) // _LEAF))
-                _leaf_sums(block[:, 1:], leaves[:g, :, at])
-                if np.isnan(leaves[:g, 1, at]).any():
-                    w_log_w[w == 0.0] = 0.0  # 0 log 0 = 0
-                    _leaf_sums(block[:, 1:], leaves[:g, :, at])
-            leaves[:g].sum(axis=-1, out=sums[g0 : g0 + g])
-    return p, sums[:, 1], sums[:, 0]
+                _leaf_sums(block[:, 1 : 1 + s], leaves[:g, :s, at])
+                if logs and np.isnan(leaves[:g, 1, at]).any():
+                    x_log_x[x == 0.0] = 0.0  # 0 log 0 = 0
+                    _leaf_sums(block[:, 1:3], leaves[:g, :, at])
+            leaves[:g, :s].sum(axis=-1, out=sums[g0 : g0 + g, :s])
+    root = np.empty(k)
+    root[order] = sums[:, 0]
+    return p, mean, sums[:n_log, 1][share], root
 
 
 def _leaf_sums(x, out):
@@ -286,13 +335,12 @@ def branch_statistics(composed_ops, ens: PureStateEnsemble, p_given=1.0):
     ``p_given``, one per branch or one for all, is the probability of the
     outcome it is conditioned on (1 for a first stage).
     """
-    p, w_log_w, root = _branch_sums(composed_ops, ens)
+    sums = _branch_sums(composed_ops, ens)
+    p = sums[0]
     defined = p / p_given > TOL.prob_floor
     info = np.full(p.shape, np.nan)
     fid = np.full(p.shape, np.nan)
-    info[defined], fid[defined] = _gain_and_fidelity(
-        p[defined], w_log_w[defined], root[defined], ens.n
-    )
+    info[defined], fid[defined] = _gain_and_fidelity(*(s[defined] for s in sums), ens.n)
     return p, info, fid
 
 

@@ -35,7 +35,7 @@ from conjmeas.reversal import (
 from conjmeas.runner import compute_spin_run
 from conjmeas.spin_probe import SpinProbeConfig, build_forward, conjugate_probe_set
 
-from conftest import haar_unitary, near_singular_set
+from conftest import N_BIG, SEED, haar_unitary, near_singular_set
 
 LN2 = math.log(2.0)
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
@@ -383,10 +383,13 @@ def all_statistics(first, second, ens, dense_calls=None):
 
 
 def dense_branch_sums(ens, op):
-    """(p, Σ w log2 w, Σ sqrt(w |amp|²)) of one branch from the dense per-state values."""
+    """(p, p, Σ w log2 w, Σ sqrt(w |amp|²)) of one branch from the dense per-state values.
+
+    The kernel's sums with x = w, the form its non-diagonal path sums.
+    """
     w, amp = branch_weights_and_amplitudes(ens.states, op)
     w_log_w = w * np.log2(w, out=np.zeros_like(w), where=w > 0)
-    return w.mean(), w_log_w.sum(), np.sqrt(w * np.abs(amp) ** 2).sum()
+    return w.mean(), w.mean(), w_log_w.sum(), np.sqrt(w * np.abs(amp) ** 2).sum()
 
 
 def use_dense_reference(monkeypatch):
@@ -536,7 +539,7 @@ class TestFormKernel:
         v /= np.linalg.norm(v)
         phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 200))
         ens = PureStateEnsemble(phases[:, None] * v[None, :], seed=0)
-        p, w_log_w, root = metrics._branch_sums([np.eye(dim) - np.outer(v, v.conj())], ens)
+        p, _, w_log_w, root = metrics._branch_sums([np.eye(dim) - np.outer(v, v.conj())], ens)
         # a negative w would read NaN in both sums (log2 and sqrt of w < 0)
         assert abs(p[0]) < 1e-15
         assert -1e-11 < w_log_w[0] <= 0.0
@@ -561,7 +564,7 @@ class TestFormKernel:
         np.testing.assert_allclose(w, w_ref, rtol=0, atol=1e-14 * scale)
         np.testing.assert_allclose(np.sqrt(amp2), np.abs(amp_ref), rtol=0, atol=1e-14 * scale)
         # and the kernel's sums: p, and Σ sqrt(w |amp|²) <= Σ w
-        p, _, root = metrics._branch_sums([op], ens)
+        p, _, _, root = metrics._branch_sums([op], ens)
         assert abs(p[0] - w_ref.mean()) <= 1e-14 * scale
         assert 0.0 <= root[0] <= np.sum(np.maximum(w, 0.0)) * (1 + 1e-14) + 1e-14 * scale
 
@@ -617,10 +620,60 @@ class TestBranchBatching:
         self.assert_batch_equals_alone(list(kraus.operators) + ops, sample_haar(4, n, 24))
 
 
+class TestDirectionSharing:
+    """Diagonal branches whose weights point one way share their information.
+
+    I does not change when a branch weight is scaled, and the spin probe's
+    pair weight |a_m|²|a_mu|² points in a direction set by m + mu alone: 29
+    directions for the 120 pairs at j = 7.  The kernel rounds each branch's
+    direction (its w row over p) to the grid ``TOL.direction_grid`` and
+    gives every branch on one grid point the same I.  A direction within a
+    few ulps of a grid midpoint can split its m + mu group over two grid
+    points, so ties are asserted per grid point, and across a group to 1e-14.
+    """
+
+    @staticmethod
+    def groups(cfg, ens, grid):
+        """(I(m, mu) values, snapped directions) of each m + mu group of the pair grid."""
+        forward = build_forward(cfg)
+        m, mu = np.triu_indices(len(forward))
+        pairs = [linalg.dagger(forward.operators[k]) @ forward.operators[i] for i, k in zip(m, mu)]
+        w = metrics._branch_rows(pairs, diagonal=True)[:, 0]
+        u = metrics._snap(w / np.sum(w * ens.population_means, axis=-1)[:, None])
+        labels = np.asarray(forward.labels)
+        km = labels[m] + labels[mu]
+        return {
+            v: (grid.info_gain[m[km == v], mu[km == v]], u[km == v]) for v in np.unique(km)
+        }
+
+    @pytest.mark.parametrize("s", [0.5, 1.5])
+    def test_ties_on_each_direction(self, s, ens2_big, paper_run):
+        cfg = SpinProbeConfig(s=s, j=7, g=0.25, theta=math.pi / 6)
+        if s == 0.5:
+            ens, (_, grid) = ens2_big, paper_run
+        else:
+            ens = sample_haar(cfg.dim, N_BIG, SEED)
+            _, grid = compute_spin_run(cfg, ens)
+        groups = self.groups(cfg, ens, grid)
+        assert len(groups) == 29
+        for km, (info, u) in groups.items():
+            _, point = np.unique(u, axis=0, return_inverse=True)
+            for k in range(point.max() + 1):
+                assert len(np.unique(info[point == k])) == 1, km
+            assert np.ptp(info) <= 1e-14, km
+
+    def test_no_information_where_the_weight_is_flat(self, paper_run):
+        # at s = 1/2 an m + mu = 0 pair weighs both sigma alike: I = 0 exactly
+        _, grid = paper_run
+        labels = np.asarray(grid.labels)
+        flat = labels[:, None] + labels[None, :] == 0
+        assert np.all(grid.info_gain[flat] <= 1e-15)
+
+
 @pytest.mark.parametrize("j", [7, 40])
 def test_working_memory_does_not_grow_with_branches(j):
     # one kernel call on 135 or 3402 branches: the block buffers hold at most
-    # 3·2^15 doubles (768 KiB) and the leaf sums 2·N/256 per branch of a
+    # 4·2^15 doubles (1 MiB) and the leaf sums 2·N/256 per branch of a
     # block; one block over all 3402 branches and 256 states would take 21 MB
     ops = spin_branches(j)
     ens = sample_haar(2, 20_000, 25)
@@ -706,17 +759,45 @@ for n in (20000, 40037):
 """
 
 
-def test_non_diagonal_path_independent_of_thread_count():
+# The s = 15/2 (d = 16) spin run at the headline j, g and theta: first stage
+# and pair grid: per block of the populations, each branch a (3×16)·(16×W)
+# product and each of the 44 grid points a (1×16)·(16×W) one for its f row.
+DIAGONAL_SCRIPT = """
+import math
+from conjmeas.ensemble import sample_haar
+from conjmeas.runner import compute_spin_run
+from conjmeas.spin_probe import SpinProbeConfig
+cfg = SpinProbeConfig(s=7.5, j=7, g=0.25, theta=math.pi / 6)
+for n in (20000, 40037):
+    for st in compute_spin_run(cfg, sample_haar(16, n, 99)):
+        fields = (st.probability, st.info_gain, st.fidelity, st.conditional)
+        print(repr([None if f is None else f.tolist() for f in fields]))
+"""
+
+
+def outputs_at_thread_counts(script):
+    """Standard output of ``script`` in a fresh interpreter at 1, 2 and 4 BLAS threads."""
     outs = []
     for threads in ("1", "2", "4"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC_DIR, env.get("PYTHONPATH"))))
         proc = subprocess.run(
-            [sys.executable, "-c", NON_DIAGONAL_SCRIPT],
+            [sys.executable, "-c", script],
             capture_output=True, text=True, check=True, env=env,
         )
         outs.append(proc.stdout)
+    return outs
+
+
+def test_non_diagonal_path_independent_of_thread_count():
+    outs = outputs_at_thread_counts(NON_DIAGONAL_SCRIPT)
     assert outs[0].count("\n") == 2 * (2 + 6)
+    assert outs[0] == outs[1] == outs[2]
+
+
+def test_diagonal_path_independent_of_thread_count():
+    outs = outputs_at_thread_counts(DIAGONAL_SCRIPT)
+    assert outs[0].count("\n") == 2 * 2
     assert outs[0] == outs[1] == outs[2]
 
 

@@ -327,15 +327,14 @@ class TestCli:
 
     def test_variances(self, tmp_path):
         assert main(
-            ["variances"] + self.common(tmp_path) + ["--spins", "1/2", "1"]
+            ["variances", "--samples", "1500", "--seed", "9", "--out", str(tmp_path)]
+            + ["--spins", "1/2", "1"]
         ) == 0
         assert (tmp_path / "variances.csv").exists()
 
     def test_variances_reads_no_probe(self, tmp_path, capsys):
-        # --s, --j, --g and --theta configure a probe that variances never
-        # builds: a value no probe accepts does not stop it, and the header
-        # names none of them
-        args = ["variances", "--s", "0.3", "--j", "0.3", "--theta", "2pi", "--spins", "1/2"]
+        # variances builds no probe, and its header names no probe parameter
+        args = ["variances", "--spins", "1/2"]
         assert main(args + ["--samples", "1000", "--seed", "4", "--out", str(tmp_path)]) == 0
         assert capsys.readouterr().err == ""
         header = [
@@ -343,6 +342,15 @@ class TestCli:
             if line.startswith("#")
         ]
         assert header == ["# samples=1000", "# seed=4", f"# version={conjmeas.__version__}"]
+
+    @pytest.mark.parametrize("option", ["--s", "--j", "--g", "--theta"])
+    def test_variances_takes_no_probe_option(self, tmp_path, capsys, option):
+        with pytest.raises(SystemExit) as exc:
+            main(["variances", option, "1", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        # "unrecognized arguments", or for --s "ambiguous option" (--samples, --seed, --spins)
+        assert option in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_variances_rejects_too_few_samples(self, tmp_path, capsys):
         assert main(["variances", "--samples", "999", "--out", str(tmp_path / "out")]) == 2
