@@ -7,12 +7,13 @@ ensemble averages.
 
 Every quadratic form <psi|B|psi> is real-linear in the per-state features
 [P | Re z | Im z]: the populations P_i = |psi_i|² and the coherences
-z_ij = conj(psi_i) psi_j for i < j.  :func:`form_coefficients` turns B into
-real coefficient rows on those features.  Two places evaluate such rows on
-the whole sample: :func:`expectation_values`, one form as one real product,
-over the populations alone for a diagonal B and over the d² feature columns
-otherwise, and the branch kernel of :mod:`conjmeas.metrics`, which reads
-the same columns for the weight and amplitude of many branches at once.
+z_ij = conj(psi_i) psi_j for i < j.  :func:`form_coefficients` turns B, or
+a stack of them, into real coefficient rows in that column order, so a row
+is read as it is: whole on the d² feature columns, or its first d entries
+on the populations alone for a diagonal B.  Two places evaluate such rows
+on the whole sample: :func:`expectation_values`, one form as one real
+product, and the branch kernel of :mod:`conjmeas.metrics`, which reads the
+same columns for the weight and amplitude of many branches at once.
 No other module reads the populations or the features.
 
 A value that needs the mean of one form alone, such as a probability
@@ -75,7 +76,7 @@ class PureStateEnsemble:
         """
         x = np.asfortranarray(self.states.real)
         y = np.asfortranarray(self.states.imag)
-        rows, cols = _pairs(self.dim)
+        rows, cols = np.triu_indices(self.dim, 1)
         d, k = self.dim, rows.size
         feats = np.empty((self.n, d + 2 * k), order="F")
         feats[:, :d] = self.populations
@@ -117,53 +118,56 @@ def sample_haar(dim: int, n: int, seed: int) -> PureStateEnsemble:
 
 
 @cache
-def _pairs(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only row and column indices of the pairs i < j, ``np.triu_indices`` order.
+def _pair_slots(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only flat indices i·dim + j and j·dim + i of the pairs i < j, in triu order.
 
     Built once per dimension: the form kernel asks for them on every call.
     """
     rows, cols = np.triu_indices(dim, 1)
-    rows.flags.writeable = False
-    cols.flags.writeable = False
-    return rows, cols
+    upper, lower = rows * dim + cols, cols * dim + rows
+    upper.flags.writeable = False
+    lower.flags.writeable = False
+    return upper, lower
 
 
-def form_coefficients(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real coefficient rows of <psi|B|psi> on the populations and coherences.
+def form_coefficients(B: np.ndarray) -> np.ndarray:
+    """Real coefficient rows of <psi|B|psi> on the features [P | Re z | Im z].
 
-    Returns ``(on_populations, on_coherences)`` of shapes (2, d) and
-    (2, d(d-1)); row 0 gives Re <psi|B|psi> and row 1 gives Im <psi|B|psi>.
-    A stack of matrices, shape (..., d, d), gives the rows of each, shapes
-    (..., 2, d) and (..., 2, d(d-1)).  With z = conj(psi_i) psi_j, the pair
-    (i, j) contributes z B_ij + conj(z) B_ji, whose real and imaginary
+    Returns one array of shape (2, d²), its columns in the order of
+    :attr:`PureStateEnsemble.features`: row 0 gives Re <psi|B|psi> and row 1
+    gives Im <psi|B|psi>.  A stack of matrices, shape (..., d, d), gives the
+    rows of each, shape (..., 2, d²).  The first d columns, on the
+    populations, are Re and Im of diag(B).  With z = conj(psi_i) psi_j, the
+    pair (i, j) contributes z B_ij + conj(z) B_ji, whose real and imaginary
     parts are
     Re z Re(B_ij + B_ji) - Im z Im(B_ij - B_ji) and
     Re z Im(B_ij + B_ji) + Im z Re(B_ij - B_ji).
     """
-    rows, cols = _pairs(B.shape[-1])
-    upper, lower = B[..., rows, cols], B[..., cols, rows]
-    s, t = upper + lower, upper - lower
-    a = np.diagonal(B, axis1=-2, axis2=-1)
-    on_populations = np.stack([a.real, a.imag], axis=-2)
-    on_coherences = np.stack(
-        [np.concatenate([s.real, -t.imag], axis=-1), np.concatenate([s.imag, t.real], axis=-1)],
-        axis=-2,
-    )
-    return on_populations, on_coherences
+    *stack, d, _ = B.shape
+    upper, lower = _pair_slots(d)
+    flat = B.reshape(*stack, d * d)
+    a = flat[..., :: d + 1]
+    u, v = flat.take(upper, axis=-1), flat.take(lower, axis=-1)
+    s, t = u + v, u - v
+    k = d + upper.size
+    out = np.empty((*stack, 2, d * d))
+    out[..., 0, :d], out[..., 1, :d] = a.real, a.imag
+    out[..., 0, d:k], out[..., 1, d:k] = s.real, s.imag
+    out[..., 0, k:], out[..., 1, k:] = -t.imag, t.real
+    return out
 
 
-def _expectation_row(ens: PureStateEnsemble, A):
-    """Checked coefficient row of <psi|A|psi> for a Hermitian A on ``ens``.
+def _expectation_row(ens: PureStateEnsemble, A) -> np.ndarray:
+    """Checked (1, c) coefficient row of <psi|A|psi> for a Hermitian A on ``ens``.
 
-    Returns ``(on_populations, on_coherences)`` of shapes (1, d) and
-    (1, d(d-1)), with ``on_coherences`` None for a diagonal A, whose form
-    reads the populations alone.
+    c = d for a diagonal A, whose form reads the populations alone (the
+    first d feature columns), and c = d² otherwise.
     """
     A = linalg.check_hermitian(A)
     if A.shape[0] != ens.dim:
         raise DimensionMismatchError("operator and ensemble dimensions differ")
-    on_populations, on_coherences = form_coefficients(A)
-    return on_populations[:1], None if linalg.is_diagonal(A) else on_coherences[:1]
+    row = form_coefficients(A)[:1]
+    return row[:, : ens.dim] if linalg.is_diagonal(A) else row
 
 
 def expectation_values(ens: PureStateEnsemble, A) -> np.ndarray:
@@ -173,10 +177,9 @@ def expectation_values(ens: PureStateEnsemble, A) -> np.ndarray:
     features are never built, and on the features [P | Re z | Im z]
     otherwise.
     """
-    on_populations, on_coherences = _expectation_row(ens, A)
-    if on_coherences is None:
-        return (on_populations @ ens.populations.T)[0]
-    return (np.hstack([on_populations, on_coherences]) @ ens.features.T)[0]
+    row = _expectation_row(ens, A)
+    columns = ens.populations if row.shape[1] == ens.dim else ens.features
+    return (row @ columns.T)[0]
 
 
 def mean_expectation(ens: PureStateEnsemble, A) -> float:
@@ -187,11 +190,9 @@ def mean_expectation(ens: PureStateEnsemble, A) -> float:
     features.  The dot is an elementwise product and a numpy sum, not a
     BLAS product, so the value does not depend on the thread count.
     """
-    on_populations, on_coherences = _expectation_row(ens, A)
-    if on_coherences is None:
-        return float(np.sum(on_populations[0] * ens.population_means))
-    row = np.concatenate([on_populations[0], on_coherences[0]])
-    return float(np.sum(row * ens.feature_means))
+    row = _expectation_row(ens, A)[0]
+    means = ens.population_means if row.size == ens.dim else ens.feature_means
+    return float(np.sum(row * means))
 
 
 def spin_z(s) -> np.ndarray:

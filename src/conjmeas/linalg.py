@@ -1,7 +1,8 @@
 """Dense complex linear algebra for small operator dimensions.
 
 All functions take and return plain ``numpy`` arrays of shape ``(d, d)``
-with complex entries.  They are pure: inputs are never modified.
+with complex entries; :func:`is_diagonal` also takes a stack (..., d, d).
+They are pure: inputs are never modified.
 """
 
 from __future__ import annotations
@@ -31,8 +32,12 @@ def max_abs(M: np.ndarray) -> float:
 
 
 def is_diagonal(M: np.ndarray) -> bool:
-    """True when every off-diagonal entry of ``M`` is exactly zero."""
-    return np.count_nonzero(M) == np.count_nonzero(np.diagonal(M))
+    """True when every off-diagonal entry of ``M`` is exactly zero.
+
+    A stack of matrices, shape (..., d, d), is diagonal when each of them is:
+    one call decides the whole stack.
+    """
+    return np.count_nonzero(M) == np.count_nonzero(np.diagonal(M, axis1=-2, axis2=-1))
 
 
 def check_hermitian(H) -> np.ndarray:

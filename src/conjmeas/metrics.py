@@ -13,11 +13,13 @@ the amplitude amp = <psi|A|psi> of each state.  Both are quadratic forms
 in psi, hence real-linear in the per-state features of the ensemble (see
 :mod:`conjmeas.ensemble`): the populations P_i = |psi_i|² (N×d floats,
 cached on first use) and the coherences z_ij = conj(psi_i) psi_j, i < j.
-If every operator is diagonal (every off-diagonal entry exactly zero, as
-for the spin-probe operators and their compositions) the rows
-[|a|², Re a, Im a] of a = diag(A) read the populations alone; any other
-call reads the feature matrix [P | Re z | Im z] (N×d² floats, built only
-then) with the rows of A†A and of A.  p is the w row on the cached column
+One test on the stack of the call's operators decides the path.  If every
+operator is diagonal (every off-diagonal entry exactly zero, as for the
+spin-probe operators and their compositions) the rows [|a|², Re a, Im a]
+of a = diag(A) read the populations alone; any other call reads the
+feature matrix [P | Re z | Im z] (N×d² floats, built only then) with the
+rows of A†A and of A, built by one ``form_coefficients`` call in the
+features' column order.  p is the w row on the cached column
 means, the rule of :func:`conjmeas.ensemble.mean_expectation`, with no
 pass over the states.
 
@@ -26,7 +28,8 @@ branch's weight direction: f = û·P, with û the w row over p, each entry
 rounded to a mantissa grid of ``TOL.direction_grid``, and mean(f) = û·means
 about 1, which leaves no p log2 p to cancel.  Branches on one grid point
 share one log pass: the spin probe's pair weights |a_m|²|a_mu|² point in a
-direction set by m + mu alone, 29 for the 120 pairs at j = 7.  Any other
+direction set by m + mu alone, 29 for the 120 pairs at j = 7, and at
+s = 1/2 the 15 first-stage weights |a_m|² point along 15 of them.  Any other
 call sums x = w itself, with mean(x) = p: its directions seldom repeat, and
 a grid row would cost one more product over d² columns.
 
@@ -50,7 +53,9 @@ probability) passes over no state either: it is one form on the mean
 features, :func:`conjmeas.ensemble.mean_expectation`, in O(d²).  The
 positive-part fidelity F_opt of an outcome, which only the regime check
 reads, is :func:`optimal_fidelity`, computed on request and not by the
-stage statistics.
+stage statistics; the regime check
+(:func:`conjmeas.runner.disturbance_outcomes`) takes the F_opt of all its
+outcomes in one kernel call.
 
 NaN in I and F is the only mark of an undefined outcome (p at the floor).
 :func:`weighted_sum`, Σ p·v with zero weight on NaN, is the one reduction
@@ -65,7 +70,8 @@ arrays, with one branch per unordered pair {m, mu}: branch (mu, m) is
 M_m† M_mu = (M_mu† M_m)†, whose weights and amplitude moduli equal those
 of (m, mu) on every state because diagonal operators commute, so p, I and
 F are symmetric and each pair is evaluated once and mirrored.  The first
-stage is one kernel call and all the pairs are another.
+stage and all the pairs are one kernel call: the p(m) that picks and
+conditions the pairs is read before it, with the kernel's own rule.
 """
 
 from __future__ import annotations
@@ -204,23 +210,20 @@ def branch_weights_and_amplitudes(states: np.ndarray, op: np.ndarray):
     return w, amp
 
 
-def _branch_rows(ops, diagonal: bool) -> np.ndarray:
-    """(K, 3, c) real rows [w; Re amp; Im amp] of the K operators on the ensemble features.
+def _branch_rows(A: np.ndarray, diagonal: bool) -> np.ndarray:
+    """(K, 3, c) real rows [w; Re amp; Im amp] of a (K, d, d) stack on the ensemble features.
 
     Diagonal operators (a = diag(A)) read the populations, c = d: the rows
     |a|², Re a and Im a.  Any other set reads the features [P | Re z | Im z],
-    c = d²: the rows of A†A and of A from :func:`conjmeas.ensemble.form_coefficients`.
+    c = d²: the Re row of A†A and both rows of A, from one
+    :func:`conjmeas.ensemble.form_coefficients` call on the stack [A†A; A].
     """
-    A = np.array(ops)
     if diagonal:
         a = np.diagonal(A, axis1=1, axis2=2)
         return np.stack([a.real**2 + a.imag**2, a.real, a.imag], axis=1)
-    h_pop, h_coh = form_coefficients(np.conj(np.swapaxes(A, 1, 2)) @ A)
-    a_pop, a_coh = form_coefficients(A)
-    return np.concatenate(
-        [np.concatenate([h_pop[:, :1], a_pop], axis=1), np.concatenate([h_coh[:, :1], a_coh], axis=1)],
-        axis=2,
-    )
+    k = len(A)
+    rows = form_coefficients(np.concatenate([np.conj(np.swapaxes(A, 1, 2)) @ A, A]))
+    return np.concatenate([rows[:k, :1], rows[k:]], axis=1)
 
 
 def _snap(x):
@@ -249,8 +252,9 @@ def _branch_sums(ops, ens: PureStateEnsemble):
     """
     if any(op.shape != (ens.dim, ens.dim) for op in ops):
         raise DimensionMismatchError("operator and ensemble dimensions differ")
-    diagonal = all(linalg.is_diagonal(op) for op in ops)
-    rows = _branch_rows(ops, diagonal)
+    A = np.array(ops)
+    diagonal = linalg.is_diagonal(A)
+    rows = _branch_rows(A, diagonal)
     if diagonal:
         columns, means = ens.populations.T, ens.population_means
     else:
@@ -293,8 +297,7 @@ def _branch_sums(ops, ens: PureStateEnsemble):
                 if not diagonal:
                     # w = ||A psi||² >= 0; a form on the features can land a few ulps below
                     np.maximum(w, 0.0, out=w)
-                amp2 *= amp2
-                im *= im
+                np.multiply(block[:, 1:3], block[:, 1:3], out=block[:, 1:3])
                 amp2 += im
                 amp2 *= w
                 np.sqrt(amp2, out=amp2)
@@ -397,37 +400,43 @@ def conjugate_two_stage_statistics(kraus: KrausSet, ens: PureStateEnsemble) -> t
     For diagonal M the branches (m, mu) and (mu, m) are M_mu† M_m and its
     adjoint, with the same weights and amplitude moduli on every state, so
     p, I and F are symmetric in (m, mu): each unordered pair mu >= m that a
-    defined row needs is evaluated once, all in one kernel call, and
-    mirrored.
+    defined row needs is evaluated once and mirrored.  The n first-stage
+    branches and those pairs are one kernel call.  p(m), which picks and
+    conditions the pairs, is read before it by the kernel's own rule (the
+    |a|² row on the population means), so it has the kernel's bits.
     """
-    if not all(linalg.is_diagonal(M) for M in kraus.operators):
-        raise ValidationError("the pair evaluation needs diagonal Kraus operators")
-    first = stage_statistics(kraus, ens)
     ops = kraus.operators
+    A = np.array(ops)
+    if not linalg.is_diagonal(A):
+        raise ValidationError("the pair evaluation needs diagonal Kraus operators")
+    if kraus.dim != ens.dim:
+        raise DimensionMismatchError("measurement and ensemble dimensions differ")
     n = len(ops)
-    p_first, defined = first.probability, first.defined
+    p_first = np.sum(_branch_rows(A, diagonal=True)[:, 0] * ens.population_means, axis=-1)
+    defined = p_first > TOL.prob_floor
     # a pair is conditioned on the least likely defined row that reads it
     p_row = np.where(defined, p_first, np.inf)
     m, mu = np.triu_indices(n)
     read = defined[m] | defined[mu]
     m, mu = m[read], mu[read]
-    pairs = branch_statistics(
-        [linalg.dagger(ops[k]) @ ops[i] for i, k in zip(m, mu)],
+    p, info, fid = branch_statistics(
+        [*ops, *(linalg.dagger(ops[k]) @ ops[i] for i, k in zip(m, mu))],
         ens,
-        np.minimum(p_row[m], p_row[mu]),
+        np.concatenate([np.ones(n), np.minimum(p_row[m], p_row[mu])]),
     )
+    first = StageStatistics(kraus.labels, p[:n], info[:n], fid[:n])
     joint = np.full((n, n), np.nan)
-    info = np.full((n, n), np.nan)
-    fid = np.full((n, n), np.nan)
+    grid_info = np.full((n, n), np.nan)
+    grid_fid = np.full((n, n), np.nan)
     # NaN is set per row below, on p(mu | m)
-    for grid, values in zip((joint, info, fid), pairs):
-        grid[m, mu] = grid[mu, m] = values
+    for grid, values in zip((joint, grid_info, grid_fid), (p, info, fid)):
+        grid[m, mu] = grid[mu, m] = values[n:]
     joint[~defined] = np.nan
     conditional = joint / p_first[:, None]
     at_floor = ~(conditional > TOL.prob_floor)  # not <=: it also takes the NaN rows
-    info[at_floor] = np.nan
-    fid[at_floor] = np.nan
-    return first, StageStatistics(kraus.labels, joint, info, fid, conditional=conditional)
+    grid_info[at_floor] = np.nan
+    grid_fid[at_floor] = np.nan
+    return first, StageStatistics(kraus.labels, joint, grid_info, grid_fid, conditional=conditional)
 
 
 def optimal_fidelity(kraus: KrausSet, ens: PureStateEnsemble, label) -> float:
@@ -435,9 +444,9 @@ def optimal_fidelity(kraus: KrausSet, ens: PureStateEnsemble, label) -> float:
 
     mean_a[ sqrt(<N²>) <N> ] / mean_a <N²>  with N = sqrt(M†M) from the SVD
     of M (:func:`conjmeas.linalg.polar_decompose`), i.e. the branch fidelity
-    of N, NaN at the probability floor.  The regime check
-    :func:`conjmeas.runner.disturbance_outcomes` asks for it; the stage
-    statistics do not compute it.
+    of N, NaN at the probability floor.  The stage statistics do not
+    compute it; :func:`conjmeas.runner.disturbance_outcomes` reads the same
+    fidelity for all its outcomes at once.
     """
     _, N = linalg.polar_decompose(kraus.operator(label))
     return float(branch_statistics([N], ens)[2][0])

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import __version__
+from . import __version__, linalg
 from .ensemble import (
     PureStateEnsemble,
     expectation_values,
@@ -24,8 +24,8 @@ from .ensemble import (
 )
 from .measurement import KrausSet
 from .metrics import (
+    branch_statistics,
     conjugate_two_stage_statistics,
-    optimal_fidelity,
     stage_statistics,
     weighted_sum,
 )
@@ -134,20 +134,22 @@ def disturbance_outcomes(kraus: KrausSet, ens: PureStateEnsemble) -> tuple:
 
     F(m) is read from ``stage_statistics(kraus, ens)``.  m is marked when its
     fidelity loss 1 - F exceeds ``TOL.disturbance_ratio`` times the loss
-    1 - F_opt of the positive-part operator (:func:`optimal_fidelity`, on
-    the same ensemble), or when 1 - F_opt is at the floor: T_m is then
-    proportional to a unitary, with no removable disturbance at all, and the
-    limiting ratio condition holds trivially.
+    1 - F_opt of the positive-part operator N_m (the fidelity
+    :func:`optimal_fidelity` reads, on the same ensemble), or when 1 - F_opt
+    is at the floor: T_m is then proportional to a unitary, with no
+    removable disturbance at all, and the limiting ratio condition holds
+    trivially.  The N_m of all defined outcomes are one kernel call, so a
+    set that mixes diagonal and non-diagonal N_m reads the features for all
+    of them.
     """
     first = stage_statistics(kraus, ens)
-    marked = []
-    for m, ok, fid in zip(first.labels, first.defined, first.fidelity):
-        if not ok:
-            continue
-        loss_opt = 1.0 - optimal_fidelity(kraus, ens, m)
-        if loss_opt <= TOL.prob_floor or (1.0 - fid) / loss_opt > TOL.disturbance_ratio:
-            marked.append(m)
-    return tuple(marked)
+    labels = [m for m, ok in zip(first.labels, first.defined) if ok]  # Σ p(m) = 1: not empty
+    positive = [linalg.polar_decompose(kraus.operator(m))[1] for m in labels]
+    loss_opt = 1.0 - branch_statistics(positive, ens)[2]
+    loss = 1.0 - first.fidelity[first.defined]
+    with np.errstate(divide="ignore", invalid="ignore"):  # a loss_opt at the floor is marked
+        marked = (loss_opt <= TOL.prob_floor) | (loss / loss_opt > TOL.disturbance_ratio)
+    return tuple(m for m, k in zip(labels, marked) if k)
 
 
 def _improves(value, reference) -> bool:

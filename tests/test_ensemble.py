@@ -8,6 +8,7 @@ from scipy import stats
 from conjmeas.ensemble import (
     PureStateEnsemble,
     expectation_values,
+    form_coefficients,
     mean_expectation,
     sample_haar,
     spin_moments_closed_form,
@@ -189,6 +190,27 @@ def test_expectation_values_match_dense_form(dim):
     for A in (B + B.conj().T, np.diag(np.diagonal(B).real)):
         dense = np.einsum("ad,dc,ac->a", ens.states.conj(), A, ens.states).real
         np.testing.assert_allclose(expectation_values(ens, A), dense, rtol=0, atol=1e-14)
+
+
+def test_form_coefficients_of_a_stack_are_those_of_each_matrix():
+    rng = np.random.default_rng(11)
+    stack = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
+    rows = form_coefficients(stack)
+    assert rows.shape == (5, 2, 16)
+    for B, row in zip(stack, rows):
+        np.testing.assert_array_equal(row, form_coefficients(B))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_form_coefficients_in_feature_order(dim):
+    # row 0 and row 1 on [P | Re z | Im z] are Re and Im of <psi|B|psi>
+    rng = np.random.default_rng(20 + dim)
+    ens = sample_haar(dim, 300, 5)
+    B = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    dense = np.einsum("ad,dc,ac->a", ens.states.conj(), B, ens.states)
+    re, im = form_coefficients(B) @ ens.features.T
+    np.testing.assert_allclose(re, dense.real, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(im, dense.imag, rtol=0, atol=1e-14)
 
 
 def dense_mean(ens, A):

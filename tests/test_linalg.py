@@ -73,3 +73,29 @@ class TestPolarDecompose:
         np.testing.assert_allclose(U.conj().T @ U, np.eye(2), atol=1e-12)
         np.testing.assert_allclose(U @ N, M, atol=1e-12)
 
+
+class TestIsDiagonalOnStacks:
+    """One call decides a (K, d, d) stack: diagonal when each member is."""
+
+    def test_diagonal_stack(self):
+        rng = np.random.default_rng(1)
+        diagonals = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+        stack = np.array([np.diag(a) for a in diagonals])
+        assert linalg.is_diagonal(stack)
+
+    def test_one_off_diagonal_entry(self):
+        stack = np.array([np.diag([1.0, 2.0, 3.0]).astype(complex)] * 4)
+        stack[2, 0, 1] = 1e-300
+        assert not linalg.is_diagonal(stack)
+
+    def test_matches_each_member(self):
+        # members that are diagonal, or zero but for one entry, in every mix
+        rng = np.random.default_rng(2)
+        for _ in range(200):
+            k, d = rng.integers(1, 5), rng.integers(2, 5)
+            stack = np.zeros((k, d, d), dtype=complex)
+            for M in stack:
+                M[np.diag_indices(d)] = rng.standard_normal(d) * (rng.random(d) < 0.7)
+                if rng.random() < 0.3:
+                    M[rng.integers(d), rng.integers(d)] = 1.0 + 1j
+            assert linalg.is_diagonal(stack) == all(linalg.is_diagonal(M) for M in stack)

@@ -32,10 +32,11 @@ from conjmeas.reversal import (
     conditional_success_probability,
     conjugate_preferred_closed_form,
 )
-from conjmeas.runner import compute_spin_run
+from conjmeas.runner import compute_spin_run, disturbance_outcomes
 from conjmeas.spin_probe import SpinProbeConfig, build_forward, conjugate_probe_set
+from conjmeas.tolerances import TOL
 
-from conftest import N_BIG, SEED, haar_unitary, near_singular_set
+from conftest import N_BIG, PAPER_CFG, SEED, haar_unitary, near_singular_set
 
 LN2 = math.log(2.0)
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
@@ -300,6 +301,36 @@ class TestOptimalFidelity:
                 assert r > 4.0
             else:
                 assert r <= 4.0
+
+    @pytest.mark.parametrize("case", ["forward", "undefined_outcomes", "general", "near_singular"])
+    def test_disturbance_outcomes_in_one_call(self, case, monkeypatch):
+        # the positive parts of all defined outcomes are one kernel call, and
+        # the marks are those of one optimal_fidelity call per outcome
+        if case == "forward":
+            kraus, ens = build_forward(PAPER_CFG), sample_haar(2, 2000, 6)
+        elif case == "undefined_outcomes":
+            cfg = SpinProbeConfig(s=0.5, j=40, g=0.05, theta=math.pi / 6)
+            kraus, ens = build_forward(cfg), sample_haar(2, 2000, 5)
+        elif case == "general":
+            kraus = random_general_kraus(np.random.default_rng(8), 3, 4)
+            ens = sample_haar(3, 2000, 7)
+        else:
+            kraus, ens = near_singular_set()[0], sample_haar(4, 2000, 9)
+        first = stage_statistics(kraus, ens)
+        looped = []
+        for m, ok, fid in zip(first.labels, first.defined, first.fidelity):
+            if ok:
+                loss_opt = 1.0 - optimal_fidelity(kraus, ens, m)
+                if loss_opt <= TOL.prob_floor or (1.0 - fid) / loss_opt > TOL.disturbance_ratio:
+                    looped.append(m)
+        calls = []
+        real = metrics._branch_sums
+        monkeypatch.setattr(
+            metrics, "_branch_sums", lambda ops, ens: calls.append(len(ops)) or real(ops, ens)
+        )
+        assert disturbance_outcomes(kraus, ens) == tuple(looped)
+        # the first stage, then the positive parts of its defined outcomes
+        assert calls == [len(kraus), int(first.defined.sum())]
 
     def test_near_singular_outcome_to_roundoff(self):
         kraus, N = near_singular_set()

@@ -642,9 +642,9 @@ class TestConjugatePairEvaluation:
         first, grid = compute_spin_run(spin, sample_haar(2, 1000, 3))
         n = len(spin.outcome_labels)
         assert first.probability.min() > TOL.prob_floor and np.isfinite(grid.info_gain).all()
-        # one kernel call for the first stage, one for all pairs; no F_opt work
+        # one kernel call for the first stage and all pairs; no F_opt work
         assert counts == {
-            "_branch_sums": [n, n * (n + 1) // 2],
+            "_branch_sums": [n + n * (n + 1) // 2],
             "mean_expectation": [],
             "optimal_fidelity": [],
         }
