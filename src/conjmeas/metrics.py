@@ -6,46 +6,55 @@ list of weights: the per-outcome weights are ``<A†A>_a`` for whichever
 operator A maps the initial state to the (unnormalized) branch state.
 
 Every per-branch quantity comes from one private kernel, ``_branch_sums``,
-which takes all of a call's operators at once and returns four numbers
+which takes all of a call's operators at once and returns five numbers
 per branch: p = mean(w), the pair mean(x) and Σ x log2 x of one form x
-proportional to w, and Σ sqrt(w |amp|²), with the weight w = <A†A> and
-the amplitude amp = <psi|A|psi> of each state.  Both are quadratic forms
-in psi, hence real-linear in the per-state features of the ensemble (see
-:mod:`conjmeas.ensemble`): the populations P_i = |psi_i|² (N×d floats,
-cached on first use) and the coherences z_ij = conj(psi_i) psi_j, i < j.
-One test on the stack of the call's operators decides the path.  If every
-operator is diagonal (every off-diagonal entry exactly zero, as for the
-spin-probe operators and their compositions) the rows [|a|², Re a, Im a]
-of a = diag(A) read the populations alone; any other call reads the
-feature matrix [P | Re z | Im z] (N×d² floats, built only then) with the
-rows of A†A and of A, built by one ``form_coefficients`` call in the
-features' column order.  p is the w row on the cached column
-means, the rule of :func:`conjmeas.ensemble.mean_expectation`, with no
-pass over the states.
+proportional to w, and the pair mean(v) and Σ sqrt(v |amp_v|²) of one
+operator V, a complex multiple of the branch's own operator A, with the
+weight w = <A†A>, v = <V†V> and the amplitude amp_v = <psi|V|psi> of each
+state.  These are quadratic forms in psi, hence real-linear in the
+per-state features of the ensemble (see :mod:`conjmeas.ensemble`): the
+populations P_i = |psi_i|² (N×d floats, cached on first use) and the
+coherences z_ij = conj(psi_i) psi_j, i < j.  One test on the stack of the
+call's operators decides the path.  If every operator is diagonal (every
+off-diagonal entry exactly zero, as for the spin-probe operators and their
+compositions) the rows [|a|², Re a, Im a] of a diagonal a read the
+populations alone; any other call reads the feature matrix [P | Re z | Im z]
+(N×d² floats, built only then) with the rows of A†A and of A, built by one
+``form_coefficients`` call in the features' column order.  p is the w row
+on the cached column means, the rule of
+:func:`conjmeas.ensemble.mean_expectation`, with no pass over the states.
 
-I does not change when w is scaled, so a diagonal call sums x = f, the
+Neither I nor F changes when an operator is scaled by a complex factor, so
+a diagonal call sums them per key, not per branch.  I sums x = f, the
 branch's weight direction: f = û·P, with û the w row over p, each entry
 rounded to a mantissa grid of ``TOL.direction_grid``, and mean(f) = û·means
-about 1, which leaves no p log2 p to cancel.  Branches on one grid point
-share one log pass: the spin probe's pair weights |a_m|²|a_mu|² point in a
-direction set by m + mu alone, 29 for the 120 pairs at j = 7, and at
-s = 1/2 the 15 first-stage weights |a_m|² point along 15 of them.  Any other
-call sums x = w itself, with mean(x) = p: its directions seldom repeat, and
-a grid row would cost one more product over d² columns.
+about 1, which leaves no p log2 p to cancel.  F sums over V = √û·e^{iφ},
+the branch's ray: e^{iφ} holds the phase factors of a = diag(A) relative
+to its entry at the first maximum of û, their real and imaginary parts
+rounded to whole steps of the same grid.  Branches on one direction share
+one log pass, and branches on one ray one root pass.  The spin probe's
+pair weights |a_m|²|a_mu|² point in a direction set by m + mu alone, 29
+for the 120 pairs at j = 7, and at s = 1/2 the 15 first-stage weights
+|a_m|² point along 15 of them; at s = 1/2 each pair diagonal is also a
+complex multiple of one vector per m + mu, so a headline spin run takes
+15 + 29 root passes and 29 log passes for its 135 branches.  Any other
+call sums x = w itself, with mean(x) = p, and V = A: its operators seldom
+repeat, and a grid row would cost one more product over d² columns.
 
 The sums take one pass, over blocks of at most 2^15 branch×state elements,
-so that a block's rows stay in cache: each branch's rows on a block are one
-BLAS product whose shape depends on N alone (the first branch on a grid
-point adds one for its f row), and each sum adds fixed 256-state leaf sums
-made by numpy, not by a BLAS dot.  A branch's p and F therefore depend on its own
-operator and N alone, and its I on its grid row (diagonal) or operator
-(otherwise) and N: not on the other branches of the call, whether they
-share its direction or not, nor on the BLAS thread count.  An operator
-whose dimension is not the ensemble's is rejected there.  The dense
-O(N·d²) :func:`branch_weights_and_amplitudes` is the reference the tests
-compare against.
+so that a block's rows stay in cache: each ray's (or, off the diagonal
+path, branch's) rows on a block are one BLAS product whose shape depends
+on N alone (the first ray on a direction adds one for its f row), and
+each sum adds fixed 256-state leaf sums made by numpy, not by a BLAS dot.
+A branch's p therefore depends on its own operator and N alone, its F on
+its ray (diagonal) or operator (otherwise) and N, and its I on its
+direction or operator and N: not on the other branches of the call,
+whether they share its key or not, nor on the BLAS thread count.  An
+operator whose dimension is not the ensemble's is rejected there.  The
+dense O(N·d²) :func:`branch_weights_and_amplitudes` is the reference the
+tests compare against.
 
-One function turns the four sums into I and F, for every stage
+One function turns the sums into I and F, for every stage
 (:func:`branch_statistics`) and for :func:`likelihood_info_gain`.  A
 value that needs the mean weight alone (the p(m) a second stage is
 conditioned on, read by :func:`conditioning_probability`, or a success
@@ -117,26 +126,27 @@ def likelihood_info_gain(weights) -> float:
                 raise InvalidWeightsError("weights must be nonnegative with a positive mean")
             p = np.array([w.mean()])
             w_log_w = np.sum(w * np.log2(w, out=np.zeros_like(w), where=w > 0))
-            info, _ = _gain_and_fidelity(p, p, w_log_w, 0.0, w.size)
+            info, _ = _gain_and_fidelity(p, w_log_w, p, 0.0, w.size)
     except FloatingPointError as exc:
         raise InvalidWeightsError(f"weights overflow the information kernel: {exc}") from None
     return float(info[0])
 
 
-def _gain_and_fidelity(p, mean, x_log_x, root, n):
-    """(I, F) of branches from p and their sums over the n states.
+def _gain_and_fidelity(mean, x_log_x, p_ray, root, n):
+    """(I, F) of branches from their sums over the n states.
 
     ``mean`` and ``x_log_x`` are mean(x) and Σ x log2 x of one form x
-    proportional to the weight w, and ``root`` is Σ sqrt(w |amp|²):
-    I = (Σ x log2 x / n - mean log2 mean) / mean, clipped at zero, which
-    does not change when x is scaled, and F = Σ sqrt(w |amp|²) / n / p.
-    An I below ``TOL.info_roundoff`` is a failure of the kernel, not
-    roundoff, and raises.
+    proportional to the weight w, and ``p_ray`` and ``root`` are mean(v)
+    and Σ sqrt(v |amp_v|²) of one operator proportional to the branch's:
+    I = (Σ x log2 x / n - mean log2 mean) / mean, clipped at zero, and
+    F = Σ sqrt(v |amp_v|²) / n / p_ray, neither of which changes when x or
+    the operator is scaled.  An I below ``TOL.info_roundoff`` is a failure
+    of the kernel, not roundoff, and raises.
     """
     gain = (x_log_x / n - mean * np.log2(mean)) / mean
     if np.any(gain < TOL.info_roundoff):
         raise InvalidWeightsError(f"information kernel returned {gain.min():.3e}")
-    return np.maximum(gain, 0.0), root / n / p
+    return np.maximum(gain, 0.0), root / n / p_ray
 
 
 def weighted_sum(p, values):
@@ -219,11 +229,15 @@ def _branch_rows(A: np.ndarray, diagonal: bool) -> np.ndarray:
     :func:`conjmeas.ensemble.form_coefficients` call on the stack [A†A; A].
     """
     if diagonal:
-        a = np.diagonal(A, axis1=1, axis2=2)
-        return np.stack([a.real**2 + a.imag**2, a.real, a.imag], axis=1)
+        return _diagonal_rows(np.diagonal(A, axis1=1, axis2=2))
     k = len(A)
     rows = form_coefficients(np.concatenate([np.conj(np.swapaxes(A, 1, 2)) @ A, A]))
     return np.concatenate([rows[:k, :1], rows[k:]], axis=1)
+
+
+def _diagonal_rows(a: np.ndarray) -> np.ndarray:
+    """(K, 3, d) rows |a|², Re a and Im a of K diagonals a, on the populations."""
+    return np.stack([a.real**2 + a.imag**2, a.real, a.imag], axis=1)
 
 
 def _snap(x):
@@ -233,48 +247,89 @@ def _snap(x):
 
 
 def _branch_sums(ops, ens: PureStateEnsemble):
-    """``(p, mean, x_log_x, root)`` of every branch A in ``ops``: the branch kernel.
+    """``(p, mean, x_log_x, p_ray, root)`` of every branch A in ``ops``: the branch kernel.
 
     p = mean(w) is the w row on the cached feature means, with no pass over
-    the states, and root = Σ sqrt(w |amp|²).  I reads mean = mean(x) and
-    x_log_x = Σ x log2 x of one form x.  In a diagonal call x is the
-    branch's weight direction f = û·P: û is its w row over p, snapped to
-    the grid ``TOL.direction_grid``, and mean = û·means is about 1.  Only
-    the first branch on each grid point takes a log pass, and the others
-    of the call share its sums.  In any other call x = w and mean = p.
-    The sums take one pass.  It walks the states in blocks of ``_BLOCK``
-    states, or of all N when N is smaller, with as many branches per block
-    as keep it within ``_BLOCK`` elements.  Each branch's rows [w; Re amp;
-    Im amp] on a block, and a leader's f row, are BLAS products of the same
-    shapes in every call on the ensemble, and each sum adds ``_LEAF``-state
-    leaf sums: a branch's bits depend on the other branches of the call
-    only through the one diagonal-or-not choice.
+    the states.  I reads mean = mean(x) and x_log_x = Σ x log2 x of one form
+    x proportional to w, and F reads p_ray = mean(v) and root =
+    Σ sqrt(v |amp_v|²) of one operator V, a complex multiple of A, with
+    v = <V†V> and amp_v = <psi|V|psi>: neither ratio changes when an
+    operator is scaled.  In any other call than a diagonal one, x = w,
+    V = A and mean = p_ray = p, and every branch takes both passes of
+    :func:`_pass_sums`.
+
+    A diagonal call keys each branch by its weight direction û and by its
+    ray (û, e), both from :func:`_ray_keys`.  x is the direction f = û·P,
+    with mean = û·means about 1, and V is the ray's own diagonal
+    √û·(e_re + i e_im)·grid, whose w and amp rows both come from that one
+    vector.  Each ray takes one root pass, the first ray on each direction
+    also a log pass with its f row, and every branch reads its ray's and
+    its direction's sums.  A branch's p therefore depends on its own
+    operator and N, its F on its ray and N, and its I on its direction and
+    N: not on the other branches of the call.
     """
     if any(op.shape != (ens.dim, ens.dim) for op in ops):
         raise DimensionMismatchError("operator and ensemble dimensions differ")
     A = np.array(ops)
     diagonal = linalg.is_diagonal(A)
     rows = _branch_rows(A, diagonal)
-    if diagonal:
-        columns, means = ens.populations.T, ens.population_means
-    else:
-        columns, means = ens.features.T, ens.feature_means
-    p = np.sum(rows[:, 0] * means, axis=-1)
-    k, n = len(rows), ens.n
-    if diagonal:
-        # p = 0 (w = 0 on every state) gives a NaN direction, on an undefined branch
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u = _snap(rows[:, 0] / p[:, None])
-        rows = np.concatenate([rows, u[:, None]], axis=1)
-        mean = np.sum(u * means, axis=-1)
-        _, lead, share = np.unique(u, axis=0, return_index=True, return_inverse=True)
-        # the branches that take a log pass come first, and no batch mixes the two kinds
-        order = np.concatenate([lead, np.flatnonzero(lead[share] != np.arange(k))])
-        n_log = len(lead)
-    else:
-        mean, order, share, n_log = p, slice(None), slice(None), k
-    rows = rows[order]
-    height = rows.shape[1]
+    if not diagonal:
+        p = np.sum(rows[:, 0] * ens.feature_means, axis=-1)
+        root, x_log_x = _pass_sums(rows, len(rows), ens.features.T, diagonal=False)
+        return p, p, x_log_x, p, root
+    means = ens.population_means
+    w = rows[:, 0]
+    p = np.sum(w * means, axis=-1)
+    u, e = _ray_keys(np.diagonal(A, axis1=1, axis2=2), w, p)
+    _, ray, on_ray = np.unique(np.hstack([u, *e]), axis=0, return_index=True, return_inverse=True)
+    _, lead, on_dir = np.unique(u[ray], axis=0, return_index=True, return_inverse=True)
+    # the rays that take a log pass come first, in direction order
+    order = np.concatenate([lead, np.flatnonzero(lead[on_dir] != np.arange(len(ray)))])
+    rep = ray[order]
+    v = np.sqrt(u[rep]) * (e[0, rep] + 1j * e[1, rep]) * TOL.direction_grid
+    ray_rows = np.concatenate([_diagonal_rows(v), u[rep, None]], axis=1)
+    root, x_log_x = _pass_sums(ray_rows, len(lead), ens.populations.T, diagonal=True)
+    p_ray = np.sum(ray_rows[:, 0] * means, axis=-1)
+    place = np.empty_like(order)
+    place[order] = np.arange(len(order))
+    at = place[on_ray]  # each branch's ray, as a place in the pass order
+    return p, np.sum(u * means, axis=-1), x_log_x[on_dir[on_ray]], p_ray[at], root[at]
+
+
+def _ray_keys(a, w, p):
+    """``(û, e)`` of K diagonal branches, with diagonals a, w rows and p: their keys.
+
+    û, the direction, is the w row over p with each entry snapped to the
+    grid ``TOL.direction_grid``; a branch with p = 0 (w = 0 on every state)
+    is undefined and gets the zero row.  e = (e_re, e_im) holds the real
+    and imaginary parts of the phase factors of a relative to its entry at
+    the first maximum of û, in whole steps of the grid, and 0 where û is 0.
+    (û, e) keys the ray: the branch is a complex multiple of
+    √û·(e_re + i e_im)·grid, to the grid.
+    """
+    u = _snap(np.divide(w, p[:, None], out=np.zeros_like(w), where=p[:, None] > 0))
+    z = a * np.conj(np.take_along_axis(a, np.argmax(u, axis=1)[:, None], axis=1))
+    # two real divisions: a complex one by a subnormal |z| overflows
+    r = np.abs(z)
+    e = np.divide([z.real, z.imag], r, out=np.zeros((2, *r.shape)), where=u > 0)
+    return u, np.round(e / TOL.direction_grid)
+
+
+def _pass_sums(rows, n_log, columns, diagonal):
+    """``(root, x_log_x)`` of K branches' rows over the states: the kernel's one pass.
+
+    ``rows`` is (K, h, c): each branch's [w; Re amp; Im amp] and, in a
+    diagonal call, its f row.  root = Σ sqrt(w |amp|²) of every branch, and
+    x_log_x = Σ x log2 x of the first ``n_log``, with x = f on the diagonal
+    path and x = w otherwise.  The pass walks the (c, N) ``columns`` in
+    blocks of ``_BLOCK`` states, or of all N when N is smaller, with as many
+    branches per block as keep it within ``_BLOCK`` elements.  Each branch's
+    rows on a block, and an f row, are BLAS products of the same shapes in
+    every call on the ensemble, and each sum adds ``_LEAF``-state leaf sums:
+    a branch's sums depend on its own rows and N alone, not on the other
+    branches, the block size or the BLAS thread count.
+    """
+    (k, height, _), n = rows.shape, columns.shape[1]
     width = min(n, _BLOCK)
     group = min(k, _BLOCK // width)
     work = np.empty(height * group * width)
@@ -312,9 +367,7 @@ def _branch_sums(ops, ens: PureStateEnsemble):
                     x_log_x[x == 0.0] = 0.0  # 0 log 0 = 0
                     _leaf_sums(block[:, 1:3], leaves[:g, :, at])
             leaves[:g, :s].sum(axis=-1, out=sums[g0 : g0 + g, :s])
-    root = np.empty(k)
-    root[order] = sums[:, 0]
-    return p, mean, sums[:n_log, 1][share], root
+    return sums[:, 0], sums[:n_log, 1]
 
 
 def _leaf_sums(x, out):
@@ -343,7 +396,7 @@ def branch_statistics(composed_ops, ens: PureStateEnsemble, p_given=1.0):
     defined = p / p_given > TOL.prob_floor
     info = np.full(p.shape, np.nan)
     fid = np.full(p.shape, np.nan)
-    info[defined], fid[defined] = _gain_and_fidelity(*(s[defined] for s in sums), ens.n)
+    info[defined], fid[defined] = _gain_and_fidelity(*(s[defined] for s in sums[1:]), ens.n)
     return p, info, fid
 
 
