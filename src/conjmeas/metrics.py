@@ -6,53 +6,51 @@ list of weights: the per-outcome weights are ``<A†A>_a`` for whichever
 operator A maps the initial state to the (unnormalized) branch state.
 
 Every per-branch quantity comes from one private kernel, ``_branch_sums``,
-which takes all of a call's operators at once and returns five numbers
-per branch: p = mean(w), the pair mean(x) and Σ x log2 x of one form x
-proportional to w, and the pair mean(v) and Σ sqrt(v |amp_v|²) of one
+which takes all of a call's operators at once and returns four numbers per
+branch: p = mean(w), and mean(x), Σ x log2 x and Σ sqrt(x |amp_v|²) of one
 operator V, a complex multiple of the branch's own operator A, with the
-weight w = <A†A>, v = <V†V> and the amplitude amp_v = <psi|V|psi> of each
+weight w = <A†A>, x = <V†V> and the amplitude amp_v = <psi|V|psi> of each
 state.  These are quadratic forms in psi, hence real-linear in the
 per-state features of the ensemble (see :mod:`conjmeas.ensemble`): the
 populations P_i = |psi_i|² (N×d floats, cached on first use) and the
 coherences z_ij = conj(psi_i) psi_j, i < j.  One test on the stack of the
 call's operators decides the path.  If every operator is diagonal (every
 off-diagonal entry exactly zero, as for the spin-probe operators and their
-compositions) the rows [|a|², Re a, Im a] of a diagonal a read the
-populations alone; any other call reads the feature matrix [P | Re z | Im z]
-(N×d² floats, built only then) with the rows of A†A and of A, built by one
-``form_coefficients`` call in the features' column order.  p is the w row
-on the cached column means, the rule of
-:func:`conjmeas.ensemble.mean_expectation`, with no pass over the states.
+compositions) the rows of a diagonal read the populations alone; any other
+call reads the feature matrix [P | Re z | Im z] (N×d² floats, built only
+then) with the rows of A†A and of A, built by one ``form_coefficients``
+call in the features' column order.  p is the w row on the cached column
+means, the rule of :func:`conjmeas.ensemble.mean_expectation`, with no pass
+over the states.
 
 Neither I nor F changes when an operator is scaled by a complex factor, so
-a diagonal call sums them per key, not per branch.  I sums x = f, the
-branch's weight direction: f = û·P, with û the w row over p, each entry
-rounded to a mantissa grid of ``TOL.direction_grid``, and mean(f) = û·means
-about 1, which leaves no p log2 p to cancel.  F sums over V = √û·e^{iφ},
-the branch's ray: e^{iφ} holds the phase factors of a = diag(A) relative
-to its entry at the first maximum of û, their real and imaginary parts
-rounded to whole steps of the same grid.  Branches on one direction share
-one log pass, and branches on one ray one root pass.  The spin probe's
-pair weights |a_m|²|a_mu|² point in a direction set by m + mu alone, 29
-for the 120 pairs at j = 7, and at s = 1/2 the 15 first-stage weights
-|a_m|² point along 15 of them; at s = 1/2 each pair diagonal is also a
-complex multiple of one vector per m + mu, so a headline spin run takes
-15 + 29 root passes and 29 log passes for its 135 branches.  Any other
-call sums x = w itself, with mean(x) = p, and V = A: its operators seldom
-repeat, and a grid row would cost one more product over d² columns.
+a diagonal call sums them per key, not per branch.  Its V = √û·ê is the
+branch's ray: û, the direction, is the w row over p, each entry rounded to
+a mantissa grid of ``TOL.direction_grid``, and ê holds the unit phase
+factors of a = diag(A) relative to its entry at the first maximum of û,
+their real and imaginary parts rounded to whole steps of the same grid.
+The ray's x row is û itself, so x = û·P and mean(x) = û·means is about 1,
+which leaves no p log2 p to cancel.  Branches on one direction share one
+log pass, and branches on one ray one root pass.  The spin probe's pair
+weights |a_m|²|a_mu|² point in a direction set by m + mu alone, 29 for the
+120 pairs at j = 7, and at s = 1/2 the 15 first-stage weights |a_m|² point
+along 15 of them; at s = 1/2 each pair diagonal is also a complex multiple
+of one vector per m + mu, so a headline spin run takes 15 + 29 root passes
+and 29 log passes for its 135 branches.  Any other call sums V = A itself,
+with x = w and mean(x) = p: its operators seldom repeat.
 
 The sums take one pass, over blocks of at most 2^15 branch×state elements,
 so that a block's rows stay in cache: each ray's (or, off the diagonal
-path, branch's) rows on a block are one BLAS product whose shape depends
-on N alone (the first ray on a direction adds one for its f row), and
-each sum adds fixed 256-state leaf sums made by numpy, not by a BLAS dot.
-A branch's p therefore depends on its own operator and N alone, its F on
-its ray (diagonal) or operator (otherwise) and N, and its I on its
-direction or operator and N: not on the other branches of the call,
-whether they share its key or not, nor on the BLAS thread count.  An
-operator whose dimension is not the ensemble's is rejected there.  The
-dense O(N·d²) :func:`branch_weights_and_amplitudes` is the reference the
-tests compare against.
+path, branch's) rows [x; Re amp_v; Im amp_v] on a block are one BLAS
+product whose shape depends on N alone, and each sum adds fixed 256-state
+leaf sums made by numpy, not by a BLAS dot.  A branch's p therefore
+depends on its own operator and N alone, its F on its ray (diagonal) or
+operator (otherwise) and N, and its I on its direction or operator and N:
+not on the other branches of the call, whether they share its key or not,
+nor on the BLAS thread count.  An operator whose dimension is not the
+ensemble's is rejected there.  The dense O(N·d²)
+:func:`branch_weights_and_amplitudes` is the reference the tests compare
+against.
 
 One function turns the sums into I and F, for every stage
 (:func:`branch_statistics`) and for :func:`likelihood_info_gain`.  A
@@ -126,27 +124,27 @@ def likelihood_info_gain(weights) -> float:
                 raise InvalidWeightsError("weights must be nonnegative with a positive mean")
             p = np.array([w.mean()])
             w_log_w = np.sum(w * np.log2(w, out=np.zeros_like(w), where=w > 0))
-            info, _ = _gain_and_fidelity(p, w_log_w, p, 0.0, w.size)
+            info, _ = _gain_and_fidelity(p, w_log_w, 0.0, w.size)
     except FloatingPointError as exc:
         raise InvalidWeightsError(f"weights overflow the information kernel: {exc}") from None
     return float(info[0])
 
 
-def _gain_and_fidelity(mean, x_log_x, p_ray, root, n):
+def _gain_and_fidelity(mean, x_log_x, root, n):
     """(I, F) of branches from their sums over the n states.
 
-    ``mean`` and ``x_log_x`` are mean(x) and Σ x log2 x of one form x
-    proportional to the weight w, and ``p_ray`` and ``root`` are mean(v)
-    and Σ sqrt(v |amp_v|²) of one operator proportional to the branch's:
-    I = (Σ x log2 x / n - mean log2 mean) / mean, clipped at zero, and
-    F = Σ sqrt(v |amp_v|²) / n / p_ray, neither of which changes when x or
-    the operator is scaled.  An I below ``TOL.info_roundoff`` is a failure
-    of the kernel, not roundoff, and raises.
+    ``mean``, ``x_log_x`` and ``root`` are mean(x), Σ x log2 x and
+    Σ sqrt(x |amp|²) of one operator proportional to the branch's, with
+    x = <V†V> and amp = <psi|V|psi>: I = (Σ x log2 x / n - mean log2 mean) /
+    mean, clipped at zero, and F = Σ sqrt(x |amp|²) / n / mean, neither of
+    which changes when the operator is scaled.  An I below
+    ``TOL.info_roundoff`` is a failure of the kernel, not roundoff, and
+    raises.
     """
     gain = (x_log_x / n - mean * np.log2(mean)) / mean
     if np.any(gain < TOL.info_roundoff):
         raise InvalidWeightsError(f"information kernel returned {gain.min():.3e}")
-    return np.maximum(gain, 0.0), root / n / p_ray
+    return np.maximum(gain, 0.0), root / n / mean
 
 
 def weighted_sum(p, values):
@@ -229,15 +227,11 @@ def _branch_rows(A: np.ndarray, diagonal: bool) -> np.ndarray:
     :func:`conjmeas.ensemble.form_coefficients` call on the stack [A†A; A].
     """
     if diagonal:
-        return _diagonal_rows(np.diagonal(A, axis1=1, axis2=2))
+        a = np.diagonal(A, axis1=1, axis2=2)
+        return np.stack([a.real**2 + a.imag**2, a.real, a.imag], axis=1)
     k = len(A)
     rows = form_coefficients(np.concatenate([np.conj(np.swapaxes(A, 1, 2)) @ A, A]))
     return np.concatenate([rows[:k, :1], rows[k:]], axis=1)
-
-
-def _diagonal_rows(a: np.ndarray) -> np.ndarray:
-    """(K, 3, d) rows |a|², Re a and Im a of K diagonals a, on the populations."""
-    return np.stack([a.real**2 + a.imag**2, a.real, a.imag], axis=1)
 
 
 def _snap(x):
@@ -247,26 +241,24 @@ def _snap(x):
 
 
 def _branch_sums(ops, ens: PureStateEnsemble):
-    """``(p, mean, x_log_x, p_ray, root)`` of every branch A in ``ops``: the branch kernel.
+    """``(p, mean, x_log_x, root)`` of every branch A in ``ops``: the branch kernel.
 
     p = mean(w) is the w row on the cached feature means, with no pass over
-    the states.  I reads mean = mean(x) and x_log_x = Σ x log2 x of one form
-    x proportional to w, and F reads p_ray = mean(v) and root =
-    Σ sqrt(v |amp_v|²) of one operator V, a complex multiple of A, with
-    v = <V†V> and amp_v = <psi|V|psi>: neither ratio changes when an
-    operator is scaled.  In any other call than a diagonal one, x = w,
-    V = A and mean = p_ray = p, and every branch takes both passes of
+    the states.  I and F read the sums of one operator V, a complex multiple
+    of A, with x = <V†V> and amp_v = <psi|V|psi>: mean = mean(x), x_log_x =
+    Σ x log2 x and root = Σ sqrt(x |amp_v|²), none of whose ratios changes
+    when an operator is scaled.  In any other call than a diagonal one,
+    V = A, x = w and mean = p, and every branch takes both passes of
     :func:`_pass_sums`.
 
     A diagonal call keys each branch by its weight direction û and by its
-    ray (û, e), both from :func:`_ray_keys`.  x is the direction f = û·P,
-    with mean = û·means about 1, and V is the ray's own diagonal
-    √û·(e_re + i e_im)·grid, whose w and amp rows both come from that one
-    vector.  Each ray takes one root pass, the first ray on each direction
-    also a log pass with its f row, and every branch reads its ray's and
-    its direction's sums.  A branch's p therefore depends on its own
-    operator and N, its F on its ray and N, and its I on its direction and
-    N: not on the other branches of the call.
+    ray (û, e), both from :func:`_ray_keys`.  V is the ray's own diagonal
+    √û·ê, with ê = (e_re + i e_im)/|e_re + i e_im| (0 where û is 0), whose
+    x row is û itself, so x = û·P and mean = û·means is about 1.  Each ray
+    takes one root pass, the first ray on each direction also a log pass,
+    and every branch reads its ray's and its direction's sums.  A branch's
+    p therefore depends on its own operator and N, its F on its ray and N,
+    and its I on its direction and N: not on the other branches of the call.
     """
     if any(op.shape != (ens.dim, ens.dim) for op in ops):
         raise DimensionMismatchError("operator and ensemble dimensions differ")
@@ -276,7 +268,7 @@ def _branch_sums(ops, ens: PureStateEnsemble):
     if not diagonal:
         p = np.sum(rows[:, 0] * ens.feature_means, axis=-1)
         root, x_log_x = _pass_sums(rows, len(rows), ens.features.T, diagonal=False)
-        return p, p, x_log_x, p, root
+        return p, p, x_log_x, root
     means = ens.population_means
     w = rows[:, 0]
     p = np.sum(w * means, axis=-1)
@@ -286,14 +278,13 @@ def _branch_sums(ops, ens: PureStateEnsemble):
     # the rays that take a log pass come first, in direction order
     order = np.concatenate([lead, np.flatnonzero(lead[on_dir] != np.arange(len(ray)))])
     rep = ray[order]
-    v = np.sqrt(u[rep]) * (e[0, rep] + 1j * e[1, rep]) * TOL.direction_grid
-    ray_rows = np.concatenate([_diagonal_rows(v), u[rep, None]], axis=1)
-    root, x_log_x = _pass_sums(ray_rows, len(lead), ens.populations.T, diagonal=True)
-    p_ray = np.sum(ray_rows[:, 0] * means, axis=-1)
+    r = np.sqrt(e[0, rep] ** 2 + e[1, rep] ** 2)
+    amp = np.divide(np.sqrt(u[rep]) * e[:, rep], r, out=np.zeros((2, *r.shape)), where=r > 0)
+    rows = np.stack([u[rep], *amp], axis=1)
+    root, x_log_x = _pass_sums(rows, len(lead), ens.populations.T, diagonal=True)
     place = np.empty_like(order)
     place[order] = np.arange(len(order))
-    at = place[on_ray]  # each branch's ray, as a place in the pass order
-    return p, np.sum(u * means, axis=-1), x_log_x[on_dir[on_ray]], p_ray[at], root[at]
+    return p, np.sum(u * means, axis=-1), x_log_x[on_dir[on_ray]], root[place[on_ray]]
 
 
 def _ray_keys(a, w, p):
@@ -304,8 +295,8 @@ def _ray_keys(a, w, p):
     is undefined and gets the zero row.  e = (e_re, e_im) holds the real
     and imaginary parts of the phase factors of a relative to its entry at
     the first maximum of û, in whole steps of the grid, and 0 where û is 0.
-    (û, e) keys the ray: the branch is a complex multiple of
-    √û·(e_re + i e_im)·grid, to the grid.
+    (û, e) keys the ray: the branch is a complex multiple of √û·ê, with
+    ê = (e_re + i e_im)/|e_re + i e_im|, to the grid.
     """
     u = _snap(np.divide(w, p[:, None], out=np.zeros_like(w), where=p[:, None] > 0))
     z = a * np.conj(np.take_along_axis(a, np.argmax(u, axis=1)[:, None], axis=1))
@@ -318,21 +309,20 @@ def _ray_keys(a, w, p):
 def _pass_sums(rows, n_log, columns, diagonal):
     """``(root, x_log_x)`` of K branches' rows over the states: the kernel's one pass.
 
-    ``rows`` is (K, h, c): each branch's [w; Re amp; Im amp] and, in a
-    diagonal call, its f row.  root = Σ sqrt(w |amp|²) of every branch, and
-    x_log_x = Σ x log2 x of the first ``n_log``, with x = f on the diagonal
-    path and x = w otherwise.  The pass walks the (c, N) ``columns`` in
-    blocks of ``_BLOCK`` states, or of all N when N is smaller, with as many
-    branches per block as keep it within ``_BLOCK`` elements.  Each branch's
-    rows on a block, and an f row, are BLAS products of the same shapes in
-    every call on the ensemble, and each sum adds ``_LEAF``-state leaf sums:
-    a branch's sums depend on its own rows and N alone, not on the other
-    branches, the block size or the BLAS thread count.
+    ``rows`` is (K, 3, c): each branch's [x; Re amp; Im amp].  root =
+    Σ sqrt(x |amp|²) of every branch, and x_log_x = Σ x log2 x of the first
+    ``n_log``.  The pass walks the (c, N) ``columns`` in blocks of
+    ``_BLOCK`` states, or of all N when N is smaller, with as many branches
+    per block as keep it within ``_BLOCK`` elements.  Each branch's rows on
+    a block are one BLAS product of the same shape in every call on the
+    ensemble, and each sum adds ``_LEAF``-state leaf sums: a branch's sums
+    depend on its own rows and N alone, not on the other branches, the
+    block size or the BLAS thread count.
     """
-    (k, height, _), n = rows.shape, columns.shape[1]
+    k, n = len(rows), columns.shape[1]
     width = min(n, _BLOCK)
     group = min(k, _BLOCK // width)
-    work = np.empty(height * group * width)
+    work = np.empty(3 * group * width)
     leaves = np.empty((group, 2, -(-n // _LEAF)))
     sums = np.empty((k, 2))
     # log2(0) = -inf and 0·-inf = NaN: a leaf with x = 0 is summed again below
@@ -343,29 +333,26 @@ def _pass_sums(rows, n_log, columns, diagonal):
             g, s = len(batch), 2 if logs else 1
             for b0 in range(0, n, width):
                 cols = columns[:, b0 : b0 + width]
-                block = work[: height * g * cols.shape[1]].reshape(g, height, -1)
+                block = work[: 3 * g * cols.shape[1]].reshape(g, 3, -1)
                 for r, out in zip(batch, block):
-                    np.matmul(r[:3], cols, out=out[:3])
-                    if logs and diagonal:
-                        np.matmul(r[3], cols, out=out[3])
-                w, amp2, im = block[:, 0], block[:, 1], block[:, 2]
+                    np.matmul(r, cols, out=out)
+                x, amp2, im = block[:, 0], block[:, 1], block[:, 2]
                 if not diagonal:
-                    # w = ||A psi||² >= 0; a form on the features can land a few ulps below
-                    np.maximum(w, 0.0, out=w)
-                np.multiply(block[:, 1:3], block[:, 1:3], out=block[:, 1:3])
+                    # x = ||A psi||² >= 0; a form on the features can land a few ulps below
+                    np.maximum(x, 0.0, out=x)
+                np.multiply(block[:, 1:], block[:, 1:], out=block[:, 1:])
                 amp2 += im
-                amp2 *= w
+                amp2 *= x
                 np.sqrt(amp2, out=amp2)
                 if logs:
-                    x = block[:, 3] if diagonal else w
                     x_log_x = np.log2(x, out=im)
                     x_log_x *= x
-                # rows 1 and 2 now hold sqrt(w |amp|²) and, with logs, x log2 x
+                # rows 1 and 2 now hold sqrt(x |amp|²) and, with logs, x log2 x
                 at = slice(b0 // _LEAF, -(-(b0 + cols.shape[1]) // _LEAF))
                 _leaf_sums(block[:, 1 : 1 + s], leaves[:g, :s, at])
                 if logs and np.isnan(leaves[:g, 1, at]).any():
                     x_log_x[x == 0.0] = 0.0  # 0 log 0 = 0
-                    _leaf_sums(block[:, 1:3], leaves[:g, :, at])
+                    _leaf_sums(block[:, 1:], leaves[:g, :, at])
             leaves[:g, :s].sum(axis=-1, out=sums[g0 : g0 + g, :s])
     return sums[:, 0], sums[:n_log, 1]
 

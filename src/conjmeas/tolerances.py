@@ -23,7 +23,7 @@ class Tolerances:
     info_roundoff: float = -1e-10   # information gains (bits) between this and 0 are clipped to 0
     improvement: float = 1e-12      # margin a conjugate-stage value must beat the first stage by
     disturbance_ratio: float = 4.0  # (1 - F) / (1 - F_opt) above this marks a disturbing outcome
-    direction_grid: float = 2.0**-44  # mantissa step a weight direction is rounded to (44 bits)
+    direction_grid: float = 2.0**-44  # step of a direction's mantissas (44 bits) and of its phases
 
 
 TOL = Tolerances()

@@ -418,14 +418,14 @@ def all_statistics(first, second, ens, dense_calls=None):
 
 
 def dense_branch_sums(ens, op):
-    """(p, p, Σ w log2 w, p, Σ sqrt(w |amp|²)) of one branch from the dense per-state values.
+    """(p, p, Σ w log2 w, Σ sqrt(w |amp|²)) of one branch from the dense per-state values.
 
     The kernel's sums with x = w and the branch as its own ray, the forms
     its non-diagonal path sums.
     """
     w, amp = branch_weights_and_amplitudes(ens.states, op)
     w_log_w = w * np.log2(w, out=np.zeros_like(w), where=w > 0)
-    return w.mean(), w.mean(), w_log_w.sum(), w.mean(), np.sqrt(w * np.abs(amp) ** 2).sum()
+    return w.mean(), w.mean(), w_log_w.sum(), np.sqrt(w * np.abs(amp) ** 2).sum()
 
 
 def use_dense_reference(monkeypatch):
@@ -575,7 +575,7 @@ class TestFormKernel:
         v /= np.linalg.norm(v)
         phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 200))
         ens = PureStateEnsemble(phases[:, None] * v[None, :], seed=0)
-        p, _, w_log_w, _, root = metrics._branch_sums([np.eye(dim) - np.outer(v, v.conj())], ens)
+        p, _, w_log_w, root = metrics._branch_sums([np.eye(dim) - np.outer(v, v.conj())], ens)
         # a negative w would read NaN in both sums (log2 and sqrt of w < 0)
         assert abs(p[0]) < 1e-15
         assert -1e-11 < w_log_w[0] <= 0.0
@@ -599,12 +599,48 @@ class TestFormKernel:
         assert np.all(amp2 <= w + 1e-14 * scale)
         np.testing.assert_allclose(w, w_ref, rtol=0, atol=1e-14 * scale)
         np.testing.assert_allclose(np.sqrt(amp2), np.abs(amp_ref), rtol=0, atol=1e-14 * scale)
-        # and the kernel's sums: p, and Σ sqrt(v |amp_v|²) <= N·mean(v) of the
+        # and the kernel's sums: p, and Σ sqrt(x |amp_v|²) <= N·mean(x) of the
         # operator V on the branch's ray (V = A off the diagonal path); a zero
         # diagonal A is on the zero ray, with root 0
-        p, _, _, p_ray, root = metrics._branch_sums([op], ens)
+        p, mean, _, root = metrics._branch_sums([op], ens)
         assert abs(p[0] - w_ref.mean()) <= 1e-14 * scale
-        assert 0.0 <= root[0] <= ens.n * p_ray[0] * (1 + 1e-14) + 1e-14 * scale
+        assert 0.0 <= root[0] <= ens.n * mean[0] * (1 + 1e-14) + 1e-14 * scale
+
+
+complex_entries = st.lists(
+    st.one_of(st.just(0.0), st.floats(-2.0, 2.0)), min_size=8, max_size=8
+)
+
+
+class TestDiagonalRays:
+    """The diagonal path's ray rows against the dense path on random diagonals."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(2, 4),
+        diagonals=st.lists(complex_entries, min_size=1, max_size=3),
+        factor=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    )
+    def test_property_against_dense(self, dim, diagonals, factor):
+        # random complex diagonals with exact zeros, a complex multiple of
+        # the first (on its ray), its conjugate (on its direction, mostly on
+        # another ray) and the zero operator, in one call
+        a = [np.asarray(e[:dim]) + 1j * np.asarray(e[4 : 4 + dim]) for e in diagonals]
+        a += [complex(*factor) * a[0], np.conj(a[0]), np.zeros(dim)]
+        ops = [np.diag(x) for x in a]
+        ens = PROPERTY_ENSEMBLES[dim]
+        p, mean, x_log_x, root = metrics._branch_sums(ops, ens)
+        for k, op in enumerate(ops):
+            p_ref, _, w_log_w, root_ref = dense_branch_sums(ens, op)
+            scale = max(1.0, float(np.sum(np.abs(op) ** 2)))
+            assert abs(p[k] - p_ref) <= 1e-14 * scale
+            # Cauchy-Schwarz on the ray: F <= 1, and the zero ray reads root 0
+            assert 0.0 <= root[k] <= ens.n * mean[k] * (1 + 1e-14)
+            if p_ref > TOL.prob_floor:
+                info, fid = metrics._gain_and_fidelity(mean[k], x_log_x[k], root[k], ens.n)
+                info_ref, fid_ref = metrics._gain_and_fidelity(p_ref, w_log_w, root_ref, ens.n)
+                np.testing.assert_allclose(fid, fid_ref, rtol=POP_RTOL, atol=0)
+                np.testing.assert_allclose(info, info_ref, rtol=0, atol=POP_ATOL_INFO)
 
 
 def spin_branches(j):
@@ -719,15 +755,21 @@ class TestDirectionSharing:
         assert np.all(grid.info_gain[flat] <= 1e-15)
 
 
-def count_passes(monkeypatch):
-    """The (root passes, log passes) of each kernel call from now on."""
+def count_passes(monkeypatch, shapes=None):
+    """The (root passes, log passes) of each kernel call from now on.
+
+    With a list ``shapes``, each call's row shape is appended to it as well.
+    """
     calls = []
     real = metrics._pass_sums
-    monkeypatch.setattr(
-        metrics, "_pass_sums",
-        lambda rows, n_log, *args, **kwargs: calls.append((len(rows), n_log))
-        or real(rows, n_log, *args, **kwargs),
-    )
+
+    def counted(rows, n_log, *args, **kwargs):
+        calls.append((len(rows), n_log))
+        if shapes is not None:
+            shapes.append(rows.shape)
+        return real(rows, n_log, *args, **kwargs)
+
+    monkeypatch.setattr(metrics, "_pass_sums", counted)
     return calls
 
 
@@ -783,10 +825,23 @@ class TestRaySharing:
         np.testing.assert_allclose(fid, dense, rtol=POP_RTOL, atol=0)
 
 
+def test_one_row_layout(monkeypatch):
+    # every pass reads rows [x; Re amp; Im amp]: a ray's x row is its
+    # direction û, so a diagonal call makes no product beyond the ray's one;
+    # a non-diagonal call reads x = w on the d² feature columns
+    shapes = []
+    calls = count_passes(monkeypatch, shapes)
+    compute_spin_run(PAPER_CFG, sample_haar(2, 20_000, SEED))
+    kraus = random_general_kraus(np.random.default_rng(28), 3, 4)
+    metrics.branch_statistics(kraus.operators, sample_haar(3, 500, 29))
+    assert calls == [(44, 29), (4, 4)]
+    assert shapes == [(44, 3, 2), (4, 3, 9)]
+
+
 @pytest.mark.parametrize("j", [7, 40])
 def test_working_memory_does_not_grow_with_branches(j):
     # one kernel call on 135 or 3402 branches: the block buffers hold at most
-    # 4·2^15 doubles (1 MiB) and the leaf sums 2·N/256 per branch of a
+    # 3·2^15 doubles (768 KiB) and the leaf sums 2·N/256 per branch of a
     # block; one block over all 3402 branches and 256 states would take 21 MB
     ops = spin_branches(j)
     ens = sample_haar(2, 20_000, 25)
@@ -874,8 +929,8 @@ for n in (20000, 40037):
 
 # The s = 15/2 (d = 16) spin run at the headline j, g and theta: first stage
 # and pair grid: per block of the populations, each ray a (3×16)·(16×W)
-# product (at s = 15/2 each of the 135 branches is its own ray) and each of
-# the 44 directions a (1×16)·(16×W) one for its f row.
+# product (at s = 15/2 each of the 135 branches is its own ray), whose first
+# row also serves the log pass of the first ray on each of the 44 directions.
 DIAGONAL_SCRIPT = """
 import math
 from conjmeas.ensemble import sample_haar
