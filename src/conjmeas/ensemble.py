@@ -36,6 +36,9 @@ from .errors import DimensionMismatchError
 from .tolerances import doubled_half_integer
 
 _GAUSS_SCALE = np.sqrt(0.5)
+# Doubles of Gaussian draws per chunk of states, the branch kernel's block
+# budget: a chunk is drawn, scaled and normalized while it stays in cache.
+_CHUNK = 2**15
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,15 +107,35 @@ def sample_haar(dim: int, n: int, seed: int) -> PureStateEnsemble:
     sample for index a never depends on how the batch is chunked).  The
     states are read-only: the populations, the features and their column
     means are cached from them.
+
+    One pass over chunks of at most ``_CHUNK`` doubles (2¹⁴/dim states, at
+    least one), with no temporary of the sample's size: each chunk draws
+    its normals from the one stream in order, scales them by √½, writes
+    them as Re and Im into its rows of the output, and normalizes those
+    rows in place.  The bits are those of the one-shot z[:, :d] + 1j·z[:, d:]
+    divided by ``np.linalg.norm(states, axis=1, keepdims=True)``: the squared
+    norm is numpy's complex product conj(ψ)·ψ summed by ``np.add.reduce``,
+    and numpy's complex ÷ real is a product with 1/‖ψ‖, which a real
+    division is not.
     """
     if dim < 2:
         raise ValueError("dim must be at least 2")
     if n < 1:
         raise ValueError("need at least one state")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    z = rng.standard_normal((n, 2 * dim)) * _GAUSS_SCALE
-    states = z[:, :dim] + 1j * z[:, dim:]
-    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    states = np.empty((n, dim), dtype=complex)
+    rows = max(1, _CHUNK // (2 * dim))
+    draws = np.empty((min(n, rows), 2 * dim))
+    for start in range(0, n, rows):
+        psi = states[start : start + rows]
+        z = draws[: len(psi)]
+        rng.standard_normal(out=z)
+        z *= _GAUSS_SCALE
+        psi.real = z[:, :dim]
+        psi.imag = z[:, dim:]
+        norm2 = np.add.reduce((psi.conj() * psi).real, axis=1)
+        flat = psi.view(float)
+        flat *= (1.0 / np.sqrt(norm2))[:, None]
     states.flags.writeable = False
     return PureStateEnsemble(states=states, seed=seed)
 

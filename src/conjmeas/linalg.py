@@ -18,7 +18,7 @@ def as_operator(M) -> np.ndarray:
     A = np.asarray(M, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise ValueError("matrix has non-finite entries")
     return A
 
@@ -28,7 +28,7 @@ def dagger(M: np.ndarray) -> np.ndarray:
 
 
 def max_abs(M: np.ndarray) -> float:
-    return float(np.max(np.abs(M))) if M.size else 0.0
+    return float(np.abs(M).max()) if M.size else 0.0
 
 
 def is_diagonal(M: np.ndarray) -> bool:

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from conjmeas import ensemble
 from conjmeas.ensemble import (
     PureStateEnsemble,
     expectation_values,
@@ -39,15 +41,37 @@ def test_dimension_is_read_from_the_states():
         PureStateEnsemble(3, states, 1)
 
 
-def test_chunked_sampling_matches_sequential():
-    # contiguous blocks of the Philox stream reproduce the one-shot sample
-    full = sample_haar(2, 1000, 12345)
-    rng = np.random.Generator(np.random.Philox(key=12345))
-    parts = [rng.standard_normal((400, 4)), rng.standard_normal((600, 4))]
-    z = np.vstack(parts) * np.sqrt(0.5)
-    states = z[:, :2] + 1j * z[:, 2:]
+def one_shot_haar(dim, n, seed):
+    """The sampler's states as one formula on the whole Philox draw."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    z = rng.standard_normal((n, 2 * dim)) * np.sqrt(0.5)
+    states = z[:, :dim] + 1j * z[:, dim:]
     states /= np.linalg.norm(states, axis=1, keepdims=True)
-    np.testing.assert_array_equal(full.states, states)
+    return states
+
+
+def test_chunked_sampling_matches_sequential():
+    # the sampler's chunks, one state short of, at and past a chunk boundary,
+    # reproduce the one-shot sample byte for byte (tobytes: a signed zero shows)
+    for dim in (2, 3, 16):
+        c = max(1, ensemble._CHUNK // (2 * dim))
+        for n in (1, c - 1, c, c + 1, 3 * c + 17):
+            for seed in (12345, 2**40 + 3):
+                chunked = sample_haar(dim, n, seed).states.tobytes()
+                assert chunked == one_shot_haar(dim, n, seed).tobytes(), (dim, n, seed)
+
+
+@pytest.mark.parametrize("dim, n", [(2, 10**5), (16, 20_000)])
+def test_sampling_holds_no_full_size_temporary(dim, n):
+    # chunks of 2^15 doubles: the working memory beyond the states themselves
+    # is a few chunk buffers, not the one-shot draw's N·d-sized temporaries
+    tracemalloc.start()
+    try:
+        states = sample_haar(dim, n, 31).states
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < states.nbytes + 2 * 2**20
 
 
 def test_mean_sz_vanishes(ens2_big):
