@@ -16,10 +16,12 @@ product, and the branch kernel of :mod:`conjmeas.metrics`, which reads the
 same columns for the weight and amplitude of many branches at once.
 No other module reads the populations or the features.
 
-A value that needs the mean of one form alone, such as a probability
-mean_a <psi_a|M†M|psi_a>, is the same row on the mean features, i.e.
-Tr(B rho) for the ensemble's average state rho: :func:`mean_expectation`
-reads it in O(d²) from column means cached on the ensemble, not from a
+The mean of a form over the sample is the same row on the mean features,
+i.e. Tr(B rho) for the ensemble's average state rho.  The ensemble caches
+those column means (``population_means`` and ``feature_means``), and the
+one reader of them is the probability rule of :mod:`conjmeas.metrics`
+(``mean_weights``, and the branch kernel, which shares it): every
+probability mean_a <psi_a|M†M|psi_a> is read there in O(d²), not from a
 pass over the N states.
 """
 
@@ -96,7 +98,7 @@ class PureStateEnsemble:
 
     @cached_property
     def feature_means(self) -> np.ndarray:
-        """Column means of ``features``, which a non-diagonal mean form reads."""
+        """Column means of ``features``: the mean features, for a non-diagonal mean form."""
         return self.features.mean(axis=0)
 
 
@@ -180,42 +182,20 @@ def form_coefficients(B: np.ndarray) -> np.ndarray:
     return out
 
 
-def _expectation_row(ens: PureStateEnsemble, A) -> np.ndarray:
-    """Checked (1, c) coefficient row of <psi|A|psi> for a Hermitian A on ``ens``.
+def expectation_values(ens: PureStateEnsemble, A) -> np.ndarray:
+    """Vector of quantum expectations <psi_a|A|psi_a> over the sample, for a Hermitian A.
 
-    c = d for a diagonal A, whose form reads the populations alone (the
-    first d feature columns), and c = d² otherwise.
+    One product of A's real form row: on the populations for a diagonal A,
+    whose row is its first d entries, so the features are never built, and
+    on the features [P | Re z | Im z] otherwise.
     """
     A = linalg.check_hermitian(A)
     if A.shape[0] != ens.dim:
         raise DimensionMismatchError("operator and ensemble dimensions differ")
     row = form_coefficients(A)[:1]
-    return row[:, : ens.dim] if linalg.is_diagonal(A) else row
-
-
-def expectation_values(ens: PureStateEnsemble, A) -> np.ndarray:
-    """Vector of quantum expectations <psi_a|A|psi_a> over the sample.
-
-    One product: A's row on the populations for a diagonal A, so the
-    features are never built, and on the features [P | Re z | Im z]
-    otherwise.
-    """
-    row = _expectation_row(ens, A)
-    columns = ens.populations if row.shape[1] == ens.dim else ens.features
-    return (row @ columns.T)[0]
-
-
-def mean_expectation(ens: PureStateEnsemble, A) -> float:
-    """Mean over the sample of <psi_a|A|psi_a>, in O(d²).
-
-    The mean of a form is the form on the mean features: A's row dotted with
-    the cached column means of the populations (diagonal A) or of the
-    features.  The dot is an elementwise product and a numpy sum, not a
-    BLAS product, so the value does not depend on the thread count.
-    """
-    row = _expectation_row(ens, A)[0]
-    means = ens.population_means if row.size == ens.dim else ens.feature_means
-    return float(np.sum(row * means))
+    if linalg.is_diagonal(A):
+        return (row[:, : ens.dim] @ ens.populations.T)[0]
+    return (row @ ens.features.T)[0]
 
 
 def spin_z(s) -> np.ndarray:

@@ -20,8 +20,8 @@ compositions) the rows of a diagonal read the populations alone; any other
 call reads the feature matrix [P | Re z | Im z] (N×d² floats, built only
 then) with the rows of A†A and of A, built by one ``form_coefficients``
 call in the features' column order.  p is the w row on the cached column
-means, the rule of :func:`conjmeas.ensemble.mean_expectation`, with no pass
-over the states.
+means, with no pass over the states: :func:`mean_weights` is that rule, and
+every probability of the library is read through it or through the kernel.
 
 Neither I nor F changes when an operator is scaled by a complex factor, so
 a diagonal call sums them per key, not per branch.  Its V = √û·ê is the
@@ -30,13 +30,15 @@ a mantissa grid of ``TOL.direction_grid``, and ê holds the unit phase
 factors of a = diag(A) relative to its entry at the first maximum of û,
 their real and imaginary parts rounded to whole steps of the same grid.
 The ray's x row is û itself, so x = û·P and mean(x) = û·means is about 1,
-which leaves no p log2 p to cancel.  Branches on one direction share one
-log pass, and branches on one ray one root pass.  The spin probe's pair
-weights |a_m|²|a_mu|² point in a direction set by m + mu alone, 29 for the
-120 pairs at j = 7, and at s = 1/2 the 15 first-stage weights |a_m|² point
-along 15 of them; at s = 1/2 each pair diagonal is also a complex multiple
-of one vector per m + mu, so a headline spin run takes 15 + 29 root passes
-and 29 log passes for its 135 branches.  Any other call sums V = A itself,
+which leaves no p log2 p to cancel.  One sort of the branches' ray rows
+[û; √û·ê] finds the rays, and the rays on one direction lie next to each
+other in it.  Branches on one direction share one log pass, and branches
+on one ray one root pass.  The spin probe's pair weights |a_m|²|a_mu|²
+point in a direction set by m + mu alone, 29 for the 120 pairs at j = 7,
+and at s = 1/2 the 15 first-stage weights |a_m|² point along 15 of them;
+at s = 1/2 each pair diagonal is also a complex multiple of one vector per
+m + mu, so a headline spin run takes 15 + 29 root passes and 29 log passes
+for its 135 branches.  Any other call sums V = A itself,
 with x = w and mean(x) = p: its operators seldom repeat.
 
 The sums take one pass, over blocks of at most 2^15 branch×state elements,
@@ -44,20 +46,21 @@ so that a block's rows stay in cache: each ray's (or, off the diagonal
 path, branch's) rows [x; Re amp_v; Im amp_v] on a block are one BLAS
 product whose shape depends on N alone, and each sum adds fixed 256-state
 leaf sums made by numpy, not by a BLAS dot.  A branch's p therefore
-depends on its own operator and N alone, its F on its ray (diagonal) or
-operator (otherwise) and N, and its I on its direction or operator and N:
-not on the other branches of the call, whether they share its key or not,
-nor on the BLAS thread count.  An operator whose dimension is not the
-ensemble's is rejected there.  The dense O(N·d²)
-:func:`branch_weights_and_amplitudes` is the reference the tests compare
-against.
+depends on its own operator, its call's path and N alone (a diagonal
+operator in a call with a non-diagonal one reads the features), its F on
+its ray (diagonal) or operator (otherwise) and N, and its I on its
+direction or operator and N: not on the other branches of the call,
+whether they share its key or not, nor on the BLAS thread count.  An
+operator whose dimension is not the ensemble's is rejected there.  The
+dense O(N·d²) :func:`branch_weights_and_amplitudes` is the reference the
+tests compare against.
 
 One function turns the sums into I and F, for every stage
 (:func:`branch_statistics`) and for :func:`likelihood_info_gain`.  A
 value that needs the mean weight alone (the p(m) a second stage is
 conditioned on, read by :func:`conditioning_probability`, or a success
-probability) passes over no state either: it is one form on the mean
-features, :func:`conjmeas.ensemble.mean_expectation`, in O(d²).  The
+probability) passes over no state either: :func:`mean_weights` reads it in
+O(d²) per operator, with the bits the kernel gives the same operator.  The
 positive-part fidelity F_opt of an outcome, which only the regime check
 reads, is :func:`optimal_fidelity`, computed on request and not by the
 stage statistics; the regime check
@@ -76,9 +79,9 @@ returns the whole (m, mu) grid as one :class:`StageStatistics` of n×n
 arrays, with one branch per unordered pair {m, mu}: branch (mu, m) is
 M_m† M_mu = (M_mu† M_m)†, whose weights and amplitude moduli equal those
 of (m, mu) on every state because diagonal operators commute, so p, I and
-F are symmetric and each pair is evaluated once and mirrored.  The first
-stage and all the pairs are one kernel call: the p(m) that picks and
-conditions the pairs is read before it, with the kernel's own rule.
+F are symmetric and each pair is evaluated once.  The first stage and all
+the pairs are one kernel call: p(m) is its first n entries, and each cell
+(m, mu) of the grid reads the sums of its pair.
 """
 
 from __future__ import annotations
@@ -88,7 +91,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .ensemble import PureStateEnsemble, form_coefficients, mean_expectation
+from .ensemble import PureStateEnsemble, form_coefficients
 from .errors import (
     DimensionMismatchError,
     InvalidWeightsError,
@@ -240,51 +243,74 @@ def _snap(x):
     return np.ldexp(np.round(mantissa / TOL.direction_grid) * TOL.direction_grid, exponent)
 
 
-def _branch_sums(ops, ens: PureStateEnsemble):
-    """``(p, mean, x_log_x, root)`` of every branch A in ``ops``: the branch kernel.
+def _operator_stack(ops, ens: PureStateEnsemble):
+    """``(A, diagonal)``: the (K, d, d) stack of ``ops`` and whether every one is diagonal.
 
-    p = mean(w) is the w row on the cached feature means, with no pass over
-    the states.  I and F read the sums of one operator V, a complex multiple
-    of A, with x = <V†V> and amp_v = <psi|V|psi>: mean = mean(x), x_log_x =
-    Σ x log2 x and root = Σ sqrt(x |amp_v|²), none of whose ratios changes
-    when an operator is scaled.  In any other call than a diagonal one,
-    V = A, x = w and mean = p, and every branch takes both passes of
-    :func:`_pass_sums`.
-
-    A diagonal call keys each branch by its weight direction û and by its
-    ray (û, e), both from :func:`_ray_keys`.  V is the ray's own diagonal
-    √û·ê, with ê = (e_re + i e_im)/|e_re + i e_im| (0 where û is 0), whose
-    x row is û itself, so x = û·P and mean = û·means is about 1.  Each ray
-    takes one root pass, the first ray on each direction also a log pass,
-    and every branch reads its ray's and its direction's sums.  A branch's
-    p therefore depends on its own operator and N, its F on its ray and N,
-    and its I on its direction and N: not on the other branches of the call.
+    An operator whose dimension is not the ensemble's is rejected.
     """
     if any(op.shape != (ens.dim, ens.dim) for op in ops):
         raise DimensionMismatchError("operator and ensemble dimensions differ")
     A = np.array(ops)
-    diagonal = linalg.is_diagonal(A)
+    return A, linalg.is_diagonal(A)
+
+
+def mean_weights(ops, ens: PureStateEnsemble) -> np.ndarray:
+    """p = mean <A†A> of each operator A in ``ops``: the one probability rule.
+
+    The mean of a form is the form on the mean features, Tr(A†A rho) for
+    the ensemble's average state rho: each operator's weight row from
+    :func:`_branch_rows` dotted with the cached column means of the
+    populations (a diagonal stack, whose features are not built) or of the
+    features.  O(d²) per operator, with no pass over the N states; the dot
+    is an elementwise product and a numpy sum, not a BLAS product.  The
+    branch kernel reads its p by the same rule, so a p read here has the
+    bits of that operator's p in any kernel call of the same path.
+    """
+    A, diagonal = _operator_stack(ops, ens)
+    means = ens.population_means if diagonal else ens.feature_means
+    return np.sum(_branch_rows(A, diagonal)[:, 0] * means, axis=-1)
+
+
+def _branch_sums(ops, ens: PureStateEnsemble):
+    """``(p, mean, x_log_x, root)`` of every branch A in ``ops``: the branch kernel.
+
+    p = mean(w) is the w row on the cached feature means, the rule of
+    :func:`mean_weights`, with no pass over the states.  I and F read the
+    sums of one operator V, a complex multiple of A, with x = <V†V> and
+    amp_v = <psi|V|psi>: mean = mean(x), x_log_x = Σ x log2 x and root =
+    Σ sqrt(x |amp_v|²), none of whose ratios changes when an operator is
+    scaled.  In any other call than a diagonal one, V = A, x = w and
+    mean = p, and every branch takes both passes of :func:`_pass_sums`.
+
+    A diagonal call builds each branch's ray rows [û; √û·ê] from the keys
+    of :func:`_ray_keys`, with ê = (e_re + i e_im)/|e_re + i e_im| (0 where
+    û is 0): V = √û·ê, whose x row is û itself, so x = û·P and mean = û·means
+    is about 1.  One sort of those rows finds the rays; since they start
+    with û, the rays on one direction are adjacent, and the first of each
+    is its direction's lead.  Each ray takes one root pass, each lead also
+    a log pass, and every branch reads its ray's and its direction's sums.
+    A branch's p therefore depends on its own operator and N, its F on its
+    ray and N, and its I on its direction and N: not on the other branches
+    of the call.
+    """
+    A, diagonal = _operator_stack(ops, ens)
     rows = _branch_rows(A, diagonal)
+    means = ens.population_means if diagonal else ens.feature_means
+    p = np.sum(rows[:, 0] * means, axis=-1)
     if not diagonal:
-        p = np.sum(rows[:, 0] * ens.feature_means, axis=-1)
         root, x_log_x = _pass_sums(rows, len(rows), ens.features.T, diagonal=False)
         return p, p, x_log_x, root
-    means = ens.population_means
-    w = rows[:, 0]
-    p = np.sum(w * means, axis=-1)
-    u, e = _ray_keys(np.diagonal(A, axis1=1, axis2=2), w, p)
-    _, ray, on_ray = np.unique(np.hstack([u, *e]), axis=0, return_index=True, return_inverse=True)
-    _, lead, on_dir = np.unique(u[ray], axis=0, return_index=True, return_inverse=True)
-    # the rays that take a log pass come first, in direction order
-    order = np.concatenate([lead, np.flatnonzero(lead[on_dir] != np.arange(len(ray)))])
-    rep = ray[order]
-    r = np.sqrt(e[0, rep] ** 2 + e[1, rep] ** 2)
-    amp = np.divide(np.sqrt(u[rep]) * e[:, rep], r, out=np.zeros((2, *r.shape)), where=r > 0)
-    rows = np.stack([u[rep], *amp], axis=1)
-    root, x_log_x = _pass_sums(rows, len(lead), ens.populations.T, diagonal=True)
-    place = np.empty_like(order)
-    place[order] = np.arange(len(order))
-    return p, np.sum(u * means, axis=-1), x_log_x[on_dir[on_ray]], root[place[on_ray]]
+    u, e = _ray_keys(np.diagonal(A, axis1=1, axis2=2), rows[:, 0], p)
+    r = np.sqrt(e[0] ** 2 + e[1] ** 2)
+    amp = np.divide(np.sqrt(u) * e, r, out=np.zeros_like(e), where=r > 0)
+    rays, on_ray = np.unique(np.hstack([u, *amp]), axis=0, return_inverse=True)
+    rays = rays.reshape(len(rays), 3, -1)
+    lead = np.concatenate([[True], np.any(rays[1:, 0] != rays[:-1, 0], axis=1)])
+    # the leads, which take a log pass, come first, in direction order
+    order = np.concatenate([np.flatnonzero(lead), np.flatnonzero(~lead)])
+    root = np.empty(len(rays))
+    root[order], x_log_x = _pass_sums(rays[order], lead.sum(), ens.populations.T, diagonal=True)
+    return p, np.sum(u * means, axis=-1), x_log_x[np.cumsum(lead)[on_ray] - 1], root[on_ray]
 
 
 def _ray_keys(a, w, p):
@@ -375,8 +401,8 @@ def branch_statistics(composed_ops, ens: PureStateEnsemble, p_given=1.0):
 
     All branches are evaluated together by one pass of the branch kernel.
     A branch is undefined (NaN I and F) when p / p_given is at the floor;
-    ``p_given``, one per branch or one for all, is the probability of the
-    outcome it is conditioned on (1 for a first stage).
+    ``p_given`` is the probability of the outcome the branches are
+    conditioned on (1 for a first stage).
     """
     sums = _branch_sums(composed_ops, ens)
     p = sums[0]
@@ -397,14 +423,15 @@ def conditioning_probability(
 ) -> float:
     """p(m) of the first outcome that the second stage ``second`` is conditioned on.
 
-    The mean weight of the cached effect M†M, read from the mean features.
-    A second stage of another dimension than the ensemble, and a first
-    outcome at or below the probability floor, are rejected here, before a
-    caller composes C·M or divides by p(m).
+    ``mean_weights([M])``, so it has the bits of p(m) in
+    :func:`stage_statistics` of a set whose operators are all diagonal or
+    all not.  A second stage of another dimension than the ensemble, and a
+    first outcome at or below the probability floor, are rejected here,
+    before a caller composes C·M or divides by p(m).
     """
     if second.dim != ens.dim:
         raise DimensionMismatchError("measurement and ensemble dimensions differ")
-    p_first = mean_expectation(ens, kraus.effect(first_label))
+    p_first = float(mean_weights([kraus.operator(first_label)], ens)[0])
     if p_first <= TOL.prob_floor:
         raise ZeroProbabilityOutcomeError(
             f"first-stage outcome {first_label} has probability {p_first:.3e}"
@@ -439,44 +466,32 @@ def conjugate_two_stage_statistics(kraus: KrausSet, ens: PureStateEnsemble) -> t
     in the whole row of an undefined first outcome.
     For diagonal M the branches (m, mu) and (mu, m) are M_mu† M_m and its
     adjoint, with the same weights and amplitude moduli on every state, so
-    p, I and F are symmetric in (m, mu): each unordered pair mu >= m that a
-    defined row needs is evaluated once and mirrored.  The n first-stage
-    branches and those pairs are one kernel call.  p(m), which picks and
-    conditions the pairs, is read before it by the kernel's own rule (the
-    |a|² row on the population means), so it has the kernel's bits.
+    p, I and F are symmetric in (m, mu).  One kernel call takes the n
+    first-stage branches and every unordered pair mu >= m once, and every
+    cell reads its pair's sums: p(m) is the call's first n entries.
     """
     ops = kraus.operators
-    A = np.array(ops)
-    if not linalg.is_diagonal(A):
+    if not linalg.is_diagonal(np.array(ops)):
         raise ValidationError("the pair evaluation needs diagonal Kraus operators")
-    if kraus.dim != ens.dim:
-        raise DimensionMismatchError("measurement and ensemble dimensions differ")
     n = len(ops)
-    p_first = np.sum(_branch_rows(A, diagonal=True)[:, 0] * ens.population_means, axis=-1)
-    defined = p_first > TOL.prob_floor
-    # a pair is conditioned on the least likely defined row that reads it
-    p_row = np.where(defined, p_first, np.inf)
     m, mu = np.triu_indices(n)
-    read = defined[m] | defined[mu]
-    m, mu = m[read], mu[read]
-    p, info, fid = branch_statistics(
-        [*ops, *(linalg.dagger(ops[k]) @ ops[i] for i, k in zip(m, mu))],
-        ens,
-        np.concatenate([np.ones(n), np.minimum(p_row[m], p_row[mu])]),
-    )
-    first = StageStatistics(kraus.labels, p[:n], info[:n], fid[:n])
-    joint = np.full((n, n), np.nan)
-    grid_info = np.full((n, n), np.nan)
-    grid_fid = np.full((n, n), np.nan)
-    # NaN is set per row below, on p(mu | m)
-    for grid, values in zip((joint, grid_info, grid_fid), (p, info, fid)):
-        grid[m, mu] = grid[mu, m] = values[n:]
-    joint[~defined] = np.nan
+    sums = _branch_sums([*ops, *(linalg.dagger(ops[k]) @ ops[i] for i, k in zip(m, mu))], ens)
+    pair = np.empty((n, n), dtype=int)
+    pair[m, mu] = pair[mu, m] = np.arange(n, n + len(m))
+    p_first = sums[0][:n]
+    defined = p_first > TOL.prob_floor
+    joint = np.where(defined[:, None], sums[0][pair], np.nan)
     conditional = joint / p_first[:, None]
-    at_floor = ~(conditional > TOL.prob_floor)  # not <=: it also takes the NaN rows
-    grid_info[at_floor] = np.nan
-    grid_fid[at_floor] = np.nan
-    return first, StageStatistics(kraus.labels, joint, grid_info, grid_fid, conditional=conditional)
+    # the first-stage branches, then the grid cells, each read from its sums
+    at = np.concatenate([np.arange(n), pair.ravel()])
+    keep = np.concatenate([defined, conditional.ravel() > TOL.prob_floor])
+    info, fid = np.full((2, n + n * n), np.nan)
+    info[keep], fid[keep] = _gain_and_fidelity(*(s[at[keep]] for s in sums[1:]), ens.n)
+    first = StageStatistics(kraus.labels, p_first, info[:n], fid[:n])
+    grid = StageStatistics(
+        kraus.labels, joint, info[n:].reshape(n, n), fid[n:].reshape(n, n), conditional=conditional
+    )
+    return first, grid
 
 
 def optimal_fidelity(kraus: KrausSet, ens: PureStateEnsemble, label) -> float:

@@ -15,6 +15,10 @@ complement L diag(sqrt(1 - r²)) W† makes the set complete.
 
 The largest r is exactly 1, so the complement sends the state the preferred
 outcome recovers with certainty to zero up to roundoff.
+
+Every statistic on the ensemble is read through :mod:`conjmeas.metrics`:
+the preferred-branch F and I from the branch kernel, and the success
+probability from the one probability rule, ``metrics.mean_weights``.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, metrics
-from .ensemble import PureStateEnsemble, mean_expectation
+from .ensemble import PureStateEnsemble
 from .errors import NonInvertibleOperatorError, ZeroProbabilityOutcomeError
 from .measurement import KrausSet
 from .tolerances import TOL
@@ -109,13 +113,13 @@ def conditional_success_probability(
 ) -> float:
     """Probability of the preferred second outcome given the first outcome.
 
-    The ratio p(m, preferred) / p(m) of two mean weights, each one form on
-    the ensemble's mean features (:func:`conjmeas.ensemble.mean_expectation`,
-    O(d²)).  p(m) is read and checked by
+    The ratio p(m, preferred) / p(m) of two mean weights, both read by the
+    one probability rule :func:`conjmeas.metrics.mean_weights` in O(d²),
+    with no pass over the N states.  p(m) is read and checked by
     :func:`conjmeas.metrics.conditioning_probability`, as in
     :func:`conjmeas.metrics.two_stage_statistics`, so a second stage of
     another dimension and a first outcome of zero probability are rejected.
     """
     p_first = metrics.conditioning_probability(kraus, label, spec.kraus, ens)
     composed = spec.preferred_operator @ kraus.operator(label)
-    return mean_expectation(ens, linalg.dagger(composed) @ composed) / p_first
+    return float(metrics.mean_weights([composed], ens)[0]) / p_first

@@ -11,7 +11,6 @@ from conjmeas.ensemble import (
     PureStateEnsemble,
     expectation_values,
     form_coefficients,
-    mean_expectation,
     sample_haar,
     spin_moments_closed_form,
     spin_z,
@@ -235,38 +234,3 @@ def test_form_coefficients_in_feature_order(dim):
     re, im = form_coefficients(B) @ ens.features.T
     np.testing.assert_allclose(re, dense.real, rtol=0, atol=1e-14)
     np.testing.assert_allclose(im, dense.imag, rtol=0, atol=1e-14)
-
-
-def dense_mean(ens, A):
-    """The per-state reference: every <psi_a|A|psi_a>, then their mean."""
-    return np.einsum("ai,ij,aj->a", ens.states.conj(), A, ens.states).real.mean()
-
-
-@pytest.mark.parametrize("dim", [2, 3, 4, 16])
-def test_mean_expectation_matches_dense_mean(dim):
-    # positive A, as for every weight M†M the library reads this way, so the
-    # mean has no cancellation and the bound is relative
-    rng = np.random.default_rng(300 + dim)
-    ens = sample_haar(dim, 3000, 60 + dim)
-    B = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    for A in (np.diag(rng.uniform(0.1, 1.0, dim)), B.conj().T @ B):
-        want = dense_mean(ens, A)
-        assert abs(mean_expectation(ens, A) - want) <= 1e-15 * want
-    # an indefinite A can cancel to near zero: bounded against its norm
-    H = B + B.conj().T
-    want = dense_mean(ens, H)
-    assert abs(mean_expectation(ens, H) - want) <= 1e-15 * np.linalg.norm(H, 2)
-
-
-def test_mean_expectation_of_diagonal_reads_populations_alone():
-    ens = sample_haar(3, 200, 8)
-    A = np.diag([0.2, 0.5, 0.3])
-    assert mean_expectation(ens, A) == pytest.approx(dense_mean(ens, A), rel=1e-15)
-    assert "features" not in ens.__dict__
-
-
-def test_mean_expectation_checks_like_expectation_values(ens2_small):
-    with pytest.raises(NotHermitianError):
-        mean_expectation(ens2_small, np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(DimensionMismatchError):
-        mean_expectation(ens2_small, np.eye(3))

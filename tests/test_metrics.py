@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conjmeas import ensemble, linalg, metrics, reversal
+from conjmeas import linalg, metrics
 from conjmeas.ensemble import PureStateEnsemble, expectation_values, sample_haar, spin_z
 from conjmeas.errors import (
     DimensionMismatchError,
@@ -21,7 +21,9 @@ from conjmeas.errors import (
 from conjmeas.measurement import KrausSet
 from conjmeas.metrics import (
     branch_weights_and_amplitudes,
+    conditioning_probability,
     likelihood_info_gain,
+    mean_weights,
     optimal_fidelity,
     stage_statistics,
     two_stage_statistics,
@@ -428,6 +430,11 @@ def dense_branch_sums(ens, op):
     return w.mean(), w.mean(), w_log_w.sum(), np.sqrt(w * np.abs(amp) ** 2).sum()
 
 
+def dense_mean_weight(ens, op):
+    """The per-state reference: every weight ||A psi_a||², then their mean."""
+    return float(np.mean(np.sum(np.abs(ens.states @ op.T) ** 2, axis=1)))
+
+
 def use_dense_reference(monkeypatch):
     """Route every branch, every weight-only mean and every <N> through the dense path.
 
@@ -441,13 +448,12 @@ def use_dense_reference(monkeypatch):
         calls["branch"].extend(ops)
         return tuple(np.array(s) for s in zip(*(dense_branch_sums(ens, op) for op in ops)))
 
-    def dense_mean_expectation(ens, A):
-        calls["mean"].append(A)
-        return float(np.einsum("ai,ij,aj->a", ens.states.conj(), A, ens.states).real.mean())
+    def dense_mean_weights(ops, ens):
+        calls["mean"].extend(ops)
+        return np.array([dense_mean_weight(ens, op) for op in ops])
 
     monkeypatch.setattr(metrics, "_branch_sums", dense_kernel)
-    for module in (metrics, reversal):
-        monkeypatch.setattr(module, "mean_expectation", dense_mean_expectation)
+    monkeypatch.setattr(metrics, "mean_weights", dense_mean_weights)
     monkeypatch.setattr(linalg, "is_diagonal", lambda op: False)
     return calls
 
@@ -895,6 +901,46 @@ class TestEvaluatorDimensionCheck:
     def test_expectation_values(self):
         with pytest.raises(DimensionMismatchError):
             expectation_values(self.ENS, spin_z(0.5))
+
+    def test_mean_weights(self):
+        with pytest.raises(DimensionMismatchError):
+            mean_weights(self.KRAUS.operators, self.ENS)
+        with pytest.raises(DimensionMismatchError):
+            mean_weights([np.eye(3), np.eye(2)], self.ENS)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 16])
+def test_mean_weights_match_dense_mean(dim):
+    # a weight is positive, so its mean has no cancellation and the bound is
+    # relative; alone, D reads the populations and B the features, and
+    # together both read the features
+    rng = np.random.default_rng(300 + dim)
+    ens = sample_haar(dim, 3000, 60 + dim)
+    D = np.diag(rng.uniform(0.3, 1.0, dim) * np.exp(1j * rng.uniform(-np.pi, np.pi, dim)))
+    B = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    for ops in ([D], [B], [D, B]):
+        want = np.array([dense_mean_weight(ens, op) for op in ops])
+        assert np.all(np.abs(mean_weights(ops, ens) - want) <= 1e-15 * want)
+
+
+def test_mean_weights_of_diagonal_operators_read_populations_alone():
+    ens = sample_haar(3, 200, 8)
+    A = np.diag([0.2, 0.5j, -0.3])
+    assert mean_weights([A], ens)[0] == pytest.approx(dense_mean_weight(ens, A), rel=1e-15)
+    assert "features" not in ens.__dict__
+
+
+@pytest.mark.parametrize("s, j", [(0.5, 7), (1.5, 7), (7.5, 7), (0.5, 40)])
+def test_conditioning_probability_is_the_first_stage_p(s, j):
+    # one probability rule: the p(m) a second stage is conditioned on has the
+    # bits of the first stage's p(m)
+    cfg = SpinProbeConfig(s=s, j=j, g=0.25, theta=math.pi / 6)
+    kraus, ens = build_forward(cfg), sample_haar(cfg.dim, 2000, 1)
+    second = conjugate_probe_set(cfg)
+    first = stage_statistics(kraus, ens)
+    for m, p in zip(kraus.labels, first.probability):
+        if p > TOL.prob_floor:
+            assert conditioning_probability(kraus, m, second, ens) == p, m
 
 
 # The non-diagonal set of the benchmark's general_kraus workload, G_k S^{-1/2}

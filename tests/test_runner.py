@@ -624,7 +624,7 @@ class TestConjugatePairEvaluation:
         # the branches each kernel call evaluates, and the calls of the rest
         counts = {
             "_branch_sums": [],
-            "mean_expectation": [],
+            "mean_weights": [],
             "optimal_fidelity": [],
         }
         for name in counts:
@@ -645,7 +645,7 @@ class TestConjugatePairEvaluation:
         # one kernel call for the first stage and all pairs; no F_opt work
         assert counts == {
             "_branch_sums": [n + n * (n + 1) // 2],
-            "mean_expectation": [],
+            "mean_weights": [],
             "optimal_fidelity": [],
         }
 

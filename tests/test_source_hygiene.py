@@ -7,7 +7,7 @@ its imports are the package's exports); and every public top-level function
 and class of the library, and every public method, property and annotated
 field of its classes, is read by code other than its own tests.  No library
 module takes the mean of ``expectation_values``: a weight-only mean is
-``mean_expectation``, an O(d²) read, not a pass over the N states.  No
+``metrics.mean_weights``, an O(d²) read, not a pass over the N states.  No
 library module but ``metrics`` calls ``isnan``: NaN marks an undefined
 outcome, and ``metrics`` alone reads that mark (``StageStatistics.defined``,
 ``weighted_sum``).  ``linalg.check_density_matrix`` has one caller,
@@ -16,7 +16,10 @@ keeps is built only from a validated state.  No library module but
 ``linalg`` loads ``positive_sqrt``: every positive part N = sqrt(M†M) comes
 from an SVD of M, not from an eigensolve of M†M, which squares its
 condition number.  The per-state populations and features are read only by
-``ensemble`` and by the branch kernel ``metrics._branch_sums``.
+``ensemble`` and by the branch kernel ``metrics._branch_sums``; their
+column means, and the kernel rows ``metrics._branch_rows`` read on them,
+only by ``ensemble`` and by the one probability rule, ``metrics.mean_weights``,
+and the kernel, so no probability is read another way.
 """
 
 import ast
@@ -277,6 +280,12 @@ def test_only_the_two_evaluators_read_the_sample():
     # the branch kernel alone; every other value goes through one of them
     readers = set(loads_of("populations") + loads_of("features"))
     assert {r for r in readers if not r.startswith("ensemble.")} == {"metrics._branch_sums"}
+    # their column means, and the kernel rows read on them, by the one
+    # probability rule and the kernel alone: no p is read another way
+    p_rule = {"metrics.mean_weights", "metrics._branch_sums"}
+    readers = set(loads_of("population_means") + loads_of("feature_means"))
+    assert {r for r in readers if not r.startswith("ensemble.")} == p_rule
+    assert set(loads_of("_branch_rows")) == p_rule
 
 
 def test_no_positive_part_from_an_eigensolve():
