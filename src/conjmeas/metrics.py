@@ -38,8 +38,9 @@ point in a direction set by m + mu alone, 29 for the 120 pairs at j = 7,
 and at s = 1/2 the 15 first-stage weights |a_m|² point along 15 of them;
 at s = 1/2 each pair diagonal is also a complex multiple of one vector per
 m + mu, so a headline spin run takes 15 + 29 root passes and 29 log passes
-for its 135 branches.  Any other call sums V = A itself,
-with x = w and mean(x) = p: its operators seldom repeat.
+for its 135 branches.  Any other call sums V = A/√p of each branch (V = A
+where p is not positive), with x = w/p and mean(x) again about 1: its
+operators seldom repeat, so it keys nothing.
 
 The sums take one pass, over blocks of at most 2^15 branch×state elements,
 so that a block's rows stay in cache: each ray's (or, off the diagonal
@@ -279,8 +280,9 @@ def _branch_sums(ops, ens: PureStateEnsemble):
     sums of one operator V, a complex multiple of A, with x = <V†V> and
     amp_v = <psi|V|psi>: mean = mean(x), x_log_x = Σ x log2 x and root =
     Σ sqrt(x |amp_v|²), none of whose ratios changes when an operator is
-    scaled.  In any other call than a diagonal one, V = A, x = w and
-    mean = p, and every branch takes both passes of :func:`_pass_sums`.
+    scaled.  In any other call than a diagonal one, V = A/√p (A where p is
+    not positive), so x = w/p and mean is about 1, and every branch takes
+    both passes of :func:`_pass_sums`.
 
     A diagonal call builds each branch's ray rows [û; √û·ê] from the keys
     of :func:`_ray_keys`, with ê = (e_re + i e_im)/|e_re + i e_im| (0 where
@@ -298,8 +300,12 @@ def _branch_sums(ops, ens: PureStateEnsemble):
     means = ens.population_means if diagonal else ens.feature_means
     p = np.sum(rows[:, 0] * means, axis=-1)
     if not diagonal:
+        # V = A/√p: x = w/p, whose mean is about 1, and amp_v = amp/√p
+        q = np.where(p > 0, p, 1.0)[:, None]
+        rows[:, 0] /= q
+        rows[:, 1:] /= np.sqrt(q)[:, None]
         root, x_log_x = _pass_sums(rows, len(rows), ens.features.T, diagonal=False)
-        return p, p, x_log_x, root
+        return p, np.sum(rows[:, 0] * means, axis=-1), x_log_x, root
     u, e = _ray_keys(np.diagonal(A, axis1=1, axis2=2), rows[:, 0], p)
     r = np.sqrt(e[0] ** 2 + e[1] ** 2)
     amp = np.divide(np.sqrt(u) * e, r, out=np.zeros_like(e), where=r > 0)

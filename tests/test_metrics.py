@@ -420,14 +420,16 @@ def all_statistics(first, second, ens, dense_calls=None):
 
 
 def dense_branch_sums(ens, op):
-    """(p, p, Σ w log2 w, Σ sqrt(w |amp|²)) of one branch from the dense per-state values.
+    """(p, mean(x), Σ x log2 x, Σ sqrt(x |amp_v|²)) of one branch from the dense per-state values.
 
-    The kernel's sums with x = w and the branch as its own ray, the forms
-    its non-diagonal path sums.
+    The kernel's sums on V = A/√p, with x = w/p and amp_v = amp/√p (V = A
+    where p is not positive), the forms its non-diagonal path sums.
     """
     w, amp = branch_weights_and_amplitudes(ens.states, op)
-    w_log_w = w * np.log2(w, out=np.zeros_like(w), where=w > 0)
-    return w.mean(), w.mean(), w_log_w.sum(), np.sqrt(w * np.abs(amp) ** 2).sum()
+    p = w.mean()
+    x, amp2 = (w / p, np.abs(amp) ** 2 / p) if p > 0 else (w, np.abs(amp) ** 2)
+    x_log_x = x * np.log2(x, out=np.zeros_like(x), where=x > 0)
+    return p, x.mean(), x_log_x.sum(), np.sqrt(x * amp2).sum()
 
 
 def dense_mean_weight(ens, op):
@@ -637,14 +639,16 @@ class TestDiagonalRays:
         ens = PROPERTY_ENSEMBLES[dim]
         p, mean, x_log_x, root = metrics._branch_sums(ops, ens)
         for k, op in enumerate(ops):
-            p_ref, _, w_log_w, root_ref = dense_branch_sums(ens, op)
+            p_ref, mean_ref, x_log_x_ref, root_ref = dense_branch_sums(ens, op)
             scale = max(1.0, float(np.sum(np.abs(op) ** 2)))
             assert abs(p[k] - p_ref) <= 1e-14 * scale
             # Cauchy-Schwarz on the ray: F <= 1, and the zero ray reads root 0
             assert 0.0 <= root[k] <= ens.n * mean[k] * (1 + 1e-14)
             if p_ref > TOL.prob_floor:
                 info, fid = metrics._gain_and_fidelity(mean[k], x_log_x[k], root[k], ens.n)
-                info_ref, fid_ref = metrics._gain_and_fidelity(p_ref, w_log_w, root_ref, ens.n)
+                info_ref, fid_ref = metrics._gain_and_fidelity(
+                    mean_ref, x_log_x_ref, root_ref, ens.n
+                )
                 np.testing.assert_allclose(fid, fid_ref, rtol=POP_RTOL, atol=0)
                 np.testing.assert_allclose(info, info_ref, rtol=0, atol=POP_ATOL_INFO)
 
@@ -827,7 +831,8 @@ class TestRaySharing:
         assert calls == [(3, 1)]
         assert len(np.unique(fid[:3])) == 3
         assert fid[3] == fid[4] == fid[1]
-        dense = [root / ens.n / p for p, *_, root in (dense_branch_sums(ens, op) for op in ops)]
+        sums = (dense_branch_sums(ens, op) for op in ops)
+        dense = [root / ens.n / mean for _, mean, _, root in sums]
         np.testing.assert_allclose(fid, dense, rtol=POP_RTOL, atol=0)
 
 

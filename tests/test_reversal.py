@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conjmeas import linalg
+from conjmeas.ensemble import sample_haar
 from conjmeas.errors import (
     DimensionMismatchError,
     NonInvertibleOperatorError,
@@ -97,6 +98,20 @@ class TestBuildReversing:
         composed = spec.preferred_operator @ kraus.operator(1.0)
         w, _ = branch_weights_and_amplitudes(ens2_small.states, composed)
         np.testing.assert_allclose(w, w[0], atol=1e-12)
+
+    def test_recovered_branch_carries_no_information(self):
+        # C·M = s_min·I weighs every state alike, so the preferred branch has
+        # I = 0 exactly; its sums read x = w/p, of mean 1, so no p log2 p is
+        # left to cancel and I stays at roundoff, not at 1e-15 and above
+        worst = 0.0
+        for seed in range(20):
+            kraus = random_general_set(seed)
+            ens = sample_haar(4, 2000, seed)
+            for m in kraus.labels:
+                spec = build_reversing(kraus, m)
+                ts = two_stage_statistics(kraus, m, spec.kraus, ens)
+                worst = max(worst, ts.get(spec.preferred_label)[1])
+        assert worst <= 1e-15
 
     def test_maximal_scale(self):
         # any larger |lambda| would push an eigenvalue of R†R above one
