@@ -98,7 +98,7 @@ class PureStateEnsemble:
 
     @cached_property
     def feature_means(self) -> np.ndarray:
-        """Column means of ``features``: the mean features, for a non-diagonal mean form."""
+        """Column means of ``features``, which a non-diagonal mean form reads."""
         return self.features.mean(axis=0)
 
 

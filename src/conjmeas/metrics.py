@@ -327,8 +327,9 @@ def _ray_keys(a, w, p):
     is undefined and gets the zero row.  e = (e_re, e_im) holds the real
     and imaginary parts of the phase factors of a relative to its entry at
     the first maximum of û, in whole steps of the grid, and 0 where û is 0.
-    (û, e) keys the ray: the branch is a complex multiple of √û·ê, with
-    ê = (e_re + i e_im)/|e_re + i e_im|, to the grid.
+    (û, e) fixes the ray: the branch is a complex multiple of √û·ê, with
+    ê = (e_re + i e_im)/|e_re + i e_im|, to the grid, and the kernel keys
+    the ray by those rows.
     """
     u = _snap(np.divide(w, p[:, None], out=np.zeros_like(w), where=p[:, None] > 0))
     z = a * np.conj(np.take_along_axis(a, np.argmax(u, axis=1)[:, None], axis=1))
