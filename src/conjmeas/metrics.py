@@ -20,26 +20,32 @@ compositions) the rows of a diagonal read the populations alone; any other
 call reads the feature matrix [P | Re z | Im z] (N×d² floats, built only
 then) with the rows of A†A and of A, built by one ``form_coefficients``
 call in the features' column order.  p is the w row on the cached column
-means, with no pass over the states: :func:`mean_weights` is that rule, and
-every probability of the library is read through it or through the kernel.
+means, with no pass over the states, its population columns summed apart
+from its coherence columns, which are zero for a diagonal operator: a
+diagonal operator's p has the same bits on either path.
+:func:`mean_weights` is that rule, and every probability of the library
+is read through it or through the kernel.
 
 Neither I nor F changes when an operator is scaled by a complex factor, so
 a diagonal call sums them per key, not per branch.  Its V = √û·ê is the
 branch's ray: û, the direction, is the w row over p, each entry rounded to
 a mantissa grid of ``TOL.direction_grid``, and ê holds the unit phase
 factors of a = diag(A) relative to its entry at the first maximum of û,
-their real and imaginary parts rounded to whole steps of the same grid.
-The ray's x row is û itself, so x = û·P and mean(x) = û·means is about 1,
-which leaves no p log2 p to cancel.  One sort of the branches' ray rows
-[û; √û·ê] finds the rays, and the rays on one direction lie next to each
-other in it.  Branches on one direction share one log pass, and branches
-on one ray one root pass.  The spin probe's pair weights |a_m|²|a_mu|²
-point in a direction set by m + mu alone, 29 for the 120 pairs at j = 7,
-and at s = 1/2 the 15 first-stage weights |a_m|² point along 15 of them;
-at s = 1/2 each pair diagonal is also a complex multiple of one vector per
-m + mu, so a headline spin run takes 15 + 29 root passes and 29 log passes
-for its 135 branches.  Any other call sums V = A/√p of each branch (V = A
-where p is not positive), with x = w/p and mean(x) again about 1: its
+their real and imaginary parts rounded to whole steps of the same grid,
+and all imaginary parts negated when the first nonzero one is negative:
+a diagonal branch and its complex conjugate, whose weights and amplitude
+moduli agree on every state, have one ray.  The ray's x row is û itself,
+so x = û·P and mean(x) = û·means is about 1, which leaves no p log2 p to
+cancel.  One sort of the branches' ray rows [û; √û·ê] finds the rays,
+and the rays on one direction lie next to each other in it.  Branches on
+one direction share one log pass, and branches on one ray one root pass.
+The spin probe's cell weights |a_m|²|a_mu|² point in a direction set by
+m + mu alone, 29 for the 225 cells (m, mu) at j = 7, and at s = 1/2 the
+15 first-stage weights |a_m|² point along 15 of them; at s = 1/2 each
+cell diagonal is also a complex multiple of one vector per m + mu, so a
+headline spin run takes 15 + 29 root passes and 29 log passes for its
+240 branches.  Any other call sums V = A/√p of each branch (V = A where
+p is not positive), with x = w/p and mean(x) again about 1: its
 operators seldom repeat, so it keys nothing.
 
 The sums take one pass, over blocks of at most 2^15 branch×state elements,
@@ -47,14 +53,13 @@ so that a block's rows stay in cache: each ray's (or, off the diagonal
 path, branch's) rows [x; Re amp_v; Im amp_v] on a block are one BLAS
 product whose shape depends on N alone, and each sum adds fixed 256-state
 leaf sums made by numpy, not by a BLAS dot.  A branch's p therefore
-depends on its own operator, its call's path and N alone (a diagonal
-operator in a call with a non-diagonal one reads the features), its F on
-its ray (diagonal) or operator (otherwise) and N, and its I on its
-direction or operator and N: not on the other branches of the call,
-whether they share its key or not, nor on the BLAS thread count.  An
-operator whose dimension is not the ensemble's is rejected there.  The
-dense O(N·d²) :func:`branch_weights_and_amplitudes` is the reference the
-tests compare against.
+depends on its own operator and the ensemble alone, its F on its ray
+(diagonal) or operator (otherwise) and N, and its I on its direction or
+operator and N: not on the other branches of the call, whether they
+share its key or not, nor on the BLAS thread count.  An operator whose
+dimension is not the ensemble's is rejected there.  The dense O(N·d²)
+:func:`branch_weights_and_amplitudes` is the reference the tests compare
+against.
 
 One function turns the sums into I and F, for every stage
 (:func:`branch_statistics`) and for :func:`likelihood_info_gain`.  A
@@ -77,12 +82,12 @@ a time.  For the Hermitian-conjugate second stage {M_mu†} of a diagonal
 set (the spin probe's T_mu(pi - theta) = (-1)^{j+mu} T_mu(theta)†, up to a
 phase that changes no statistic), :func:`conjugate_two_stage_statistics`
 returns the whole (m, mu) grid as one :class:`StageStatistics` of n×n
-arrays, with one branch per unordered pair {m, mu}: branch (mu, m) is
-M_m† M_mu = (M_mu† M_m)†, whose weights and amplitude moduli equal those
-of (m, mu) on every state because diagonal operators commute, so p, I and
-F are symmetric and each pair is evaluated once.  The first stage and all
-the pairs are one kernel call: p(m) is its first n entries, and each cell
-(m, mu) of the grid reads the sums of its pair.
+arrays, from one :func:`branch_statistics` call on the n first-stage
+operators and the n cells of each defined row m, conditioned on 1 and on
+p(m).  A cell below the diagonal is the exact conjugate of its mirror
+cell, M_mu† M_m = conj(M_m† M_mu) for diagonal operators, so the two have
+the same p and the same ray, and p, I and F are symmetric wherever both
+outcomes are defined; the kernel takes one pass for both.
 """
 
 from __future__ import annotations
@@ -262,21 +267,37 @@ def mean_weights(ops, ens: PureStateEnsemble) -> np.ndarray:
     the ensemble's average state rho: each operator's weight row from
     :func:`_branch_rows` dotted with the cached column means of the
     populations (a diagonal stack, whose features are not built) or of the
-    features.  O(d²) per operator, with no pass over the N states; the dot
-    is an elementwise product and a numpy sum, not a BLAS product.  The
-    branch kernel reads its p by the same rule, so a p read here has the
-    bits of that operator's p in any kernel call of the same path.
+    features, by :func:`_mean_forms`.  O(d²) per operator, with no pass
+    over the N states; the dot is an elementwise product and a numpy sum,
+    not a BLAS product.  The branch kernel reads its p by the same rule,
+    and a diagonal operator's p is the same on either path, so a p read
+    here has the bits of that operator's p in any kernel call.
     """
     A, diagonal = _operator_stack(ops, ens)
-    means = ens.population_means if diagonal else ens.feature_means
-    return np.sum(_branch_rows(A, diagonal)[:, 0] * means, axis=-1)
+    return _mean_forms(_branch_rows(A, diagonal)[:, 0], ens)
+
+
+def _mean_forms(rows, ens: PureStateEnsemble) -> np.ndarray:
+    """Each (c,) row of ``rows`` on the ensemble's cached column means.
+
+    The population columns, the first d, are summed on their own, and the
+    coherence columns of a c = d² row apart from them and added: a diagonal
+    operator's coherence entries are zero, so its p (and the mean of a row
+    proportional to its weight row) has the same bits on either path.
+    """
+    d = ens.dim
+    mean = (rows[:, :d] * ens.population_means).sum(axis=-1)
+    if rows.shape[-1] > d:
+        mean += (rows[:, d:] * ens.feature_means[d:]).sum(axis=-1)
+    return mean
 
 
 def _branch_sums(ops, ens: PureStateEnsemble):
     """``(p, mean, x_log_x, root)`` of every branch A in ``ops``: the branch kernel.
 
-    p = mean(w) is the w row on the cached feature means, the rule of
-    :func:`mean_weights`, with no pass over the states.  I and F read the
+    p = mean(w) is the w row on the cached column means, by
+    :func:`_mean_forms` as in :func:`mean_weights`, with no pass over the
+    states, and mean(x) is read the same way.  I and F read the
     sums of one operator V, a complex multiple of A, with x = <V†V> and
     amp_v = <psi|V|psi>: mean = mean(x), x_log_x = Σ x log2 x and root =
     Σ sqrt(x |amp_v|²), none of whose ratios changes when an operator is
@@ -291,21 +312,21 @@ def _branch_sums(ops, ens: PureStateEnsemble):
     with û, the rays on one direction are adjacent, and the first of each
     is its direction's lead.  Each ray takes one root pass, each lead also
     a log pass, and every branch reads its ray's and its direction's sums.
-    A branch's p therefore depends on its own operator and N, its F on its
-    ray and N, and its I on its direction and N: not on the other branches
-    of the call.
+    A branch and its complex conjugate have one key, so they share both
+    passes.  A branch's p therefore depends on its own operator and the
+    ensemble, its F on its ray and N, and its I on its direction and N: not
+    on the other branches of the call, nor on whether any is non-diagonal.
     """
     A, diagonal = _operator_stack(ops, ens)
     rows = _branch_rows(A, diagonal)
-    means = ens.population_means if diagonal else ens.feature_means
-    p = np.sum(rows[:, 0] * means, axis=-1)
+    p = _mean_forms(rows[:, 0], ens)
     if not diagonal:
         # V = A/√p: x = w/p, whose mean is about 1, and amp_v = amp/√p
         q = np.where(p > 0, p, 1.0)[:, None]
         rows[:, 0] /= q
         rows[:, 1:] /= np.sqrt(q)[:, None]
         root, x_log_x = _pass_sums(rows, len(rows), ens.features.T, diagonal=False)
-        return p, np.sum(rows[:, 0] * means, axis=-1), x_log_x, root
+        return p, _mean_forms(rows[:, 0], ens), x_log_x, root
     u, e = _ray_keys(np.diagonal(A, axis1=1, axis2=2), rows[:, 0], p)
     r = np.sqrt(e[0] ** 2 + e[1] ** 2)
     amp = np.divide(np.sqrt(u) * e, r, out=np.zeros_like(e), where=r > 0)
@@ -316,7 +337,7 @@ def _branch_sums(ops, ens: PureStateEnsemble):
     order = np.concatenate([np.flatnonzero(lead), np.flatnonzero(~lead)])
     root = np.empty(len(rays))
     root[order], x_log_x = _pass_sums(rays[order], lead.sum(), ens.populations.T, diagonal=True)
-    return p, np.sum(u * means, axis=-1), x_log_x[np.cumsum(lead)[on_ray] - 1], root[on_ray]
+    return p, _mean_forms(u, ens), x_log_x[np.cumsum(lead)[on_ray] - 1], root[on_ray]
 
 
 def _ray_keys(a, w, p):
@@ -326,17 +347,24 @@ def _ray_keys(a, w, p):
     grid ``TOL.direction_grid``; a branch with p = 0 (w = 0 on every state)
     is undefined and gets the zero row.  e = (e_re, e_im) holds the real
     and imaginary parts of the phase factors of a relative to its entry at
-    the first maximum of û, in whole steps of the grid, and 0 where û is 0.
-    (û, e) fixes the ray: the branch is a complex multiple of √û·ê, with
+    the first maximum of û, in whole steps of the grid, and 0 where û is 0;
+    where the first nonzero entry of e_im is negative, e_im is negated,
+    which is exact on whole steps.  (û, e) fixes the ray: the branch, or
+    its complex conjugate, is a complex multiple of √û·ê, with
     ê = (e_re + i e_im)/|e_re + i e_im|, to the grid, and the kernel keys
-    the ray by those rows.
+    the ray by those rows.  A diagonal branch and its conjugate, which
+    have the same w row and the same |amp| on every state, get one key.
     """
     u = _snap(np.divide(w, p[:, None], out=np.zeros_like(w), where=p[:, None] > 0))
     z = a * np.conj(np.take_along_axis(a, np.argmax(u, axis=1)[:, None], axis=1))
     # two real divisions: a complex one by a subnormal |z| overflows
     r = np.abs(z)
     e = np.divide([z.real, z.imag], r, out=np.zeros((2, *r.shape)), where=u > 0)
-    return u, np.round(e / TOL.direction_grid)
+    e = np.round(e / TOL.direction_grid)
+    # a branch and its conjugate share the ray: e_im's first nonzero entry is made positive
+    first = np.take_along_axis(e[1], np.argmax(e[1] != 0, axis=1)[:, None], axis=1)
+    np.negative(e[1], out=e[1], where=first < 0)
+    return u, e
 
 
 def _pass_sums(rows, n_log, columns, diagonal):
@@ -409,14 +437,13 @@ def branch_statistics(composed_ops, ens: PureStateEnsemble, p_given=1.0):
     All branches are evaluated together by one pass of the branch kernel.
     A branch is undefined (NaN I and F) when p / p_given is at the floor;
     ``p_given`` is the probability of the outcome the branches are
-    conditioned on (1 for a first stage).
+    conditioned on (1 for a first stage): one number for every branch, or
+    an array of one per branch, as the conjugate grid passes.
     """
-    sums = _branch_sums(composed_ops, ens)
-    p = sums[0]
+    p, *sums = _branch_sums(composed_ops, ens)
     defined = p / p_given > TOL.prob_floor
-    info = np.full(p.shape, np.nan)
-    fid = np.full(p.shape, np.nan)
-    info[defined], fid[defined] = _gain_and_fidelity(*(s[defined] for s in sums[1:]), ens.n)
+    info, fid = np.full((2, len(p)), np.nan)
+    info[defined], fid[defined] = _gain_and_fidelity(*(s[defined] for s in sums), ens.n)
     return p, info, fid
 
 
@@ -431,10 +458,10 @@ def conditioning_probability(
     """p(m) of the first outcome that the second stage ``second`` is conditioned on.
 
     ``mean_weights([M])``, so it has the bits of p(m) in
-    :func:`stage_statistics` of a set whose operators are all diagonal or
-    all not.  A second stage of another dimension than the ensemble, and a
-    first outcome at or below the probability floor, are rejected here,
-    before a caller composes C·M or divides by p(m).
+    :func:`stage_statistics`, whatever the other operators of the set.  A
+    second stage of another dimension than the ensemble, and a first
+    outcome at or below the probability floor, are rejected here, before a
+    caller composes C·M or divides by p(m).
     """
     if second.dim != ens.dim:
         raise DimensionMismatchError("measurement and ensemble dimensions differ")
@@ -471,34 +498,32 @@ def conjugate_two_stage_statistics(kraus: KrausSet, ens: PureStateEnsemble) -> t
     ``probability``, the ``conditional`` p(mu | m), and the ``info_gain``
     and ``fidelity`` of each branch, NaN where p(mu | m) is at the floor and
     in the whole row of an undefined first outcome.
-    For diagonal M the branches (m, mu) and (mu, m) are M_mu† M_m and its
-    adjoint, with the same weights and amplitude moduli on every state, so
-    p, I and F are symmetric in (m, mu).  One kernel call takes the n
-    first-stage branches and every unordered pair mu >= m once, and every
-    cell reads its pair's sums: p(m) is the call's first n entries.
+    p(m) is read first by :func:`mean_weights`.  One
+    :func:`branch_statistics` call then takes the n first-stage operators,
+    conditioned on 1, and the n cells of each defined row m, conditioned on
+    p(m); an undefined row is not evaluated.  A cell mu >= m is
+    M_mu† M_m, and a cell mu < m the exact conjugate of its mirror cell:
+    for diagonal M the two have the same p and the same ray key, so p, I
+    and F are symmetric in (m, mu) where both outcomes are defined, and the
+    kernel takes one pass for both.
     """
     ops = kraus.operators
     if not linalg.is_diagonal(np.array(ops)):
-        raise ValidationError("the pair evaluation needs diagonal Kraus operators")
+        raise ValidationError("the conjugate grid needs diagonal Kraus operators")
     n = len(ops)
-    m, mu = np.triu_indices(n)
-    sums = _branch_sums([*ops, *(linalg.dagger(ops[k]) @ ops[i] for i, k in zip(m, mu))], ens)
-    pair = np.empty((n, n), dtype=int)
-    pair[m, mu] = pair[mu, m] = np.arange(n, n + len(m))
-    p_first = sums[0][:n]
-    defined = p_first > TOL.prob_floor
-    joint = np.where(defined[:, None], sums[0][pair], np.nan)
-    conditional = joint / p_first[:, None]
-    # the first-stage branches, then the grid cells, each read from its sums
-    at = np.concatenate([np.arange(n), pair.ravel()])
-    keep = np.concatenate([defined, conditional.ravel() > TOL.prob_floor])
-    info, fid = np.full((2, n + n * n), np.nan)
-    info[keep], fid[keep] = _gain_and_fidelity(*(s[at[keep]] for s in sums[1:]), ens.n)
-    first = StageStatistics(kraus.labels, p_first, info[:n], fid[:n])
-    grid = StageStatistics(
-        kraus.labels, joint, info[n:].reshape(n, n), fid[n:].reshape(n, n), conditional=conditional
-    )
-    return first, grid
+    p_first = mean_weights(ops, ens)
+    rows = np.flatnonzero(p_first > TOL.prob_floor)
+    cells = [
+        linalg.dagger(ops[mu]) @ ops[m] if mu >= m else np.conj(linalg.dagger(ops[m]) @ ops[mu])
+        for m in rows
+        for mu in range(n)
+    ]
+    p_given = np.concatenate([np.ones(n), np.repeat(p_first[rows], n)])
+    stats = np.array(branch_statistics([*ops, *cells], ens, p_given))
+    grid = np.full((3, n, n), np.nan)
+    grid[:, rows] = stats[:, n:].reshape(3, len(rows), n)
+    first = StageStatistics(kraus.labels, *stats[:, :n])
+    return first, StageStatistics(kraus.labels, *grid, conditional=grid[0] / p_first[:, None])
 
 
 def optimal_fidelity(kraus: KrausSet, ens: PureStateEnsemble, label) -> float:

@@ -124,7 +124,8 @@ def compute_spin_run(spin: SpinProbeConfig, ens: PureStateEnsemble) -> tuple:
     Returns ``(first, grid)`` of :func:`conjugate_two_stage_statistics`:
     since T_mu(pi - theta) = (-1)^{j+mu} T_mu(theta)† and a branch's
     statistics do not depend on a global phase, the second stage is the
-    Hermitian conjugate {T_mu†}, evaluated once per unordered pair.
+    Hermitian conjugate {T_mu†}, whose cell (mu, m) is the conjugate of
+    cell (m, mu) and shares its kernel passes.
     """
     return conjugate_two_stage_statistics(build_forward(spin), ens)
 
@@ -152,51 +153,38 @@ def disturbance_outcomes(kraus: KrausSet, ens: PureStateEnsemble) -> tuple:
     return tuple(m for m, k in zip(labels, marked) if k)
 
 
-def _improves(value, reference) -> bool:
+def _improves(value, reference):
     """True when ``value`` beats ``reference`` by more than roundoff.
 
     Exact ties occur (at theta = 0 or pi every I is 0; for s = 1/2,
     I(m, 0) = I(m)), and a strict ``>`` alone would decide them by roundoff.
+    Arrays are compared elementwise.
     """
-    return bool(value > reference + TOL.improvement)
+    return value > reference + TOL.improvement
+
+
+def _table(**columns) -> Table:
+    """A table of the named, equal-size columns, flattened, each value a Python scalar."""
+    return Table(tuple(columns), list(zip(*(np.ravel(c).tolist() for c in columns.values()))))
 
 
 def run_figures(cfg: ExperimentConfig) -> dict:
     """Tables behind the four outcome plots of the spin example."""
     ens = sample_haar(cfg.spin.dim, cfg.samples, cfg.seed)
     first, grid = compute_spin_run(cfg.spin, ens)
-    p_preferred = np.diagonal(grid.conditional)  # p(mu0 = m | m)
-    fidelity_prime, info_prime = grid.mean_fidelity, grid.mean_info
-    fig1 = Table(("m", "p_m", "p_preferred_given_m"))
-    fig2 = Table(("m", "fidelity_m", "fidelity_prime_m"))
-    fig3 = Table(("m", "info_m", "info_prime_m"))
-    fig4 = Table(
-        (
-            "m",
-            "mu",
-            "p_mu_given_m",
-            "fidelity_m_mu",
-            "info_m_mu",
-            "fidelity_improves",
-            "info_improves",
-        ),
+    m, n = first.labels, len(first.labels)
+    fig1 = _table(m=m, p_m=first.probability, p_preferred_given_m=np.diagonal(grid.conditional))
+    fig2 = _table(m=m, fidelity_m=first.fidelity, fidelity_prime_m=grid.mean_fidelity)
+    fig3 = _table(m=m, info_m=first.info_gain, info_prime_m=grid.mean_info)
+    fig4 = _table(
+        m=np.repeat(m, n),
+        mu=np.tile(grid.labels, n),
+        p_mu_given_m=grid.conditional,
+        fidelity_m_mu=grid.fidelity,
+        info_m_mu=grid.info_gain,
+        fidelity_improves=_improves(grid.fidelity, first.fidelity[:, None]),
+        info_improves=_improves(grid.info_gain, first.info_gain[:, None]),
     )
-    for i, m in enumerate(first.labels):
-        fig1.rows.append((m, float(first.probability[i]), float(p_preferred[i])))
-        fig2.rows.append((m, float(first.fidelity[i]), float(fidelity_prime[i])))
-        fig3.rows.append((m, float(first.info_gain[i]), float(info_prime[i])))
-        for k, mu in enumerate(grid.labels):
-            fig4.rows.append(
-                (
-                    m,
-                    mu,
-                    float(grid.conditional[i, k]),
-                    float(grid.fidelity[i, k]),
-                    float(grid.info_gain[i, k]),
-                    _improves(grid.fidelity[i, k], first.fidelity[i]),
-                    _improves(grid.info_gain[i, k], first.info_gain[i]),
-                )
-            )
     return {"fig1": fig1, "fig2": fig2, "fig3": fig3, "fig4": fig4}
 
 
@@ -282,14 +270,8 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values) -> Table:
     t = Table(("axis", "value", "metric", "metric_value"))
     ens = sample_haar(cfg.spin.dim, cfg.samples, cfg.seed)
     for spin in spins:
-        value, summary = float(getattr(spin, axis)), _summary(spin, ens)
-        for metric in (
-            "mean_fidelity",
-            "mean_info",
-            "mean_fidelity_conj",
-            "mean_info_conj",
-            "weakness",
-            "phase",
-        ):
-            t.rows.append((axis, value, metric, float(summary[metric])))
+        value = float(getattr(spin, axis))
+        for metric, v in _summary(spin, ens).items():
+            if not isinstance(v, bool):
+                t.rows.append((axis, value, metric, float(v)))
     return t

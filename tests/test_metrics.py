@@ -253,6 +253,19 @@ class TestConjugateTwoStageStatistics:
             for got, want in ((grid.info_gain[i], ref.info_gain), ([i_prime[i]], [ref.mean_info])):
                 np.testing.assert_allclose(got, want, rtol=0, atol=POP_ATOL_INFO)
 
+    def test_symmetric_where_both_outcomes_are_defined(self):
+        # cell (mu, m) is the conjugate of cell (m, mu): the same p and the
+        # same ray, so the same bits; the zero outcome 5 has no row
+        rng = np.random.default_rng(33)
+        kraus = random_diagonal_kraus(rng, 4, 5, zero_entry=True, unitary_outcome=True)
+        kraus = KrausSet((*kraus.operators, np.zeros((4, 4))), tuple(range(6)))
+        first, grid = metrics.conjugate_two_stage_statistics(kraus, sample_haar(4, 1500, 34))
+        assert first.defined.tolist() == [True] * 5 + [False]
+        both = first.defined[:, None] & first.defined[None, :]
+        for values in (grid.probability, grid.info_gain, grid.fidelity):
+            assert not np.isnan(values[both]).any()
+            np.testing.assert_array_equal(values[both], values.T[both])
+
     def test_undefined_first_outcome_rows_are_nan(self):
         # outcome 0 has zero probability: its row is NaN, although the
         # pairs it forms with defined outcomes are evaluated for their rows
@@ -821,6 +834,16 @@ class TestRaySharing:
         compute_spin_run(cfg, sample_haar(cfg.dim, 2000, 26))
         assert calls == [(15 + 120, 15 + 29)]
 
+    def test_conjugates_share_one_ray(self, monkeypatch):
+        # conj(D) has D's weights and amplitude moduli on every state, and its
+        # relative phase factors are D's conjugated: the key flips them alike
+        D = np.diag([0.3 + 0.4j, -0.5 + 0.2j, 0.1 - 0.7j])
+        ens = sample_haar(3, 1500, 32)
+        calls = count_passes(monkeypatch)
+        p, info, fid = metrics.branch_statistics([D, np.conj(D)], ens)
+        assert calls == [(1, 1)]
+        assert p[0] == p[1] and info[0] == info[1] and fid[0] == fid[1]
+
     def test_no_merge_on_equal_weights(self, monkeypatch):
         # one direction, three rays: diag(1, -1), 0.5i·diag(1, -1) and
         # -diag(1, -1), whose relative phases read pi and -pi, share one
@@ -933,6 +956,20 @@ def test_mean_weights_of_diagonal_operators_read_populations_alone():
     A = np.diag([0.2, 0.5j, -0.3])
     assert mean_weights([A], ens)[0] == pytest.approx(dense_mean_weight(ens, A), rel=1e-15)
     assert "features" not in ens.__dict__
+
+
+def test_a_diagonal_p_does_not_depend_on_the_call_path():
+    # the population and coherence columns are summed apart, and a diagonal
+    # operator's coherence entries are zero: in a call with a non-diagonal
+    # operator, which reads the features, its p keeps the populations' bits
+    rng = np.random.default_rng(35)
+    ens = sample_haar(4, 2000, 36)
+    B = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    moved = 0
+    for _ in range(500):
+        D = np.diag(rng.uniform(0.01, 3.0) * (rng.standard_normal(4) + 1j * rng.standard_normal(4)))
+        moved += mean_weights([D], ens)[0] != mean_weights([D, B], ens)[0]
+    assert moved == 0
 
 
 @pytest.mark.parametrize("s, j", [(0.5, 7), (1.5, 7), (7.5, 7), (0.5, 40)])

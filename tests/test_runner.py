@@ -620,7 +620,13 @@ class TestConjugatePairEvaluation:
         _, grid = self.compare(cfg.spin, sample_haar(cfg.spin.dim, cfg.samples, cfg.seed))
         assert np.isnan(grid.fidelity).any()
 
-    def test_one_evaluation_per_unordered_pair(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "cfg",
+        [ExperimentConfig(SpinProbeConfig(s=0.5, j=7, g=0.25, theta=math.pi / 6), 1000, 3),
+         TestUndefinedFirstStageOutcomes.CFG],
+        ids=["all_defined", "undefined_outcomes"],
+    )
+    def test_one_kernel_call_on_the_defined_rows(self, cfg, monkeypatch):
         # the branches each kernel call evaluates, and the calls of the rest
         counts = {
             "_branch_sums": [],
@@ -638,14 +644,15 @@ class TestConjugatePairEvaluation:
             for module in (metrics, runner):
                 if getattr(module, name, None) is fn:
                     monkeypatch.setattr(module, name, wrapper)
-        spin = SpinProbeConfig(s=0.5, j=7, g=0.25, theta=math.pi / 6)
-        first, grid = compute_spin_run(spin, sample_haar(2, 1000, 3))
-        n = len(spin.outcome_labels)
-        assert first.probability.min() > TOL.prob_floor and np.isfinite(grid.info_gain).all()
-        # one kernel call for the first stage and all pairs; no F_opt work
+        ens = sample_haar(cfg.spin.dim, cfg.samples, cfg.seed)
+        first, grid = compute_spin_run(cfg.spin, ens)
+        n, rows = len(cfg.spin.outcome_labels), int(first.defined.sum())
+        assert np.isfinite(grid.probability[first.defined]).all()
+        # p(m) read once; one kernel call for the first stage and every cell
+        # of a defined row, none for an undefined row; no F_opt work
         assert counts == {
-            "_branch_sums": [n + n * (n + 1) // 2],
-            "mean_weights": [],
+            "_branch_sums": [n + n * rows],
+            "mean_weights": [1],
             "optimal_fidelity": [],
         }
 

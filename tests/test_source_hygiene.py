@@ -17,9 +17,13 @@ keeps is built only from a validated state.  No library module but
 from an SVD of M, not from an eigensolve of M†M, which squares its
 condition number.  The per-state populations and features are read only by
 ``ensemble`` and by the branch kernel ``metrics._branch_sums``; their
-column means, and the kernel rows ``metrics._branch_rows`` read on them,
-only by ``ensemble`` and by the one probability rule, ``metrics.mean_weights``,
-and the kernel, so no probability is read another way.
+column means only by ``ensemble`` and by ``metrics._mean_forms``, which
+sums the population and coherence columns apart, and the kernel rows
+``metrics._branch_rows`` only by the one probability rule,
+``metrics.mean_weights``, and the kernel, so no probability is read another
+way.  The sums become I and F in one place, ``metrics._gain_and_fidelity``,
+which only ``metrics.branch_statistics`` and ``metrics.likelihood_info_gain``
+load.
 """
 
 import ast
@@ -280,12 +284,19 @@ def test_only_the_two_evaluators_read_the_sample():
     # the branch kernel alone; every other value goes through one of them
     readers = set(loads_of("populations") + loads_of("features"))
     assert {r for r in readers if not r.startswith("ensemble.")} == {"metrics._branch_sums"}
-    # their column means, and the kernel rows read on them, by the one
-    # probability rule and the kernel alone: no p is read another way
-    p_rule = {"metrics.mean_weights", "metrics._branch_sums"}
+    # their column means by one helper, and the kernel rows read on them by
+    # the one probability rule and the kernel alone: no p is read another way
     readers = set(loads_of("population_means") + loads_of("feature_means"))
-    assert {r for r in readers if not r.startswith("ensemble.")} == p_rule
-    assert set(loads_of("_branch_rows")) == p_rule
+    assert {r for r in readers if not r.startswith("ensemble.")} == {"metrics._mean_forms"}
+    assert set(loads_of("_branch_rows")) == {"metrics.mean_weights", "metrics._branch_sums"}
+
+
+def test_one_place_turns_sums_into_statistics():
+    # every stage, the conjugate grid included, goes through branch_statistics
+    assert set(loads_of("_gain_and_fidelity")) == {
+        "metrics.branch_statistics",
+        "metrics.likelihood_info_gain",
+    }
 
 
 def test_no_positive_part_from_an_eigensolve():
