@@ -13,7 +13,6 @@ import numpy as np
 
 from conjmeas import (
     KrausSet,
-    optimal_part,
     outcome_distribution,
     polar_decompose,
     positive_sqrt,
@@ -38,7 +37,7 @@ print("N eigenvalues (all >= 0):", np.round(np.linalg.eigvalsh(N), 6))
 
 print()
 print("=== optimal (positive-part) measurement ===")
-positive = optimal_part(kraus)
+positive = KrausSet(tuple(polar_decompose(M)[1] for M in kraus.operators), kraus.labels)
 
 # same statistics on a batch of random states, less disturbance
 rho = rng.standard_normal((DIM, DIM)) + 1j * rng.standard_normal((DIM, DIM))

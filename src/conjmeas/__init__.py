@@ -17,7 +17,6 @@ from .linalg import (
 from .measurement import (
     KrausSet,
     completeness_residual,
-    optimal_part,
     outcome_distribution,
     sample_outcome,
 )

@@ -104,15 +104,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(tables: dict, args, meta: dict) -> None:
+    """Write ``tables`` to ``args.out``: one JSON document, or one CSV file per table."""
     if args.format == "json":
-        path = args.out / f"{args.command}.json"
-        write_json(tables, path, meta)
-        print(f"wrote {path}")
+        writes = [(write_json, tables, args.out / f"{args.command}.json")]
     else:
-        for name, table in tables.items():
-            path = args.out / f"{name}.csv"
-            write_csv(table, path, meta)
-            print(f"wrote {path}")
+        writes = [(write_csv, table, args.out / f"{name}.csv") for name, table in tables.items()]
+    for write, content, path in writes:
+        write(content, path, meta)
+        print(f"wrote {path}")
 
 
 def main(argv=None) -> int:
@@ -127,20 +126,20 @@ def main(argv=None) -> int:
         # before the run, so a bad --out fails at once
         args.out.mkdir(parents=True, exist_ok=True)
         if args.command == "figures":
-            _emit(run_figures(cfg), args, meta)
+            tables = run_figures(cfg)
         elif args.command == "summary":
             summary = run_summary(cfg)
-            _emit({"summary": summary_table(summary)}, args, meta)
+            tables = {"summary": summary_table(summary)}
+        elif args.command == "variances":
+            tables = {"variances": run_variances(args.spins, args.samples, args.seed)}
+        else:
+            tables = {"sweep": run_sweep(cfg, args.axis, args.values)}
+        _emit(tables, args, meta)
+        if args.command == "summary":
             for key in ("mean_fidelity", "mean_info", "mean_fidelity_conj", "mean_info_conj"):
                 print(f"{key} = {summary[key]:.6f}")
             print(f"fidelity improves: {summary['fidelity_improves']}")
             print(f"info improves: {summary['info_improves']}")
-        elif args.command == "variances":
-            table = run_variances(args.spins, args.samples, args.seed)
-            _emit({"variances": table}, args, meta)
-        elif args.command == "sweep":
-            table = run_sweep(cfg, args.axis, args.values)
-            _emit({"sweep": table}, args, meta)
     except (ValidationError, ValueError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2

@@ -212,24 +212,19 @@ class SpinMoments:
     """Exact uniform-ensemble moments of S_z for spin s."""
 
     s: Fraction
-    mean_sz: Fraction          # mean over states of <S_z>
-    mean_sz2: Fraction         # mean of <S_z^2>
-    mean_sz_sq: Fraction       # mean of <S_z>^2
+    v_i: Fraction              # variance over states of <S_z>
+    v_f: Fraction              # mean of the variance <S_z^2> - <S_z>^2
     C: Fraction                # mean of |c_sigma|^2
     D: Fraction                # mean of |c_sigma|^4
     E: Fraction                # mean of |c_sigma|^2 |c_sigma'|^2, sigma != sigma'
 
-    @property
-    def v_i(self) -> Fraction:
-        return self.mean_sz_sq - self.mean_sz**2
-
-    @property
-    def v_f(self) -> Fraction:
-        return self.mean_sz2 - self.mean_sz_sq
-
 
 def spin_moments_closed_form(s) -> SpinMoments:
-    """Exact rational ensemble moments of S_z for half-integer spin ``s``."""
+    """Exact rational ensemble moments of S_z for half-integer spin ``s``.
+
+    The mean of <S_z> is 0, so v_i = mean <S_z>^2 = Σσ²·(D - E) and
+    v_f = mean <S_z^2> - v_i = Σσ²·(C - D + E).
+    """
     two_s = doubled_half_integer(s)
     if two_s is None or two_s <= 0:
         raise ValueError(f"spin must be a positive half-integer, got {s}")
@@ -240,9 +235,8 @@ def spin_moments_closed_form(s) -> SpinMoments:
     sum_sq = s * (s + 1) * (2 * s + 1) / 3  # Σ_sigma sigma^2
     return SpinMoments(
         s=s,
-        mean_sz=Fraction(0),
-        mean_sz2=sum_sq * C,
-        mean_sz_sq=sum_sq * (D - E),
+        v_i=sum_sq * (D - E),
+        v_f=sum_sq * (C - D + E),
         C=C,
         D=D,
         E=E,

@@ -123,17 +123,6 @@ def outcome_distribution(rho, kraus: KrausSet) -> np.ndarray:
     return np.clip(p, 0.0, 1.0)
 
 
-def optimal_part(kraus: KrausSet) -> KrausSet:
-    """The positive parts {N_m = sqrt(M†M)} as a measurement in their own right.
-
-    Outcome statistics are identical to the input set for every state; only
-    the state change differs (the unitary polar factor is dropped).  Each N_m
-    comes from the SVD of M_m (:func:`conjmeas.linalg.polar_decompose`).
-    """
-    ops = tuple(linalg.polar_decompose(M)[1] for M in kraus.operators)
-    return KrausSet(ops, kraus.labels)
-
-
 def sample_outcome(rho, kraus: KrausSet, rng: np.random.Generator):
     """Draw one outcome label; returns ``(label, rng)`` with rng advanced.
 

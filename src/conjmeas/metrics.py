@@ -69,9 +69,9 @@ probability) passes over no state either: :func:`mean_weights` reads it in
 O(d²) per operator, with the bits the kernel gives the same operator.  The
 positive-part fidelity F_opt of an outcome, which only the regime check
 reads, is :func:`optimal_fidelity`, computed on request and not by the
-stage statistics; the regime check
-(:func:`conjmeas.runner.disturbance_outcomes`) takes the F_opt of all its
-outcomes in one kernel call.
+stage statistics.  It is the library's one derivation of F_opt and of the
+positive part N = sqrt(M†M) it reads: the regime check
+(:func:`conjmeas.runner.disturbance_outcomes`) calls it once per outcome.
 
 NaN in I and F is the only mark of an undefined outcome (p at the floor).
 :func:`weighted_sum`, Σ p·v with zero weight on NaN, is the one reduction
@@ -531,9 +531,11 @@ def optimal_fidelity(kraus: KrausSet, ens: PureStateEnsemble, label) -> float:
 
     mean_a[ sqrt(<N²>) <N> ] / mean_a <N²>  with N = sqrt(M†M) from the SVD
     of M (:func:`conjmeas.linalg.polar_decompose`), i.e. the branch fidelity
-    of N, NaN at the probability floor.  The stage statistics do not
-    compute it; :func:`conjmeas.runner.disturbance_outcomes` reads the same
-    fidelity for all its outcomes at once.
+    of N in a one-branch kernel call, NaN at the probability floor.  The
+    stage statistics do not compute it, and no other library function
+    outside :mod:`conjmeas.linalg` takes a positive part:
+    :func:`conjmeas.runner.disturbance_outcomes` calls this once per
+    defined outcome.
     """
     _, N = linalg.polar_decompose(kraus.operator(label))
     return float(branch_statistics([N], ens)[2][0])

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import __version__, linalg
+from . import __version__
 from .ensemble import (
     PureStateEnsemble,
     expectation_values,
@@ -24,8 +24,8 @@ from .ensemble import (
 )
 from .measurement import KrausSet
 from .metrics import (
-    branch_statistics,
     conjugate_two_stage_statistics,
+    optimal_fidelity,
     stage_statistics,
     weighted_sum,
 )
@@ -39,18 +39,21 @@ from .tolerances import TOL
 MIN_FIGURE_SAMPLES = 1000
 
 
-def _check_samples(samples: int) -> None:
+def _check_run(samples: int, seed: int) -> None:
     if samples < MIN_FIGURE_SAMPLES:
         raise ValueError(f"need at least {MIN_FIGURE_SAMPLES} samples")
+    if not 0 <= seed < 2**128:  # the key range of the Philox stream
+        raise ValueError(f"seed must be in [0, 2**128), got {seed}")
 
 
 def _sample_metadata(samples: int, seed: int) -> dict:
     """Header fields of every run: sample count, seed and library version.
 
     A run that builds no probe (``variances``) writes these alone.  Fewer
-    than ``MIN_FIGURE_SAMPLES`` samples are rejected.
+    than ``MIN_FIGURE_SAMPLES`` samples, and a seed outside the Philox key
+    range [0, 2**128), are rejected.
     """
-    _check_samples(samples)
+    _check_run(samples, seed)
     return {"samples": samples, "seed": seed, "version": __version__}
 
 
@@ -61,7 +64,7 @@ class ExperimentConfig:
     seed: int = 20_2408
 
     def __post_init__(self):
-        _check_samples(self.samples)
+        _check_run(self.samples, self.seed)
 
     def metadata(self) -> dict:
         return {
@@ -133,20 +136,17 @@ def compute_spin_run(spin: SpinProbeConfig, ens: PureStateEnsemble) -> tuple:
 def disturbance_outcomes(kraus: KrausSet, ens: PureStateEnsemble) -> tuple:
     """Defined first-stage outcomes m that disturb far more than they must.
 
-    F(m) is read from ``stage_statistics(kraus, ens)``.  m is marked when its
-    fidelity loss 1 - F exceeds ``TOL.disturbance_ratio`` times the loss
-    1 - F_opt of the positive-part operator N_m (the fidelity
-    :func:`optimal_fidelity` reads, on the same ensemble), or when 1 - F_opt
-    is at the floor: T_m is then proportional to a unitary, with no
-    removable disturbance at all, and the limiting ratio condition holds
-    trivially.  The N_m of all defined outcomes are one kernel call, so a
-    set that mixes diagonal and non-diagonal N_m reads the features for all
-    of them.
+    F(m) is read from ``stage_statistics(kraus, ens)``, and F_opt(m), the
+    fidelity of the positive part N_m alone, from :func:`optimal_fidelity`
+    on the same ensemble, one call per defined outcome.  m is marked when
+    its fidelity loss 1 - F exceeds ``TOL.disturbance_ratio`` times 1 - F_opt,
+    or when 1 - F_opt is at the floor: T_m is then proportional to a
+    unitary, with no removable disturbance at all, and the limiting ratio
+    condition holds trivially.
     """
     first = stage_statistics(kraus, ens)
     labels = [m for m, ok in zip(first.labels, first.defined) if ok]  # Σ p(m) = 1: not empty
-    positive = [linalg.polar_decompose(kraus.operator(m))[1] for m in labels]
-    loss_opt = 1.0 - branch_statistics(positive, ens)[2]
+    loss_opt = 1.0 - np.array([optimal_fidelity(kraus, ens, m) for m in labels])
     loss = 1.0 - first.fidelity[first.defined]
     with np.errstate(divide="ignore", invalid="ignore"):  # a loss_opt at the floor is marked
         marked = (loss_opt <= TOL.prob_floor) | (loss / loss_opt > TOL.disturbance_ratio)
@@ -224,10 +224,10 @@ def run_variances(s_list, samples: int, seed: int) -> Table:
     """Monte Carlo spin moments against their closed forms, with z-scores.
 
     Every spin's closed form is built first, so a spin that is not a
-    positive half-integer, or a sample count below ``MIN_FIGURE_SAMPLES``,
-    fails before any ensemble is sampled.
+    positive half-integer, a sample count below ``MIN_FIGURE_SAMPLES`` or a
+    seed outside [0, 2**128) fails before any ensemble is sampled.
     """
-    _check_samples(samples)
+    _check_run(samples, seed)
     t = Table(("s", "quantity", "estimate", "target", "stderr", "z"))
     for k, moments in enumerate([spin_moments_closed_form(s) for s in s_list]):
         dim = int(2 * moments.s) + 1

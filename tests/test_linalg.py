@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from conjmeas import linalg
 from conjmeas.errors import NotPositiveError
+from conjmeas.spin_probe import SpinProbeConfig, build_forward, coefficient
+
+from conftest import near_singular_set
 
 
 def random_matrix(rng, dim):
@@ -72,6 +77,40 @@ class TestPolarDecompose:
         U, N = linalg.polar_decompose(M)
         np.testing.assert_allclose(U.conj().T @ U, np.eye(2), atol=1e-12)
         np.testing.assert_allclose(U @ N, M, atol=1e-12)
+
+    def test_positive_semidefinite_input_is_its_own_positive_part(self):
+        rng = np.random.default_rng(14)
+        A = random_matrix(rng, 3)
+        for P in (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), A.conj().T @ A):
+            np.testing.assert_allclose(linalg.polar_decompose(P)[1], P, atol=1e-10)
+
+    def test_unitary_has_identity_positive_part(self):
+        theta = 0.7
+        R = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+        U, N = linalg.polar_decompose(R.astype(complex))
+        np.testing.assert_allclose(N, np.eye(2), atol=1e-10)
+        np.testing.assert_allclose(U, R, atol=1e-10)
+
+    def test_spin_probe_positive_parts_are_the_moduli(self):
+        cfg = SpinProbeConfig(s=0.5, j=2, g=0.25, theta=math.pi / 6)
+        kraus = build_forward(cfg)
+        for m, M in zip(kraus.labels, kraus.operators):
+            expected = np.diag([abs(coefficient(cfg, m, sig)) for sig in cfg.sigma_values])
+            np.testing.assert_allclose(linalg.polar_decompose(M)[1], expected, atol=1e-10)
+
+    def test_square_is_the_effect(self):
+        # N² = M†M: a set of positive parts has the outcome statistics of the set
+        kraus = build_forward(SpinProbeConfig(s=1.0, j=2, g=0.3, theta=0.9))
+        for m, M in zip(kraus.labels, kraus.operators):
+            N = linalg.polar_decompose(M)[1]
+            np.testing.assert_allclose(N @ N, kraus.effect(m), atol=1e-10)
+
+    def test_near_singular_operator_to_roundoff(self):
+        # an SVD keeps the 1e-9 singular value; an eigh root of M†M misses N by about 3e-9
+        kraus, N = near_singular_set()
+        np.testing.assert_allclose(
+            linalg.polar_decompose(kraus.operators[0])[1], N, rtol=0, atol=1e-14
+        )
 
 
 class TestIsDiagonalOnStacks:

@@ -14,7 +14,6 @@ from conjmeas.errors import (
 from conjmeas.measurement import (
     KrausSet,
     completeness_residual,
-    optimal_part,
     outcome_distribution,
     sample_outcome,
 )
@@ -23,7 +22,7 @@ from conjmeas.metrics import stage_statistics
 from conjmeas.reversal import build_conjugate_minimal
 from conjmeas.spin_probe import SpinProbeConfig, build_forward
 
-from conftest import near_singular_set, random_density_matrix
+from conftest import random_density_matrix
 
 KET0 = np.diag([1.0, 0.0]).astype(complex)
 KET1 = np.diag([0.0, 1.0]).astype(complex)
@@ -137,50 +136,6 @@ class TestOutcomeProbability:
         rng = np.random.default_rng(8)
         rho = random_density_matrix(rng, 3)
         assert outcome_distribution(rho, kraus).sum() == pytest.approx(1.0, abs=1e-8)
-
-
-class TestOptimalPart:
-    def test_positive_set_unchanged(self):
-        out = optimal_part(PROJECTIVE)
-        for a, b in zip(out.operators, PROJECTIVE.operators):
-            np.testing.assert_allclose(a, b, atol=1e-10)
-
-    def test_unitary_becomes_identity(self):
-        theta = 0.7
-        U = np.array(
-            [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]],
-            dtype=complex,
-        )
-        out = optimal_part(KrausSet((U,), (0.0,)))
-        np.testing.assert_allclose(out.operators[0], np.eye(2), atol=1e-10)
-
-    def test_spin_probe_moduli(self):
-        from conjmeas.spin_probe import coefficient
-
-        cfg = SpinProbeConfig(s=0.5, j=2, g=0.25, theta=math.pi / 6)
-        out = optimal_part(build_forward(cfg))
-        for i, m in enumerate(out.labels):
-            expected = np.diag(
-                [abs(coefficient(cfg, m, sig)) for sig in cfg.sigma_values]
-            )
-            np.testing.assert_allclose(out.operators[i], expected, atol=1e-10)
-
-    def test_same_statistics_as_original(self):
-        cfg = SpinProbeConfig(s=1.0, j=2, g=0.3, theta=0.9)
-        kraus = build_forward(cfg)
-        positive = optimal_part(kraus)
-        rng = np.random.default_rng(21)
-        for _ in range(100):
-            rho = random_density_matrix(rng, 3)
-            np.testing.assert_allclose(
-                outcome_distribution(rho, kraus),
-                outcome_distribution(rho, positive),
-                atol=1e-10,
-            )
-
-    def test_near_singular_outcome_to_roundoff(self):
-        kraus, N = near_singular_set()
-        np.testing.assert_allclose(optimal_part(kraus).operators[0], N, rtol=0, atol=1e-14)
 
 
 def rotated_probe(rng):

@@ -322,9 +322,9 @@ class TestOptimalFidelity:
                 assert (1.0 - fid) / loss <= 4.0
 
     @pytest.mark.parametrize("case", ["forward", "undefined_outcomes", "general", "near_singular"])
-    def test_disturbance_outcomes_in_one_call(self, case, monkeypatch):
-        # the positive parts of all defined outcomes are one kernel call, and
-        # the marks are those of one optimal_fidelity call per outcome
+    def test_disturbance_outcomes_read_optimal_fidelity(self, case, monkeypatch):
+        # F_opt has one derivation: the window's marks are those of one
+        # optimal_fidelity call per defined outcome, each a one-branch kernel call
         if case == "forward":
             kraus, ens = build_forward(PAPER_CFG), sample_haar(2, 2000, 6)
         elif case == "undefined_outcomes":
@@ -348,8 +348,8 @@ class TestOptimalFidelity:
             metrics, "_branch_sums", lambda ops, ens: calls.append(len(ops)) or real(ops, ens)
         )
         assert disturbance_outcomes(kraus, ens) == tuple(looped)
-        # the first stage, then the positive parts of its defined outcomes
-        assert calls == [len(kraus), int(first.defined.sum())]
+        # the first stage, then the positive part of each defined outcome
+        assert calls == [len(kraus)] + [1] * int(first.defined.sum())
 
     def test_near_singular_outcome_to_roundoff(self):
         kraus, N = near_singular_set()

@@ -357,6 +357,15 @@ class TestCli:
         assert capsys.readouterr().err.startswith("invalid configuration: need at least 1000")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["summary", "variances"])
+    @pytest.mark.parametrize("seed", ["-1", str(2**128)])
+    def test_seed_outside_the_key_range_rejected_before_out(self, command, seed, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main([command, "--seed", seed, "--samples", "1000", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("invalid configuration: ")
+        assert not out.exists()
+
     def test_sweep(self, tmp_path):
         args = ["sweep"] + self.common(tmp_path)
         args += ["--axis", "theta", "--values", "pi/6", "pi/4"]

@@ -5,17 +5,22 @@ benchmark's oracle checks (``TOL.prob_sum`` bounds Σp = 1 there); no library
 module or demo imports a name it never uses (``__init__`` is left out, since
 its imports are the package's exports); and every public top-level function
 and class of the library, and every public method, property and annotated
-field of its classes, is read by code other than its own tests.  No library
-module takes the mean of ``expectation_values``: a weight-only mean is
-``metrics.mean_weights``, an O(d²) read, not a pass over the N states.  No
-library module but ``metrics`` calls ``isnan``: NaN marks an undefined
-outcome, and ``metrics`` alone reads that mark (``StageStatistics.defined``,
-``weighted_sum``).  ``linalg.check_density_matrix`` has one caller,
+field of its classes, is read by code other than its own tests; a field
+counts as read only where code outside its own class body reads it, so a
+class stores what its readers read, not what its own properties derive
+from.  No library module takes the mean of ``expectation_values``: a
+weight-only mean is ``metrics.mean_weights``, an O(d²) read, not a pass
+over the N states.  No library module but ``metrics`` calls ``isnan``:
+NaN marks an undefined outcome, and ``metrics`` alone reads that mark
+(``StageStatistics.defined``, ``weighted_sum``).
+``linalg.check_density_matrix`` has one caller,
 ``measurement.outcome_distribution``, so the draw table ``sample_outcome``
 keeps is built only from a validated state.  No library module but
 ``linalg`` loads ``positive_sqrt``: every positive part N = sqrt(M†M) comes
 from an SVD of M, not from an eigensolve of M†M, which squares its
-condition number.  The per-state populations and features are read only by
+condition number, and outside ``linalg`` only ``metrics.optimal_fidelity``
+loads ``polar_decompose``: F_opt and the positive part it reads have one
+derivation.  The per-state populations and features are read only by
 ``ensemble`` and by the branch kernel ``metrics._branch_sums``; their
 column means only by ``ensemble`` and by ``metrics._mean_forms``, which
 sums the population and coherence columns apart, and the kernel rows
@@ -217,19 +222,35 @@ def test_every_public_method_is_read():
 
 
 def test_every_public_field_is_read():
-    reads = attribute_reads()
-    public = [
-        (path.stem, cls.name, node.target.id)
-        for path in LIBRARY
-        for cls in parse(path).body
-        if isinstance(cls, ast.ClassDef)
-        for node in cls.body
-        if isinstance(node, ast.AnnAssign)
-        and isinstance(node.target, ast.Name)
-        and not node.target.id.startswith("_")
-    ]
-    assert public
-    assert [f"{m}.{c}.{n}" for m, c, n in public if n not in reads] == []
+    # a field read only by its own class (a property deriving another
+    # value from it, say) is not read: the class stores what is read
+    trees = [parse(path) for path in READERS]
+    unread = []
+    for path, tree in zip(READERS, trees):
+        if path.parent != SRC:
+            continue
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            own = {id(node) for node in ast.walk(cls)}
+            reads = {
+                node.attr
+                for other in trees
+                for node in ast.walk(other)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Load)
+                and id(node) not in own
+            }
+            unread += [
+                f"{path.stem}.{cls.name}.{node.target.id}"
+                for node in cls.body
+                if isinstance(node, ast.AnnAssign)
+                and isinstance(node.target, ast.Name)
+                and not node.target.id.startswith("_")
+                and node.target.id not in reads
+            ]
+    assert trees
+    assert unread == []
 
 
 def calls_named(node, name: str) -> bool:
@@ -301,3 +322,6 @@ def test_one_place_turns_sums_into_statistics():
 
 def test_no_positive_part_from_an_eigensolve():
     assert [c for c in loads_of("positive_sqrt") if not c.startswith("linalg.")] == []
+    # the SVD's positive part is taken in one place, so F_opt has one derivation
+    readers = [c for c in loads_of("polar_decompose") if not c.startswith("linalg.")]
+    assert readers == ["metrics.optimal_fidelity"]

@@ -312,6 +312,37 @@ class TestReflectionSymmetry:
         self.assert_mirrored(compute_spin_run(cfg, mirror)[1], grid, lambda x: x[::-1, ::-1])
 
 
+class TestReflectionInExpectation:
+    """Outcomes m and -m agree in expectation over Haar states.
+
+    a_{-m,-sigma} = c_m conj(a_{m,sigma}), and the Haar measure is invariant
+    under sigma -> -sigma, so p, I, F, F' and I' of m and of -m have the
+    same expectation.  The sample is split into contiguous batches, each
+    run on its own, and the batch mean of each difference between m and -m
+    must lie within 5 of its standard errors.
+    """
+
+    BATCHES = 20
+
+    @pytest.mark.parametrize("s, n", [(0.5, 100_000), (1.5, 20_000), (7.5, 20_000)])
+    def test_mirror_outcomes_agree_within_batch_errors(self, s, n):
+        cfg = SpinProbeConfig(s=s, j=7, g=0.25, theta=math.pi / 6)
+        ens = sample_haar(cfg.dim, n, 202408)
+        values = []
+        for states in np.array_split(ens.states, self.BATCHES):
+            first, grid = compute_spin_run(cfg, PureStateEnsemble(states, ens.seed))
+            values.append(
+                [first.probability, first.info_gain, first.fidelity, grid.mean_fidelity, grid.mean_info]
+            )
+        values = np.array(values)  # (batch, quantity, m), m ascending
+        assert np.isfinite(values).all()
+        positive = np.array(cfg.outcome_labels) > 0
+        diff = (values - values[..., ::-1])[..., positive]
+        mean = diff.mean(axis=0)
+        stderr = diff.std(axis=0, ddof=1) / math.sqrt(self.BATCHES)
+        assert (np.abs(mean) <= 5 * stderr).all(), np.max(np.abs(mean) / stderr)
+
+
 class TestReversingProbe:
     def test_exact_proportionality_for_spin_half(self):
         cfg = SpinProbeConfig(s=0.5, j=3, g=0.4, theta=1.0)
