@@ -118,7 +118,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "variances":
-            meta = _sample_metadata(args.samples, args.seed)
+            meta = _sample_metadata(args.samples, args.seed, len(args.spins))
         else:
             spin = SpinProbeConfig(s=args.s, j=args.j, g=args.g, theta=args.theta)
             cfg = ExperimentConfig(spin=spin, samples=args.samples, seed=args.seed)

@@ -38,8 +38,8 @@ from .errors import DimensionMismatchError
 from .tolerances import doubled_half_integer
 
 _GAUSS_SCALE = np.sqrt(0.5)
-# Doubles of Gaussian draws per chunk of states, the branch kernel's block
-# budget: a chunk is drawn, scaled and normalized while it stays in cache.
+# Doubles of Gaussian draws per chunk of states: a chunk is drawn, scaled
+# and normalized while it stays in cache.
 _CHUNK = 2**15
 
 

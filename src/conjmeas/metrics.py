@@ -48,18 +48,18 @@ headline spin run takes 15 + 29 root passes and 29 log passes for its
 p is not positive), with x = w/p and mean(x) again about 1: its
 operators seldom repeat, so it keys nothing.
 
-The sums take one pass, over blocks of at most 2^15 branch×state elements,
-so that a block's rows stay in cache: each ray's (or, off the diagonal
-path, branch's) rows [x; Re amp_v; Im amp_v] on a block are one BLAS
-product whose shape depends on N alone, and each sum adds fixed 256-state
-leaf sums made by numpy, not by a BLAS dot.  A branch's p therefore
-depends on its own operator and the ensemble alone, its F on its ray
-(diagonal) or operator (otherwise) and N, and its I on its direction or
-operator and N: not on the other branches of the call, whether they
-share its key or not, nor on the BLAS thread count.  An operator whose
-dimension is not the ensemble's is rejected there.  The dense O(N·d²)
-:func:`branch_weights_and_amplitudes` is the reference the tests compare
-against.
+The sums take one pass per ray (or, off the diagonal path, per branch)
+over blocks of at most 2^15 states, so that its rows stay in cache: its
+rows [x; Re amp_v; Im amp_v] on a block are one BLAS product whose shape
+depends on N alone, each block is summed by numpy along those rows, not
+by a BLAS dot, and the block sums are added in order.  A branch's p
+therefore depends on its own operator and the ensemble alone, its F on
+its ray (diagonal) or operator (otherwise) and N, and its I on its
+direction or operator and N: not on the other branches of the call,
+whether they share its key or not, nor on the BLAS thread count.  An
+operator whose dimension is not the ensemble's is rejected there.  The
+dense O(N·d²) :func:`branch_weights_and_amplitudes` is the reference the
+tests compare against.
 
 One function turns the sums into I and F, for every stage
 (:func:`branch_statistics`) and for :func:`likelihood_info_gain`.  A
@@ -108,8 +108,7 @@ from .errors import (
 from .measurement import KrausSet, _label_key
 from .tolerances import TOL
 
-# States per leaf sum, and branch×state elements per block of the branch kernel
-_LEAF = 256
+# States per block of the branch kernel
 _BLOCK = 2**15
 
 
@@ -311,7 +310,8 @@ def _branch_sums(ops, ens: PureStateEnsemble):
     is about 1.  One sort of those rows finds the rays; since they start
     with û, the rays on one direction are adjacent, and the first of each
     is its direction's lead.  Each ray takes one root pass, each lead also
-    a log pass, and every branch reads its ray's and its direction's sums.
+    a log pass whose sum the other rays of its direction carry, and every
+    branch reads its ray's sums.
     A branch and its complex conjugate have one key, so they share both
     passes.  A branch's p therefore depends on its own operator and the
     ensemble, its F on its ray and N, and its I on its direction and N: not
@@ -325,7 +325,7 @@ def _branch_sums(ops, ens: PureStateEnsemble):
         q = np.where(p > 0, p, 1.0)[:, None]
         rows[:, 0] /= q
         rows[:, 1:] /= np.sqrt(q)[:, None]
-        root, x_log_x = _pass_sums(rows, len(rows), ens.features.T, diagonal=False)
+        root, x_log_x = _pass_sums(rows, np.ones(len(rows), bool), ens.features.T, diagonal=False)
         return p, _mean_forms(rows[:, 0], ens), x_log_x, root
     u, e = _ray_keys(np.diagonal(A, axis1=1, axis2=2), rows[:, 0], p)
     r = np.sqrt(e[0] ** 2 + e[1] ** 2)
@@ -333,11 +333,8 @@ def _branch_sums(ops, ens: PureStateEnsemble):
     rays, on_ray = np.unique(np.hstack([u, *amp]), axis=0, return_inverse=True)
     rays = rays.reshape(len(rays), 3, -1)
     lead = np.concatenate([[True], np.any(rays[1:, 0] != rays[:-1, 0], axis=1)])
-    # the leads, which take a log pass, come first, in direction order
-    order = np.concatenate([np.flatnonzero(lead), np.flatnonzero(~lead)])
-    root = np.empty(len(rays))
-    root[order], x_log_x = _pass_sums(rays[order], lead.sum(), ens.populations.T, diagonal=True)
-    return p, _mean_forms(u, ens), x_log_x[np.cumsum(lead)[on_ray] - 1], root[on_ray]
+    root, x_log_x = _pass_sums(rays, lead, ens.populations.T, diagonal=True)
+    return p, _mean_forms(u, ens), x_log_x[on_ray], root[on_ray]
 
 
 def _ray_keys(a, w, p):
@@ -367,68 +364,50 @@ def _ray_keys(a, w, p):
     return u, e
 
 
-def _pass_sums(rows, n_log, columns, diagonal):
-    """``(root, x_log_x)`` of K branches' rows over the states: the kernel's one pass.
+def _pass_sums(rows, logs, columns, diagonal):
+    """``(root, x_log_x)`` of K rays' rows over the states: the kernel's one pass.
 
-    ``rows`` is (K, 3, c): each branch's [x; Re amp; Im amp].  root =
-    Σ sqrt(x |amp|²) of every branch, and x_log_x = Σ x log2 x of the first
-    ``n_log``.  The pass walks the (c, N) ``columns`` in blocks of
-    ``_BLOCK`` states, or of all N when N is smaller, with as many branches
-    per block as keep it within ``_BLOCK`` elements.  Each branch's rows on
-    a block are one BLAS product of the same shape in every call on the
-    ensemble, and each sum adds ``_LEAF``-state leaf sums: a branch's sums
-    depend on its own rows and N alone, not on the other branches, the
-    block size or the BLAS thread count.
+    ``rows`` is (K, 3, c): each ray's [x; Re amp; Im amp], and ``logs`` is
+    K flags, the first one set.  root = Σ sqrt(x |amp|²) of every ray, and
+    x_log_x = Σ x log2 x of every flagged ray, which later rays carry until
+    the next flagged one.  Each ray walks the (c, N) ``columns`` in blocks
+    of ``_BLOCK`` states, or of all N when N is smaller, so that its rows
+    on a block stay in cache: one BLAS product of the same shape in every
+    call on the ensemble, whose rows numpy sums along their contiguous
+    axis, and the block sums are added in order.  A ray's sums depend on
+    its own rows and N alone, not on the other branches or the BLAS thread
+    count.
     """
-    k, n = len(rows), columns.shape[1]
+    n = columns.shape[1]
     width = min(n, _BLOCK)
-    group = min(k, _BLOCK // width)
-    work = np.empty(3 * group * width)
-    leaves = np.empty((group, 2, -(-n // _LEAF)))
-    sums = np.empty((k, 2))
-    # log2(0) = -inf and 0·-inf = NaN: a leaf with x = 0 is summed again below
+    work = np.empty(3 * width)
+    sums = np.zeros((len(rows), 2))
+    # log2(0) = -inf and 0·-inf = NaN: a block with x = 0 is summed again below
     with np.errstate(divide="ignore", invalid="ignore"):
-        for g0 in (*range(0, n_log, group), *range(n_log, k, group)):
-            logs = g0 < n_log
-            batch = rows[g0 : min(g0 + group, n_log if logs else k)]
-            g, s = len(batch), 2 if logs else 1
+        for k, (r, log) in enumerate(zip(rows, logs)):
+            if not log:
+                sums[k, 1] = sums[k - 1, 1]
             for b0 in range(0, n, width):
                 cols = columns[:, b0 : b0 + width]
-                block = work[: 3 * g * cols.shape[1]].reshape(g, 3, -1)
-                for r, out in zip(batch, block):
-                    np.matmul(r, cols, out=out)
-                x, amp2, im = block[:, 0], block[:, 1], block[:, 2]
+                block = work[: 3 * cols.shape[1]].reshape(3, -1)
+                np.matmul(r, cols, out=block)
+                x, amp2, im = block
                 if not diagonal:
                     # x = ||A psi||² >= 0; a form on the features can land a few ulps below
                     np.maximum(x, 0.0, out=x)
-                np.multiply(block[:, 1:], block[:, 1:], out=block[:, 1:])
+                np.multiply(block[1:], block[1:], out=block[1:])
                 amp2 += im
                 amp2 *= x
-                np.sqrt(amp2, out=amp2)
-                if logs:
+                sums[k, 0] += np.sqrt(amp2, out=amp2).sum()
+                if log:
                     x_log_x = np.log2(x, out=im)
                     x_log_x *= x
-                # rows 1 and 2 now hold sqrt(x |amp|²) and, with logs, x log2 x
-                at = slice(b0 // _LEAF, -(-(b0 + cols.shape[1]) // _LEAF))
-                _leaf_sums(block[:, 1 : 1 + s], leaves[:g, :s, at])
-                if logs and np.isnan(leaves[:g, 1, at]).any():
-                    x_log_x[x == 0.0] = 0.0  # 0 log 0 = 0
-                    _leaf_sums(block[:, 1:], leaves[:g, :, at])
-            leaves[:g, :s].sum(axis=-1, out=sums[g0 : g0 + g, :s])
-    return sums[:, 0], sums[:n_log, 1]
-
-
-def _leaf_sums(x, out):
-    """Sums of the rows of x over consecutive ``_LEAF``-column leaves, into ``out``.
-
-    Every leaf but a last partial one is ``_LEAF`` columns wide, summed by
-    numpy along its contiguous last axis; ``x`` starts on a leaf boundary.
-    """
-    *rows, width = x.shape
-    full = width // _LEAF
-    x[..., : full * _LEAF].reshape(*rows, full, _LEAF).sum(axis=-1, out=out[..., :full])
-    if width > full * _LEAF:
-        x[..., full * _LEAF :].sum(axis=-1, out=out[..., full])
+                    s = x_log_x.sum()
+                    if np.isnan(s):
+                        x_log_x[x == 0.0] = 0.0  # 0 log 0 = 0
+                        s = x_log_x.sum()
+                    sums[k, 1] += s
+    return sums.T
 
 
 def branch_statistics(composed_ops, ens: PureStateEnsemble, p_given=1.0):

@@ -39,21 +39,25 @@ from .tolerances import TOL
 MIN_FIGURE_SAMPLES = 1000
 
 
-def _check_run(samples: int, seed: int) -> None:
+def _check_run(samples: int, seed: int, streams: int = 1) -> None:
+    """Reject fewer than ``MIN_FIGURE_SAMPLES`` samples, or a run whose
+    ``streams`` Philox keys seed, seed + 1, ... leave the key range [0, 2**128)."""
     if samples < MIN_FIGURE_SAMPLES:
         raise ValueError(f"need at least {MIN_FIGURE_SAMPLES} samples")
-    if not 0 <= seed < 2**128:  # the key range of the Philox stream
-        raise ValueError(f"seed must be in [0, 2**128), got {seed}")
+    top = "2**128" if streams == 1 else f"2**128 - {streams - 1}"
+    if not 0 <= seed < 2**128 - (streams - 1):
+        raise ValueError(f"seed must be in [0, {top}), got {seed}")
 
 
-def _sample_metadata(samples: int, seed: int) -> dict:
+def _sample_metadata(samples: int, seed: int, streams: int = 1) -> dict:
     """Header fields of every run: sample count, seed and library version.
 
     A run that builds no probe (``variances``) writes these alone.  Fewer
-    than ``MIN_FIGURE_SAMPLES`` samples, and a seed outside the Philox key
-    range [0, 2**128), are rejected.
+    than ``MIN_FIGURE_SAMPLES`` samples, and a seed whose ``streams`` keys
+    seed, seed + 1, ... leave the Philox key range [0, 2**128), are
+    rejected.
     """
-    _check_run(samples, seed)
+    _check_run(samples, seed, streams)
     return {"samples": samples, "seed": seed, "version": __version__}
 
 
@@ -225,9 +229,10 @@ def run_variances(s_list, samples: int, seed: int) -> Table:
 
     Every spin's closed form is built first, so a spin that is not a
     positive half-integer, a sample count below ``MIN_FIGURE_SAMPLES`` or a
-    seed outside [0, 2**128) fails before any ensemble is sampled.
+    seed whose last key, seed + len(s_list) - 1, is outside [0, 2**128)
+    fails before any ensemble is sampled.
     """
-    _check_run(samples, seed)
+    _check_run(samples, seed, len(s_list))
     t = Table(("s", "quantity", "estimate", "target", "stderr", "z"))
     for k, moments in enumerate([spin_moments_closed_form(s) for s in s_list]):
         dim = int(2 * moments.s) + 1

@@ -674,11 +674,10 @@ def spin_branches(j):
 
 
 class TestBranchBatching:
-    """A branch's (p, I, F) are the same bits alone, inside a call of any size
-    and for any block size.
+    """A branch's (p, I, F) are the same bits alone and inside a call of any size.
 
-    N = 100 is below one leaf, 1000 is three leaves and a partial one, and
-    33037 is two blocks of states.
+    N = 100 and 1000 are one block of states, and 33037 is two blocks, the
+    second one partial.
     """
 
     @staticmethod
@@ -693,15 +692,6 @@ class TestBranchBatching:
         ops = spin_branches(7)
         assert len(ops) == 135
         self.assert_batch_equals_alone(ops, sample_haar(2, n, 21))
-
-    def test_block_size(self, monkeypatch):
-        # the leaf sums do not depend on how the states are cut into blocks
-        ops = spin_branches(7)
-        ens = sample_haar(2, 33_037, 21)
-        default = metrics.branch_statistics(ops, ens)
-        monkeypatch.setattr(metrics, "_BLOCK", 2**12)
-        for got, want in zip(metrics.branch_statistics(ops, ens), default):
-            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("n", [100, 1000])
     def test_wide_grid_branches(self, n):
@@ -786,11 +776,11 @@ def count_passes(monkeypatch, shapes=None):
     calls = []
     real = metrics._pass_sums
 
-    def counted(rows, n_log, *args, **kwargs):
-        calls.append((len(rows), n_log))
+    def counted(rows, logs, *args, **kwargs):
+        calls.append((len(rows), int(np.sum(logs))))
         if shapes is not None:
             shapes.append(rows.shape)
-        return real(rows, n_log, *args, **kwargs)
+        return real(rows, logs, *args, **kwargs)
 
     monkeypatch.setattr(metrics, "_pass_sums", counted)
     return calls
@@ -874,9 +864,9 @@ def test_one_row_layout(monkeypatch):
 
 @pytest.mark.parametrize("j", [7, 40])
 def test_working_memory_does_not_grow_with_branches(j):
-    # one kernel call on 135 or 3402 branches: the block buffers hold at most
-    # 3·2^15 doubles (768 KiB) and the leaf sums 2·N/256 per branch of a
-    # block; one block over all 3402 branches and 256 states would take 21 MB
+    # one kernel call on 135 or 3402 branches: one ray at a time, so the block
+    # buffer holds at most 3·2^15 doubles (768 KiB) whatever the branch count;
+    # one block over all 3402 branches and 256 states would take 21 MB
     ops = spin_branches(j)
     ens = sample_haar(2, 20_000, 25)
     ens.population_means  # the cached populations are the ensemble's, not the call's
@@ -887,6 +877,26 @@ def test_working_memory_does_not_grow_with_branches(j):
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+def test_zero_weights_in_the_second_block():
+    # 200 states |1>, all in the second block of states (of 269): there
+    # diag(1, 0) has x = 0, so that block's Σ x log2 x reads 0·log 0 and is
+    # summed again, on a defined branch, in a call with another branch
+    rng = np.random.default_rng(37)
+    states = sample_haar(2, 33_037, 38).states.copy()
+    states[rng.choice(np.arange(metrics._BLOCK, 33_037), 200, replace=False)] = [0.0, 1.0]
+    ens = PureStateEnsemble(states, seed=0)
+    ops = [np.diag([1.0, 0.0]), np.diag([0.3 - 0.4j, 0.5j])]
+    _, mean, x_log_x, root = metrics._branch_sums(ops, ens)
+    _, info, fid = metrics.branch_statistics(ops, ens)
+    for k, op in enumerate(ops):
+        _, mean_ref, x_log_x_ref, root_ref = dense_branch_sums(ens, op)
+        info_ref, fid_ref = metrics._gain_and_fidelity(mean_ref, x_log_x_ref, root_ref, ens.n)
+        # x_log_x / N is in bits, as I is
+        assert abs(x_log_x[k] - x_log_x_ref) / ens.n <= POP_ATOL_INFO
+        np.testing.assert_allclose(info[k], info_ref, rtol=0, atol=POP_ATOL_INFO)
+        np.testing.assert_allclose(fid[k], fid_ref, rtol=POP_RTOL, atol=0)
 
 
 def test_weight_only_means_pass_over_no_state(monkeypatch):
@@ -990,7 +1000,7 @@ def test_conditioning_probability_is_the_first_stage_p(s, j):
 # every field of a first stage and of a two-stage run, then per outcome the
 # success probabilities and conditionals of both second stages.  At N = 2·10⁴
 # each branch is one block of the kernel; at N = 40037 it is two blocks of
-# states, the second one ending in a partial leaf.
+# states, the second one partial.
 NON_DIAGONAL_SCRIPT = """
 import numpy as np
 from conjmeas.ensemble import sample_haar

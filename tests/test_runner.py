@@ -366,6 +366,20 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("invalid configuration: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("below_top", [1, 2])
+    def test_variances_seed_covers_every_spin_key(self, below_top, tmp_path, capsys):
+        # the default three spins are keyed seed, seed + 1 and seed + 2
+        out = tmp_path / "out"
+        seed = str(2**128 - below_top)
+        assert main(["variances", "--seed", seed, "--samples", "1000", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("invalid configuration: ")
+        assert not out.exists()
+
+    def test_variances_runs_at_the_top_seed(self, tmp_path):
+        seed = str(2**128 - 3)
+        assert main(["variances", "--seed", seed, "--samples", "1000", "--out", str(tmp_path)]) == 0
+
     def test_sweep(self, tmp_path):
         args = ["sweep"] + self.common(tmp_path)
         args += ["--axis", "theta", "--values", "pi/6", "pi/4"]
