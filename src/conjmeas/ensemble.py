@@ -116,9 +116,10 @@ def sample_haar(dim: int, n: int, seed: int) -> PureStateEnsemble:
     them as Re and Im into its rows of the output, and normalizes those
     rows in place.  The bits are those of the one-shot z[:, :d] + 1j·z[:, d:]
     divided by ``np.linalg.norm(states, axis=1, keepdims=True)``: the squared
-    norm is numpy's complex product conj(ψ)·ψ summed by ``np.add.reduce``,
-    and numpy's complex ÷ real is a product with 1/‖ψ‖, which a real
-    division is not.
+    norm is the real part of numpy's complex product conj(ψ)·ψ summed along
+    each row in the order of ``np.add.reduce`` (by :func:`_row_sums`, down
+    the columns for dim < 8), and numpy's complex ÷ real is a product with
+    1/‖ψ‖, which a real division is not.
     """
     if dim < 2:
         raise ValueError("dim must be at least 2")
@@ -135,11 +136,28 @@ def sample_haar(dim: int, n: int, seed: int) -> PureStateEnsemble:
         z *= _GAUSS_SCALE
         psi.real = z[:, :dim]
         psi.imag = z[:, dim:]
-        norm2 = np.add.reduce((psi.conj() * psi).real, axis=1)
+        norm2 = _row_sums((psi.conj() * psi).real)
         flat = psi.view(float)
         flat *= (1.0 / np.sqrt(norm2))[:, None]
     states.flags.writeable = False
     return PureStateEnsemble(states=states, seed=seed)
+
+
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """``np.add.reduce(a, axis=1)`` of a 2-D array of non-negative floats, bit for bit.
+
+    numpy's pairwise sum adds a row of fewer than 8 entries one entry after
+    another, from the first, so such rows are summed down the columns in
+    that order: one vector addition per column instead of one reduction
+    per row.  Longer rows keep ``np.add.reduce``, whose pairwise order is
+    its own.
+    """
+    if a.shape[1] >= 8:
+        return np.add.reduce(a, axis=1)
+    total = a[:, 0].copy()
+    for column in a.T[1:]:
+        total += column
+    return total
 
 
 @cache

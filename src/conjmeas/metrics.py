@@ -52,7 +52,10 @@ The sums take one pass per ray (or, off the diagonal path, per branch)
 over blocks of at most 2^15 states, so that its rows stay in cache: its
 rows [x; Re amp_v; Im amp_v] on a block are one BLAS product whose shape
 depends on N alone, each block is summed by numpy along those rows, not
-by a BLAS dot, and the block sums are added in order.  A branch's p
+by a BLAS dot, and the block sums are added in order.  A real ray, whose
+Im amp row is zero (each of the 29 pair rays at s = 1/2), squares its Re
+amp row alone: the Im amp row it skips would add +0 to |amp|² and change
+no bit.  A branch's p
 therefore depends on its own operator and the ensemble alone, its F on
 its ray (diagonal) or operator (otherwise) and N, and its I on its
 direction or operator and N: not on the other branches of the call,
@@ -93,6 +96,7 @@ outcomes are defined; the kernel takes one pass for both.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -376,12 +380,15 @@ def _pass_sums(rows, logs, columns, diagonal):
     call on the ensemble, whose rows numpy sums along their contiguous
     axis, and the block sums are added in order.  A ray's sums depend on
     its own rows and N alone, not on the other branches or the BLAS thread
-    count.
+    count.  A real ray, whose Im amp row is all ±0 (every ray at s = 1/2
+    on the conjugate grid), squares its Re amp row alone: the Im amp values
+    it skips are ±0, whose squares add +0 to |amp|² and change no bit.
     """
     n = columns.shape[1]
     width = min(n, _BLOCK)
     work = np.empty(3 * width)
     sums = np.zeros((len(rows), 2))
+    real = ~rows[:, 2].any(axis=1)
     # log2(0) = -inf and 0·-inf = NaN: a block with x = 0 is summed again below
     with np.errstate(divide="ignore", invalid="ignore"):
         for k, (r, log) in enumerate(zip(rows, logs)):
@@ -395,8 +402,11 @@ def _pass_sums(rows, logs, columns, diagonal):
                 if not diagonal:
                     # x = ||A psi||² >= 0; a form on the features can land a few ulps below
                     np.maximum(x, 0.0, out=x)
-                np.multiply(block[1:], block[1:], out=block[1:])
-                amp2 += im
+                if real[k]:
+                    np.multiply(amp2, amp2, out=amp2)
+                else:
+                    np.multiply(block[1:], block[1:], out=block[1:])
+                    amp2 += im
                 amp2 *= x
                 sums[k, 0] += np.sqrt(amp2, out=amp2).sum()
                 if log:
@@ -481,7 +491,8 @@ def conjugate_two_stage_statistics(kraus: KrausSet, ens: PureStateEnsemble) -> t
     :func:`branch_statistics` call then takes the n first-stage operators,
     conditioned on 1, and the n cells of each defined row m, conditioned on
     p(m); an undefined row is not evaluated.  A cell mu >= m is
-    M_mu† M_m, and a cell mu < m the exact conjugate of its mirror cell:
+    M_mu† M_m, and a cell mu < m the exact conjugate of its mirror cell,
+    the same 2-D product, made once for both where row mu is defined:
     for diagonal M the two have the same p and the same ray key, so p, I
     and F are symmetric in (m, mu) where both outcomes are defined, and the
     kernel takes one pass for both.
@@ -492,11 +503,12 @@ def conjugate_two_stage_statistics(kraus: KrausSet, ens: PureStateEnsemble) -> t
     n = len(ops)
     p_first = mean_weights(ops, ens)
     rows = np.flatnonzero(p_first > TOL.prob_floor)
-    cells = [
-        linalg.dagger(ops[mu]) @ ops[m] if mu >= m else np.conj(linalg.dagger(ops[m]) @ ops[mu])
-        for m in rows
-        for mu in range(n)
-    ]
+
+    @cache
+    def upper(m, mu):
+        return linalg.dagger(ops[mu]) @ ops[m]
+
+    cells = [upper(m, mu) if mu >= m else np.conj(upper(mu, m)) for m in rows for mu in range(n)]
     p_given = np.concatenate([np.ones(n), np.repeat(p_first[rows], n)])
     stats = np.array(branch_statistics([*ops, *cells], ens, p_given))
     grid = np.full((3, n, n), np.nan)

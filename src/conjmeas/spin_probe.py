@@ -39,8 +39,10 @@ class SpinProbeConfig:
     def __post_init__(self):
         two_s = _half_int(self.s, "s")
         two_j = _half_int(self.j, "j")
-        if two_s < 0 or two_j < 0:
-            raise ValueError("spins must be nonnegative")
+        if two_s < 1:
+            raise ValueError(f"s must be a positive half-integer, got {self.s}")
+        if two_j < 0:
+            raise ValueError("j must be nonnegative")
         # a spin within TOL.half_integer of a half-integer is stored as it, so
         # the probe table, the diagnostics and the metadata read one value
         object.__setattr__(self, "s", two_s / 2)

@@ -49,10 +49,25 @@ def one_shot_haar(dim, n, seed):
     return states
 
 
+@pytest.mark.parametrize("width", [*range(1, 21), 33])
+def test_row_sums_are_numpys_reduce(width):
+    # rows of fewer than 8 entries are summed down the columns, longer ones by
+    # np.add.reduce: the bits of np.add.reduce(axis=1) either way, on
+    # non-negative entries of mixed magnitude with exact zeros, read as the
+    # sampler reads them (the real part of a complex array)
+    rng = np.random.default_rng(width)
+    z = rng.standard_normal((5000, width)) * 2.0 ** rng.integers(-30, 30, (5000, width))
+    z[rng.random(z.shape) < 0.1] = 0.0
+    a = z**2
+    for x in (a, (a + 0j).real):
+        assert ensemble._row_sums(x).tobytes() == np.add.reduce(x, axis=1).tobytes()
+
+
 def test_chunked_sampling_matches_sequential():
     # the sampler's chunks, one state short of, at and past a chunk boundary,
-    # reproduce the one-shot sample byte for byte (tobytes: a signed zero shows)
-    for dim in (2, 3, 16):
+    # reproduce the one-shot sample byte for byte (tobytes: a signed zero shows);
+    # dims 7 and 8 lie on either side of the in-order row sum
+    for dim in (2, 3, 7, 8, 16):
         c = max(1, ensemble._CHUNK // (2 * dim))
         for n in (1, c - 1, c, c + 1, 3 * c + 17):
             for seed in (12345, 2**40 + 3):

@@ -899,6 +899,63 @@ def test_zero_weights_in_the_second_block():
         np.testing.assert_allclose(fid[k], fid_ref, rtol=POP_RTOL, atol=0)
 
 
+def reference_pass_sums(rows, logs, columns, diagonal):
+    """The kernel's pass as it was before real rays skipped their Im amp row."""
+    n = columns.shape[1]
+    width = min(n, metrics._BLOCK)
+    work = np.empty(3 * width)
+    sums = np.zeros((len(rows), 2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k, (r, log) in enumerate(zip(rows, logs)):
+            if not log:
+                sums[k, 1] = sums[k - 1, 1]
+            for b0 in range(0, n, width):
+                cols = columns[:, b0 : b0 + width]
+                block = work[: 3 * cols.shape[1]].reshape(3, -1)
+                np.matmul(r, cols, out=block)
+                x, amp2, im = block
+                if not diagonal:
+                    np.maximum(x, 0.0, out=x)
+                np.multiply(block[1:], block[1:], out=block[1:])
+                amp2 += im
+                amp2 *= x
+                sums[k, 0] += np.sqrt(amp2, out=amp2).sum()
+                if log:
+                    x_log_x = np.log2(x, out=im)
+                    x_log_x *= x
+                    s = x_log_x.sum()
+                    if np.isnan(s):
+                        x_log_x[x == 0.0] = 0.0
+                        s = x_log_x.sum()
+                    sums[k, 1] += s
+    return sums.T
+
+
+def test_real_rays_keep_the_bits_of_the_full_pass(monkeypatch):
+    # a real ray squares its Re amp row alone; every sum keeps the bits of
+    # the pass that also squares and adds the ±0 Im amp row, on the headline
+    # rays over two blocks of states and on a non-diagonal set with a
+    # Hermitian (real-form) operator among its branches
+    passes = []
+    real = metrics._pass_sums
+
+    def kept(*args, **kwargs):
+        passes.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "_pass_sums", kept)
+    compute_spin_run(PAPER_CFG, sample_haar(2, 33_037, SEED))
+    kraus = random_general_kraus(np.random.default_rng(39), 3, 4)
+    hermitian = haar_unitary(np.random.default_rng(40), 3)
+    hermitian = hermitian + hermitian.conj().T
+    metrics.branch_statistics([*kraus.operators, hermitian], sample_haar(3, 33_037, 41))
+    headline, general = passes
+    assert np.sum(~headline[0][0][:, 2].any(axis=1)) >= 29
+    assert np.sum(~general[0][0][:, 2].any(axis=1)) == 1
+    for args, kwargs in passes:
+        assert real(*args, **kwargs).tobytes() == reference_pass_sums(*args, **kwargs).tobytes()
+
+
 def test_weight_only_means_pass_over_no_state(monkeypatch):
     # on a non-diagonal set a success probability makes no pass over the N
     # states, and a two-stage run one kernel pass over its branches: p(m)

@@ -439,6 +439,17 @@ class TestCli:
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "command", [["summary"], ["figures"], ["sweep", "--axis", "g", "--values", "0.1"]]
+    )
+    def test_spin_zero_rejected_before_out(self, command, tmp_path, capsys):
+        # s = 0 would sample states in one dimension: the probe config rejects it
+        out = tmp_path / "NEW"
+        assert main(command + ["--s", "0", "--samples", "2000", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("invalid configuration: ")
+        assert not out.exists()
+
     def test_near_half_integer_spin_is_snapped(self, tmp_path, capsys):
         # 7.0000000004 is within TOL.half_integer of 7: the same run, byte for byte
         for j in ("7", "7.0000000004"):

@@ -60,6 +60,9 @@ class TestConfig:
             SpinProbeConfig(s=0.5, j=1, g=0.1, theta=4.0)
         with pytest.raises(ValueError):
             SpinProbeConfig(s=0.5, j=-1, g=0.1, theta=1.0)
+        for s in (0, -0.5):
+            with pytest.raises(ValueError, match="s must be a positive half-integer"):
+                SpinProbeConfig(s=s, j=1, g=0.1, theta=1.0)
 
 
 def reference_amplitude(cfg, theta, m, sigma) -> complex:
