@@ -11,7 +11,10 @@ count, the seed and the version.
 
 Exit codes: 0 success, 2 invalid configuration, a run too large for memory
 or an output directory that cannot be created or written, 3 numeric-contract
-failure or any other measurement-model error.
+failure or any other measurement-model error.  Each failure prints one line
+on stderr.  ``--out`` is created when the tables are written, after the run,
+so a run that fails leaves no new directory behind, and an ``--out`` that
+cannot be written is reported after the run.
 """
 
 from __future__ import annotations
@@ -104,11 +107,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(tables: dict, args, meta: dict) -> None:
-    """Write ``tables`` to ``args.out``: one JSON document, or one CSV file per table."""
+    """Write ``tables`` to ``args.out``: one JSON document, or one CSV file per table.
+
+    ``args.out`` is created here, before the first write and after the run,
+    so a run that fails leaves no new directory behind.
+    """
     if args.format == "json":
         writes = [(write_json, tables, args.out / f"{args.command}.json")]
     else:
         writes = [(write_csv, table, args.out / f"{name}.csv") for name, table in tables.items()]
+    args.out.mkdir(parents=True, exist_ok=True)
     for write, content, path in writes:
         write(content, path, meta)
         print(f"wrote {path}")
@@ -118,22 +126,19 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "variances":
-            meta = _sample_metadata(args.samples, args.seed, len(args.spins))
+            meta = _sample_metadata(args.samples, args.seed)
+            tables = {"variances": run_variances(args.spins, args.samples, args.seed)}
         else:
             spin = SpinProbeConfig(s=args.s, j=args.j, g=args.g, theta=args.theta)
             cfg = ExperimentConfig(spin=spin, samples=args.samples, seed=args.seed)
             meta = cfg.metadata()
-        # before the run, so a bad --out fails at once
-        args.out.mkdir(parents=True, exist_ok=True)
-        if args.command == "figures":
-            tables = run_figures(cfg)
-        elif args.command == "summary":
-            summary = run_summary(cfg)
-            tables = {"summary": summary_table(summary)}
-        elif args.command == "variances":
-            tables = {"variances": run_variances(args.spins, args.samples, args.seed)}
-        else:
-            tables = {"sweep": run_sweep(cfg, args.axis, args.values)}
+            if args.command == "figures":
+                tables = run_figures(cfg)
+            elif args.command == "summary":
+                summary = run_summary(cfg)
+                tables = {"summary": summary_table(summary)}
+            else:
+                tables = {"sweep": run_sweep(cfg, args.axis, args.values)}
         _emit(tables, args, meta)
         if args.command == "summary":
             for key in ("mean_fidelity", "mean_info", "mean_fidelity_conj", "mean_info_conj"):

@@ -90,13 +90,15 @@ operators and the n cells of each defined row m, conditioned on 1 and on
 p(m).  A cell below the diagonal is the exact conjugate of its mirror
 cell, M_mu† M_m = conj(M_m† M_mu) for diagonal operators, so the two have
 the same p and the same ray, and p, I and F are symmetric wherever both
-outcomes are defined; the kernel takes one pass for both.
+outcomes are defined; the kernel takes one pass for both.  All cells
+come from one batched product over the stacked operators, each mirror
+cell conjugated in place, and each cell has the bits of its own 2-D
+product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -257,9 +259,12 @@ def _operator_stack(ops, ens: PureStateEnsemble):
 
     An operator whose dimension is not the ensemble's is rejected.
     """
-    if any(op.shape != (ens.dim, ens.dim) for op in ops):
+    try:
+        A = np.asarray(ops)
+    except ValueError:  # operators of different shapes
+        A = np.empty(0)
+    if A.shape[1:] != (ens.dim, ens.dim):
         raise DimensionMismatchError("operator and ensemble dimensions differ")
-    A = np.array(ops)
     return A, linalg.is_diagonal(A)
 
 
@@ -491,26 +496,25 @@ def conjugate_two_stage_statistics(kraus: KrausSet, ens: PureStateEnsemble) -> t
     :func:`branch_statistics` call then takes the n first-stage operators,
     conditioned on 1, and the n cells of each defined row m, conditioned on
     p(m); an undefined row is not evaluated.  A cell mu >= m is
-    M_mu† M_m, and a cell mu < m the exact conjugate of its mirror cell,
-    the same 2-D product, made once for both where row mu is defined:
-    for diagonal M the two have the same p and the same ray key, so p, I
-    and F are symmetric in (m, mu) where both outcomes are defined, and the
-    kernel takes one pass for both.
+    M_mu† M_m, and a cell mu < m the exact conjugate of its mirror cell:
+    one batched product over the stacked operators makes every cell as
+    M_max† M_min, each with the bits of its own 2-D product, and the cells
+    mu < m are then conjugated in place.  For diagonal M a cell and its
+    mirror have the same p and the same ray key, so p, I and F are
+    symmetric in (m, mu) where both outcomes are defined, and the kernel
+    takes one pass for both.
     """
-    ops = kraus.operators
-    if not linalg.is_diagonal(np.array(ops)):
+    A = np.array(kraus.operators)
+    if not linalg.is_diagonal(A):
         raise ValidationError("the conjugate grid needs diagonal Kraus operators")
-    n = len(ops)
-    p_first = mean_weights(ops, ens)
+    n = len(A)
+    p_first = mean_weights(A, ens)
     rows = np.flatnonzero(p_first > TOL.prob_floor)
-
-    @cache
-    def upper(m, mu):
-        return linalg.dagger(ops[mu]) @ ops[m]
-
-    cells = [upper(m, mu) if mu >= m else np.conj(upper(mu, m)) for m in rows for mu in range(n)]
+    m, mu = np.repeat(rows, n), np.tile(np.arange(n), len(rows))
+    cells = np.conj(np.swapaxes(A, 1, 2))[np.maximum(m, mu)] @ A[np.minimum(m, mu)]
+    np.conj(cells, out=cells, where=(mu < m)[:, None, None])
     p_given = np.concatenate([np.ones(n), np.repeat(p_first[rows], n)])
-    stats = np.array(branch_statistics([*ops, *cells], ens, p_given))
+    stats = np.array(branch_statistics(np.concatenate([A, cells]), ens, p_given))
     grid = np.full((3, n, n), np.nan)
     grid[:, rows] = stats[:, n:].reshape(3, len(rows), n)
     first = StageStatistics(kraus.labels, *stats[:, :n])

@@ -49,15 +49,13 @@ def _check_run(samples: int, seed: int, streams: int = 1) -> None:
         raise ValueError(f"seed must be in [0, {top}), got {seed}")
 
 
-def _sample_metadata(samples: int, seed: int, streams: int = 1) -> dict:
+def _sample_metadata(samples: int, seed: int) -> dict:
     """Header fields of every run: sample count, seed and library version.
 
-    A run that builds no probe (``variances``) writes these alone.  Fewer
-    than ``MIN_FIGURE_SAMPLES`` samples, and a seed whose ``streams`` keys
-    seed, seed + 1, ... leave the Philox key range [0, 2**128), are
-    rejected.
+    A run that builds no probe (``variances``) writes these alone.  They are
+    checked where they are used: by :class:`ExperimentConfig` and by
+    :func:`run_variances`.
     """
-    _check_run(samples, seed, streams)
     return {"samples": samples, "seed": seed, "version": __version__}
 
 

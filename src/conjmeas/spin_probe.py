@@ -73,7 +73,9 @@ def _diagonals(cfg: SpinProbeConfig, theta: float) -> np.ndarray:
     u = e^{-ig sigma} cos(theta/2), v = i e^{ig sigma} sin(theta/2) and
     q_m = 2^{-j} sqrt((2j)! / ((j+m)! (j-m)!)), in log space for large j.
     Entries stay numpy scalar products: a vectorised complex multiply rounds
-    differently.
+    differently.  At large j the powers u**(j - m) and v**(j + m) overflow
+    before the product with the small q_m; that raises a ValueError naming
+    the configuration's j, g and theta.
     """
     two_j = _half_int(cfg.j, "j")
     half = theta / 2.0
@@ -84,11 +86,15 @@ def _diagonals(cfg: SpinProbeConfig, theta: float) -> np.ndarray:
         minus = 1j * np.exp(1j * cfg.g * sigma) * math.sin(half)
         ends.append((plus + minus, plus - minus))
     table = np.empty((two_j + 1, len(ends)), dtype=complex)
-    for jp in range(two_j + 1):  # jp = j + m, jm = j - m
-        jm = two_j - jp
-        log_binom = math.lgamma(two_j + 1) - math.lgamma(jp + 1) - math.lgamma(jm + 1)
-        q = math.exp(0.5 * log_binom - cfg.j * math.log(2.0))
-        table[jp] = [phase * q * u**jm * v**jp for u, v in ends]
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for jp in range(two_j + 1):  # jp = j + m, jm = j - m
+                jm = two_j - jp
+                log_binom = math.lgamma(two_j + 1) - math.lgamma(jp + 1) - math.lgamma(jm + 1)
+                q = math.exp(0.5 * log_binom - cfg.j * math.log(2.0))
+                table[jp] = [phase * q * u**jm * v**jp for u, v in ends]
+    except FloatingPointError:
+        raise ValueError(f"amplitudes overflow: j={cfg.j}, g={cfg.g}, theta={cfg.theta}") from None
     return table
 
 

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -219,6 +220,28 @@ class TestConditionalMean:
         assert np.isnan(empty.mean_info)
 
 
+def reference_conjugate_grid(kraus, ens):
+    """The conjugate grid with each cell one 2-D product, made once per pair."""
+    ops = kraus.operators
+    n = len(ops)
+    p_first = mean_weights(ops, ens)
+    rows = np.flatnonzero(p_first > TOL.prob_floor)
+
+    @functools.cache
+    def upper(m, mu):
+        return linalg.dagger(ops[mu]) @ ops[m]
+
+    cells = [upper(m, mu) if mu >= m else np.conj(upper(mu, m)) for m in rows for mu in range(n)]
+    p_given = np.concatenate([np.ones(n), np.repeat(p_first[rows], n)])
+    stats = np.array(metrics.branch_statistics([*ops, *cells], ens, p_given))
+    grid = np.full((3, n, n), np.nan)
+    grid[:, rows] = stats[:, n:].reshape(3, len(rows), n)
+    first = metrics.StageStatistics(kraus.labels, *stats[:, :n])
+    return first, metrics.StageStatistics(
+        kraus.labels, *grid, conditional=grid[0] / p_first[:, None]
+    )
+
+
 class TestConjugateTwoStageStatistics:
     """Grid rows of the pair evaluation against per-m two_stage_statistics on {M_mu†}."""
 
@@ -252,6 +275,21 @@ class TestConjugateTwoStageStatistics:
                 np.testing.assert_allclose(got, want, rtol=POP_RTOL, atol=0)
             for got, want in ((grid.info_gain[i], ref.info_gain), ([i_prime[i]], [ref.mean_info])):
                 np.testing.assert_allclose(got, want, rtol=0, atol=POP_ATOL_INFO)
+
+    @pytest.mark.parametrize("s, j", [(0.5, 7), (1.5, 7), (7.5, 7), (0.5, 40)])
+    def test_batched_cells_keep_the_bits_of_2d_products(self, s, j):
+        # one batched product over the stacked operators gives each cell the
+        # bytes of its own 2-D product (tobytes: a signed zero shows)
+        cfg = SpinProbeConfig(s=s, j=j, g=0.25, theta=math.pi / 6)
+        kraus, ens = build_forward(cfg), sample_haar(cfg.dim, 2000, 21)
+        got = metrics.conjugate_two_stage_statistics(kraus, ens)
+        want = reference_conjugate_grid(kraus, ens)
+        for stage, ref in zip(got, want):
+            for field in ("probability", "info_gain", "fidelity", "conditional"):
+                value, expected = getattr(stage, field), getattr(ref, field)
+                assert (value is None) == (expected is None), field
+                if value is not None:
+                    assert value.tobytes() == expected.tobytes(), (field, s, j)
 
     def test_symmetric_where_both_outcomes_are_defined(self):
         # cell (mu, m) is the conjugate of cell (m, mu): the same p and the

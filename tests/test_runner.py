@@ -1,9 +1,12 @@
 import argparse
+import csv
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -428,16 +431,18 @@ class TestCli:
             ["summary", "--j", "0.3"],
             ["variances", "--spins", "0.3"],
             ["sweep", "--axis", "j", "--values", "0.3"],
+            ["sweep", "--axis", "theta", "--values", "1e300"],
         ],
     )
     def test_invalid_spin_exit_code_2(self, tmp_path, capsys, args):
-        # the library's half-integer check rejects it: one line, nothing written
-        assert main(args + ["--samples", "1000", "--out", str(tmp_path)]) == 2
+        # the library's checks reject it: one line, and no new --out
+        out = tmp_path / "NEW"
+        assert main(args + ["--samples", "1000", "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("invalid configuration: ")
         assert captured.err.count("\n") == 1
         assert captured.out == ""
-        assert list(tmp_path.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command", [["summary"], ["figures"], ["sweep", "--axis", "g", "--values", "0.1"]]
@@ -477,10 +482,11 @@ class TestCli:
 
     def test_out_of_memory_exit_code_2(self, tmp_path):
         # 10^14 states need 2.8 PiB: the allocation fails at once, nothing is held
+        out = tmp_path / "NEW"
         src = os.path.dirname(os.path.dirname(cli.__file__))
         proc = subprocess.run(
             [sys.executable, "-m", "conjmeas.cli", "summary", "--samples", "100000000000000",
-             "--out", str(tmp_path)],
+             "--out", str(out)],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
         )
         assert proc.returncode == 2
@@ -488,6 +494,7 @@ class TestCli:
         assert proc.stderr.startswith("out of memory: ")
         assert proc.stderr.count("\n") == 1
         assert proc.stdout == ""
+        assert not out.exists()
 
     def test_deterministic_output(self, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -736,6 +743,66 @@ def test_cli_runs_where_an_amplitude_underflows(tmp_path, capsys, command):
             "--samples", "1000", "--out", str(tmp_path)]
     assert main(command + args) == 0
     assert capsys.readouterr().err == ""
+
+
+# parse_number's syntax, valid and not: every spin among them is at most 2
+# (1e300 fails at once, on the size of its arrays), so no run is large
+CLI_NUMBERS = ["0", "0.3", "-1/2", "1/2", "1", "3/2", "2", "2pi", "pi/6", "0.25", "1e300",
+               "1/0", "pi2", "nan", "0.5000000004"]
+CLI_SEEDS = [-1, 0, 2**128 - 3, 2**128 - 1, 2**128]
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(["figures", "summary", "variances", "sweep"]))
+    argv = [command, "--samples", "1000", "--format", draw(st.sampled_from(["csv", "json"]))]
+    if draw(st.booleans()):
+        argv += ["--seed", str(draw(st.sampled_from(CLI_SEEDS)))]
+    numbers = st.lists(st.sampled_from(CLI_NUMBERS), min_size=1, max_size=3)
+    if command == "variances":
+        return argv + ["--spins", *draw(numbers)]
+    for option in ("--s", "--j", "--g", "--theta"):
+        if draw(st.booleans()):
+            argv += [option, draw(st.sampled_from(CLI_NUMBERS))]
+    if command == "sweep":
+        argv += ["--axis", draw(st.sampled_from(runner.SWEEP_AXES)), "--values", *draw(numbers)]
+    return argv
+
+
+def read_tables(out: Path, fmt: str) -> list:
+    """Every table under ``out`` as (columns, rows); a malformed file raises."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    if fmt == "json":
+        (path,) = out.iterdir()
+        doc = json.loads(path.read_text(), parse_constant=reject)
+        return [(t["columns"], t["rows"]) for t in doc["tables"].values()]
+    tables = []
+    for path in sorted(out.iterdir()):
+        lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+        columns, *rows = csv.reader(lines, strict=True)
+        tables.append((columns, rows))
+    return tables
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(argv=cli_argv())
+def test_cli_exits_0_2_or_3_and_a_failed_run_leaves_no_out(argv):
+    # in process: every configuration runs or exits 2 or 3 with no traceback,
+    # a failed run leaves no new --out, and a run writes tables that parse
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "NEW"
+        try:
+            code = main(argv + ["--out", str(out)])
+        except SystemExit as exc:
+            code = exc.code
+        assert code in (0, 2, 3), argv
+        if code:
+            assert not out.exists(), argv
+            return
+        for columns, rows in read_tables(out, argv[argv.index("--format") + 1]):
+            assert rows and all(len(r) == len(columns) for r in rows), argv
 
 
 def test_cli_maps_model_errors_to_exit_code_3(tmp_path, capsys, monkeypatch):

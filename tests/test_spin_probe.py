@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -236,6 +237,15 @@ class TestForwardSet:
         assert (m * p).sum() == pytest.approx(0.0, abs=1e-12)
         assert (m * m * p).sum() == pytest.approx(cfg.j / 2.0, abs=1e-10)
 
+
+    def test_amplitude_overflow_names_the_configuration(self):
+        # at the headline g and theta, u**(j - m) overflows between j = 6000 and
+        # 6500: a ValueError that names j, g and theta, with no RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert len(build_forward(SpinProbeConfig(0.5, 6000, 0.25, math.pi / 6)).labels) == 12001
+            with pytest.raises(ValueError, match=r"overflow: j=8000\.0, g=0\.25, theta=0\.523"):
+                build_forward(SpinProbeConfig(0.5, 8000, 0.25, math.pi / 6))
 
 class TestAdjointIdentity:
     def test_tipped_complement_equals_adjoint(self):
