@@ -1,7 +1,10 @@
 """Dense complex linear algebra for small operator dimensions.
 
-All functions take and return plain ``numpy`` arrays of shape ``(d, d)``
-with complex entries; :func:`is_diagonal` also takes a stack (..., d, d).
+All functions take and return plain ``numpy`` arrays with complex entries:
+a matrix (d, d) or a stack (..., d, d) of them.  A set of operators is one
+such stack: :func:`as_operator` checks it, :func:`dagger` forms its adjoint
+and :func:`is_diagonal` decides it, one call each, and the decompositions
+work matrix by matrix.  :func:`check_density_matrix` alone takes one matrix.
 They are pure: inputs are never modified.
 """
 
@@ -9,22 +12,32 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotDensityMatrixError, NotHermitianError, NotPositiveError
+from .errors import DimensionMismatchError, NotDensityMatrixError, NotHermitianError, NotPositiveError
 from .tolerances import TOL
 
 
 def as_operator(M) -> np.ndarray:
-    """Coerce input to a square complex matrix and check it is finite."""
-    A = np.asarray(M, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    """Coerce input to a square complex matrix, or a stack (..., d, d) of them, all finite.
+
+    Operators that numpy cannot stack, as they have different shapes, raise
+    ``DimensionMismatchError``; entries that are not numbers raise
+    ``ValueError``.
+    """
+    try:
+        A = np.asarray(M)
+    except ValueError:  # operators of different shapes
+        raise DimensionMismatchError("operators have mixed dimensions") from None
+    A = A.astype(complex, copy=False)
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {A.shape}")
     if not np.isfinite(A).all():
         raise ValueError("matrix has non-finite entries")
     return A
 
 
 def dagger(M: np.ndarray) -> np.ndarray:
-    return M.conj().T
+    """The adjoint of a matrix, or of each matrix of a stack (..., d, d)."""
+    return np.conj(np.swapaxes(M, -1, -2))
 
 
 def max_abs(M: np.ndarray) -> float:
@@ -58,10 +71,10 @@ def positive_sqrt(P) -> np.ndarray:
     """
     P = check_hermitian(P)
     w, V = np.linalg.eigh(P)
-    if w[0] < TOL.eig_floor:
-        raise NotPositiveError(f"eigenvalue {w[0]:.3e} below {TOL.eig_floor:.1e}")
+    if w[..., 0].min() < TOL.eig_floor:
+        raise NotPositiveError(f"eigenvalue {w[..., 0].min():.3e} below {TOL.eig_floor:.1e}")
     w = np.clip(w, 0.0, None)
-    return (V * np.sqrt(w)) @ dagger(V)
+    return (V * np.sqrt(w)[..., None, :]) @ dagger(V)
 
 
 def polar_decompose(M) -> tuple[np.ndarray, np.ndarray]:
@@ -74,7 +87,7 @@ def polar_decompose(M) -> tuple[np.ndarray, np.ndarray]:
     # SVD route: M = W S X†  =>  U = W X†,  N = X S X†
     W, s, Xh = np.linalg.svd(M)
     U = W @ Xh
-    N = dagger(Xh) @ (s[:, None] * Xh)
+    N = dagger(Xh) @ (s[..., None] * Xh)
     N = 0.5 * (N + dagger(N))
     return U, N
 
@@ -82,6 +95,8 @@ def polar_decompose(M) -> tuple[np.ndarray, np.ndarray]:
 def check_density_matrix(rho) -> np.ndarray:
     """Validate Hermiticity, positivity and unit trace of a density matrix."""
     rho = as_operator(rho)
+    if rho.ndim != 2:
+        raise ValueError(f"expected one density matrix, got shape {rho.shape}")
     if max_abs(rho - dagger(rho)) > TOL.hermiticity:
         raise NotDensityMatrixError("density matrix is not Hermitian")
     tr = float(np.trace(rho).real)

@@ -4,9 +4,11 @@ Outcome labels are half-integers (spin projections like -7, -13/2, ... or
 plain 0, 1, 2).  They are stored as floats but indexed through their exact
 doubled-integer value, so label lookup never depends on float comparison.
 
-A set keeps its effects E_m = M_m†M_m, formed once for the completeness
-check, so every outcome probability Re Tr(E_m rho) is one product over
-them and :meth:`KrausSet.effect` serves M†M.  It also keeps the cumulative
+A set holds its operators as one read-only (n, d, d) complex stack,
+which every reader takes as it is, and keeps its effects E_m = M_m†M_m,
+formed once as one batched product for the completeness check, so every
+outcome probability Re Tr(E_m rho) is one product over them and
+:meth:`KrausSet.effect` serves M†M.  It also keeps the cumulative
 Born table of the last state it was sampled on, keyed by that state's
 content: repeated draws on one rho validate it once and then cost one
 uniform double each.
@@ -43,14 +45,18 @@ def _label_key(label: float) -> int:
 class KrausSet:
     """Ordered set of measurement operators {M_m} on one Hilbert space.
 
-    The constructor enforces the completeness condition Σ M†M = I within
-    ``TOL.completeness`` (:func:`completeness_residual`).  The set keeps
-    read-only copies of the operators, so a caller's later change to its
-    own arrays cannot desynchronise them from the effects M_m†M_m it
-    checks, which are kept as one read-only (n, d, d) array.
+    ``operators`` may be any sequence of d×d matrices, or an (n, d, d)
+    array; the set stores a read-only copy of it as one (n, d, d) complex
+    stack, checked by one :func:`conjmeas.linalg.as_operator` call, so a
+    caller's later change to its own arrays cannot desynchronise the
+    operators from their effects M_m†M_m, which are kept as one read-only
+    (n, d, d) array.  Iterating, indexing or unpacking the stack yields the
+    operators in order.  The constructor enforces the completeness
+    condition Σ M†M = I within ``TOL.completeness``
+    (:func:`completeness_residual`).
     """
 
-    operators: tuple
+    operators: np.ndarray
     labels: tuple
     _index: dict = field(init=False, repr=False)
     _effects: np.ndarray = field(init=False, repr=False)
@@ -58,14 +64,10 @@ class KrausSet:
     _last_draw: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        ops = tuple(linalg.as_operator(M).copy() for M in self.operators)
-        for M in ops:
-            M.flags.writeable = False
-        if not ops:
-            raise ValueError("a KrausSet needs at least one operator")
-        d = ops[0].shape[0]
-        if any(M.shape[0] != d for M in ops):
-            raise DimensionMismatchError("operators have mixed dimensions")
+        ops = linalg.as_operator(self.operators).copy()
+        if ops.ndim != 3 or not len(ops):
+            raise ValueError(f"expected a nonempty (n, d, d) stack, got shape {ops.shape}")
+        ops.flags.writeable = False
         labels = tuple(float(l) for l in self.labels)
         if len(labels) != len(ops):
             raise ValueError("one label per operator required")
@@ -75,7 +77,7 @@ class KrausSet:
         if len(index) != len(labels):
             raise ValidationError(f"outcome labels must be distinct, got {labels}")
         object.__setattr__(self, "_index", index)
-        effects = np.array([linalg.dagger(M) @ M for M in ops])
+        effects = linalg.dagger(ops) @ ops
         effects.flags.writeable = False
         object.__setattr__(self, "_effects", effects)
         res = completeness_residual(self)
@@ -84,7 +86,7 @@ class KrausSet:
 
     @property
     def dim(self) -> int:
-        return self.operators[0].shape[0]
+        return self.operators.shape[1]
 
     def __len__(self) -> int:
         return len(self.operators)

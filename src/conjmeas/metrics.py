@@ -244,7 +244,7 @@ def _branch_rows(A: np.ndarray, diagonal: bool) -> np.ndarray:
         a = np.diagonal(A, axis1=1, axis2=2)
         return np.stack([a.real**2 + a.imag**2, a.real, a.imag], axis=1)
     k = len(A)
-    rows = form_coefficients(np.concatenate([np.conj(np.swapaxes(A, 1, 2)) @ A, A]))
+    rows = form_coefficients(np.concatenate([linalg.dagger(A) @ A, A]))
     return np.concatenate([rows[:k, :1], rows[k:]], axis=1)
 
 
@@ -257,12 +257,11 @@ def _snap(x):
 def _operator_stack(ops, ens: PureStateEnsemble):
     """``(A, diagonal)``: the (K, d, d) stack of ``ops`` and whether every one is diagonal.
 
-    An operator whose dimension is not the ensemble's is rejected.
+    The stack is :func:`conjmeas.linalg.as_operator` of ``ops``, so a
+    KrausSet's operators are read as they are.  An operator whose dimension
+    is not the ensemble's is rejected.
     """
-    try:
-        A = np.asarray(ops)
-    except ValueError:  # operators of different shapes
-        A = np.empty(0)
+    A = linalg.as_operator(ops)
     if A.shape[1:] != (ens.dim, ens.dim):
         raise DimensionMismatchError("operator and ensemble dimensions differ")
     return A, linalg.is_diagonal(A)
@@ -477,8 +476,7 @@ def two_stage_statistics(
     p(mu | m), i.e. they are the conditional means given the first outcome.
     """
     p_first = conditioning_probability(kraus, first_label, second, ens)
-    M = kraus.operator(first_label)
-    composed = [C @ M for C in second.operators]
+    composed = second.operators @ kraus.operator(first_label)
     prob, info, fid = branch_statistics(composed, ens, p_given=p_first)
     return StageStatistics(second.labels, prob, info, fid, conditional=prob / p_first)
 
@@ -504,14 +502,14 @@ def conjugate_two_stage_statistics(kraus: KrausSet, ens: PureStateEnsemble) -> t
     symmetric in (m, mu) where both outcomes are defined, and the kernel
     takes one pass for both.
     """
-    A = np.array(kraus.operators)
+    A = kraus.operators
     if not linalg.is_diagonal(A):
         raise ValidationError("the conjugate grid needs diagonal Kraus operators")
     n = len(A)
     p_first = mean_weights(A, ens)
     rows = np.flatnonzero(p_first > TOL.prob_floor)
     m, mu = np.repeat(rows, n), np.tile(np.arange(n), len(rows))
-    cells = np.conj(np.swapaxes(A, 1, 2))[np.maximum(m, mu)] @ A[np.minimum(m, mu)]
+    cells = linalg.dagger(A)[np.maximum(m, mu)] @ A[np.minimum(m, mu)]
     np.conj(cells, out=cells, where=(mu < m)[:, None, None])
     p_given = np.concatenate([np.ones(n), np.repeat(p_first[rows], n)])
     stats = np.array(branch_statistics(np.concatenate([A, cells]), ens, p_given))

@@ -67,6 +67,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _check_run(self.samples, self.seed)
+        if int(self.samples) * self.spin.dim * 16 > np.iinfo(np.intp).max:
+            raise ValueError(f"samples={self.samples}, s={self.spin.s}: over numpy's size limit")
 
     def metadata(self) -> dict:
         return {

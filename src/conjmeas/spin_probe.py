@@ -1,11 +1,16 @@
 """Spin-s system measured through a spin-j coherent-state probe.
 
-The probe starts in a coherent state tipped by ``theta`` from the z axis,
-couples to the system via an Ising-type J_z S_z interaction of effective
-strength ``g``, and is then read out projectively.  The resulting Kraus
-operators are diagonal in the S_z basis.  Their amplitudes are one table
-per probe angle, computed by ``_diagonals``; :func:`coefficient` reads one
-entry of it.  The probe's Hilbert space never needs to be simulated.
+The model: the probe starts in the coherent state e^{-i theta J_x}|j, j>,
+tipped by ``theta`` from the z axis towards -y; it couples to the system by
+exp(-i 2g S_z ⊗ J_z), so on the system state S_z = sigma it is turned about
+z by 2g sigma; it is then read out projectively in the J_x eigenbasis, and
+outcome m is J_x = m.  The Kraus operator of outcome m is diagonal in the
+S_z basis, with entries a_{m sigma} = <J_x = m| e^{-i 2g sigma J_z}
+e^{-i theta J_x} |j, j> up to one phase per outcome, which changes no
+statistic.  Labels m run -j..j and sigma -s..s.  The amplitudes are one
+table per probe angle, in closed form, computed by ``_diagonals``;
+:func:`coefficient` reads one entry of it.  The probe's Hilbert space never
+needs to be simulated: the tests simulate it once to check the table.
 """
 
 from __future__ import annotations
@@ -43,6 +48,8 @@ class SpinProbeConfig:
             raise ValueError(f"s must be a positive half-integer, got {self.s}")
         if two_j < 0:
             raise ValueError("j must be nonnegative")
+        if (two_j + 1) * (two_s + 1) * 16 > np.iinfo(np.intp).max:
+            raise ValueError(f"s={self.s}, j={self.j}: probe table over numpy's size limit")
         # a spin within TOL.half_integer of a half-integer is stored as it, so
         # the probe table, the diagnostics and the metadata read one value
         object.__setattr__(self, "s", two_s / 2)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conjmeas import linalg
-from conjmeas.errors import NotPositiveError
+from conjmeas.errors import DimensionMismatchError, NotPositiveError
 from conjmeas.spin_probe import SpinProbeConfig, build_forward, coefficient
 
 from conftest import near_singular_set
@@ -138,3 +138,64 @@ class TestIsDiagonalOnStacks:
                 if rng.random() < 0.3:
                     M[rng.integers(d), rng.integers(d)] = 1.0 + 1j
             assert linalg.is_diagonal(stack) == all(linalg.is_diagonal(M) for M in stack)
+
+
+class TestStacks:
+    """A set of operators is one (K, d, d) stack: checked and adjoined in one call each."""
+
+    def stack(self, k=5, d=3, seed=3):
+        rng = np.random.default_rng(seed)
+        return np.array([random_matrix(rng, d) for _ in range(k)])
+
+    def test_as_operator_takes_a_matrix_or_a_stack(self):
+        A = self.stack()
+        assert linalg.as_operator(A) is A
+        B = linalg.as_operator(tuple(A))
+        assert B.dtype == complex and B.tobytes() == A.tobytes()
+        assert linalg.as_operator([[1, 0], [0, 1]]).dtype == complex
+
+    def test_operators_of_different_shapes_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            linalg.as_operator((np.eye(2), np.eye(3)))
+
+    @pytest.mark.parametrize(
+        "entries", ["abc", [["1", "x"], ["0", "1"]], (np.eye(2), [["a", 0], [0, 1]])]
+    )
+    def test_text_is_not_a_dimension_mismatch(self, entries):
+        with pytest.raises(ValueError) as exc:
+            linalg.as_operator(entries)
+        assert not isinstance(exc.value, DimensionMismatchError)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3)])
+    def test_not_square_rejected(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            linalg.as_operator(np.ones(shape))
+
+    def test_non_finite_stack_rejected(self):
+        A = self.stack()
+        A[3, 1, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            linalg.as_operator(A)
+
+    def test_dagger_of_a_stack_is_each_adjoint(self):
+        A = self.stack()
+        adjoints = linalg.dagger(A)
+        assert adjoints.shape == A.shape
+        for M, Md in zip(A, adjoints):
+            assert Md.tobytes() == np.ascontiguousarray(M.conj().T).tobytes()
+
+    def test_decompositions_of_a_stack_are_each_one(self):
+        A = self.stack()
+        U, N = linalg.polar_decompose(A)
+        P = linalg.dagger(A) @ A
+        roots = linalg.positive_sqrt(P)
+        for k, M in enumerate(A):
+            Uk, Nk = linalg.polar_decompose(M)
+            np.testing.assert_allclose(U[k], Uk, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(N[k], Nk, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(roots[k], linalg.positive_sqrt(P[k]), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(U @ N, A, rtol=0, atol=1e-13)
+
+    def test_density_matrix_check_takes_one_state(self):
+        with pytest.raises(ValueError, match="one density matrix"):
+            linalg.check_density_matrix(np.array([np.eye(2) / 2] * 2))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conjmeas import linalg
+from conjmeas import linalg, metrics
 from conjmeas.errors import (
     CompletenessError,
     DimensionMismatchError,
@@ -18,9 +18,9 @@ from conjmeas.measurement import (
     sample_outcome,
 )
 from conjmeas.ensemble import sample_haar
-from conjmeas.metrics import stage_statistics
+from conjmeas.metrics import stage_statistics, two_stage_statistics
 from conjmeas.reversal import build_conjugate_minimal
-from conjmeas.spin_probe import SpinProbeConfig, build_forward
+from conjmeas.spin_probe import SpinProbeConfig, build_forward, conjugate_probe_set
 
 from conftest import random_density_matrix
 
@@ -64,6 +64,23 @@ def test_owns_read_only_copies_of_its_operators():
     assert not any(M.flags.writeable for M in kraus.operators)
     with pytest.raises(ValueError):
         kraus.operators[1][0, 0] = 1.0
+    # one read-only (n, d, d) complex stack, whose rows unpack as the operators
+    ops = kraus.operators
+    assert isinstance(ops, np.ndarray) and ops.shape == (2, 2, 2) and ops.dtype == complex
+    assert not ops.flags.writeable and ops.flags.c_contiguous
+    first, second = ops
+    assert first.base is ops and kraus.operator(1.0).base is ops
+    # a stack passed in is copied as well
+    stack = np.array([KET0, KET1])
+    kraus = KrausSet(stack, (0.0, 1.0))
+    stack[0] *= 3
+    np.testing.assert_array_equal(kraus.operators, [KET0, KET1])
+
+
+@pytest.mark.parametrize("operators", [(), np.zeros((0, 2, 2)), np.array([[np.eye(2)]])])
+def test_empty_or_nested_operators_rejected(operators):
+    with pytest.raises(ValueError):
+        KrausSet(operators, ())
 
 
 def test_mixed_dimensions_rejected():
@@ -298,3 +315,61 @@ class TestDrawStream:
         for i, m in enumerate(kraus.labels):
             assert kraus.effect(m).base is effects and not kraus.effect(m).flags.writeable
             np.testing.assert_array_equal(kraus.effect(m), effects[i])
+
+
+def reference_effects(operators):
+    """The effects as the set formed them one operator at a time: M.conj().T @ M each."""
+    return np.array([M.conj().T @ M for M in operators])
+
+
+def reference_composed(first, second_operators):
+    """The branches C·M of a second stage, one 2-D product each."""
+    return np.array([C @ first for C in second_operators])
+
+
+def random_dense_set(rng, dim, n):
+    """n dense operators G_k S^{-1/2}, with S = Σ G_k†G_k: a complete set."""
+    G = rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))
+    w, V = np.linalg.eigh(sum(g.conj().T @ g for g in G))
+    root = (V / np.sqrt(w)) @ V.conj().T
+    return tuple(g @ root for g in G)
+
+
+class TestBatchedProductsKeepTheirBits:
+    """The effects and the two-stage branches are batched products over the
+    stack; each has the bytes of its own 2-D product."""
+
+    @pytest.fixture(params=[2, 3, 4, 16])
+    def dim(self, request):
+        return request.param
+
+    def sets(self, dim):
+        rng = np.random.default_rng(dim)
+        dense = [random_dense_set(rng, dim, n) for n in (1, 2, 6)]
+        cfg = SpinProbeConfig(s=(dim - 1) / 2, j=2, g=0.3, theta=0.7)
+        spin = [build_forward(cfg).operators, conjugate_probe_set(cfg).operators]
+        return [(ops, tuple(range(len(ops)))) for ops in dense + spin]
+
+    def test_effects(self, dim):
+        for ops, labels in self.sets(dim):
+            effects = KrausSet(ops, labels)._effects
+            assert effects.tobytes() == reference_effects(ops).tobytes()
+
+    def test_two_stage_branches(self, dim, monkeypatch):
+        composed = []
+        kernel = metrics.branch_statistics
+        monkeypatch.setattr(
+            metrics,
+            "branch_statistics",
+            lambda ops, ens, p_given=1.0: composed.append(ops) or kernel(ops, ens, p_given),
+        )
+        ens = sample_haar(dim, 64, 5)
+        sets = self.sets(dim)
+        for (first_ops, first_labels), (second_ops, second_labels) in zip(sets, sets[1:]):
+            first = KrausSet(first_ops, first_labels)
+            second = KrausSet(second_ops, second_labels)
+            for i, label in enumerate(first_labels):
+                composed.clear()
+                two_stage_statistics(first, label, second, ens)
+                expected = reference_composed(first_ops[i], second_ops)
+                assert np.asarray(composed[0]).tobytes() == expected.tobytes()

@@ -1042,6 +1042,52 @@ class TestEvaluatorDimensionCheck:
             mean_weights([np.eye(3), np.eye(2)], self.ENS)
 
 
+class TestRankOneExactValues:
+    """Exact I and F of a rank-1 projector |phi><phi|, on both kernel paths.
+
+    Its weight w = |<phi|psi>|² has the Haar law Beta(1, d - 1), so
+    I = log2 d - (H_d - 1)/ln 2, with H_d the harmonic number (Jozsa, Robb &
+    Wootters, PRA 49, 668 (1994)), and F = E[w^{3/2}]/E[w] =
+    Γ(d+1)·Γ(5/2)/Γ(d+3/2).  Computational-basis projectors take the diagonal
+    path, a random basis the non-diagonal one.  The sample is split into
+    contiguous batches, each run on its own, and the batch mean of every
+    outcome's I and F must lie within 5 of its standard errors of the exact
+    value.
+    """
+
+    BATCHES = 20
+
+    @staticmethod
+    def exact(dim):
+        harmonic = sum(1.0 / k for k in range(1, dim + 1))
+        info = math.log2(dim) - (harmonic - 1.0) / math.log(2.0)
+        fid = math.exp(math.lgamma(dim + 1) + math.lgamma(2.5) - math.lgamma(dim + 1.5))
+        return info, fid
+
+    def test_exact_values(self):
+        printed = {2: (0.278652, 0.8), 4: (0.437080, 0.609524), 16: (0.565334, 0.324791)}
+        for dim, values in printed.items():
+            assert self.exact(dim) == pytest.approx(values, abs=5e-7)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 16])
+    @pytest.mark.parametrize("basis", ["computational", "random"])
+    def test_projectors_within_batch_errors(self, dim, basis):
+        rng = np.random.default_rng(dim)
+        U = np.eye(dim) if basis == "computational" else haar_unitary(rng, dim)
+        kraus = KrausSet(tuple(np.outer(u, u.conj()) for u in U.T), tuple(range(dim)))
+        assert linalg.is_diagonal(kraus.operators) == (basis == "computational")
+        ens = sample_haar(dim, 20_000 if dim == 16 else 100_000, SEED)
+        values = []
+        for states in np.array_split(ens.states, self.BATCHES):
+            stats = stage_statistics(kraus, PureStateEnsemble(states, ens.seed))
+            values.append([stats.info_gain, stats.fidelity])
+        values = np.array(values)  # (batch, {I, F}, outcome)
+        assert np.isfinite(values).all()
+        error = values.mean(axis=0) - np.array(self.exact(dim))[:, None]
+        stderr = values.std(axis=0, ddof=1) / math.sqrt(self.BATCHES)
+        assert (np.abs(error) <= 5 * stderr).all(), np.max(np.abs(error) / stderr)
+
+
 @pytest.mark.parametrize("dim", [2, 3, 4, 16])
 def test_mean_weights_match_dense_mean(dim):
     # a weight is positive, so its mean has no cancellation and the bound is

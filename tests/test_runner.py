@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -54,6 +55,17 @@ class TestExperimentConfig:
     def test_rejects_tiny_sample(self):
         with pytest.raises(ValueError):
             ExperimentConfig(SMALL.spin, samples=10, seed=1)
+
+    def test_states_past_numpy_size_limit_rejected(self):
+        # samples·(2s+1) complex entries against 2**63 - 1 bytes, checked on the
+        # configuration alone: at s = 1/2 the last sample count that fits is 2**58 - 1
+        spin = SpinProbeConfig(s=0.5, j=1, g=0.1, theta=1.0)
+        ExperimentConfig(spin, samples=2**58 - 1, seed=1)
+        with pytest.raises(ValueError, match=r"samples=288230376151711744, s=0.5: over numpy"):
+            ExperimentConfig(spin, samples=2**58, seed=1)
+        wide = SpinProbeConfig(s=1e16, j=7, g=0.1, theta=1.0)
+        with pytest.raises(ValueError, match="samples=1000, s=1e"):
+            ExperimentConfig(wide, samples=1000, seed=1)
 
     def test_metadata_roundtrip(self):
         meta = SMALL.metadata()
@@ -432,16 +444,32 @@ class TestCli:
             ["variances", "--spins", "0.3"],
             ["sweep", "--axis", "j", "--values", "0.3"],
             ["sweep", "--axis", "theta", "--values", "1e300"],
+            # past numpy's array size limit: rejected by the configuration
+            ["summary", "--j", "1e20"],
+            ["summary", "--j", "1e18"],
+            ["summary", "--s", "1e300"],
+            ["summary", "--s", "1e19"],
         ],
     )
     def test_invalid_spin_exit_code_2(self, tmp_path, capsys, args):
-        # the library's checks reject it: one line, and no new --out
+        # the library's checks reject it: one line naming the value, and no new --out
         out = tmp_path / "NEW"
         assert main(args + ["--samples", "1000", "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("invalid configuration: ")
         assert captured.err.count("\n") == 1
+        reason = captured.err.removeprefix("invalid configuration: ")
+        assert re.match(r"(s|j|spin|theta)\b", reason)
         assert captured.out == ""
+        assert not out.exists()
+
+    def test_overflowing_amplitudes_exit_code_2(self, tmp_path, capsys):
+        # a table that numpy can hold, whose amplitudes overflow: the size check passes it
+        out = tmp_path / "NEW"
+        assert main(["summary", "--j", "8000", "--samples", "1000", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["invalid configuration: amplitudes overflow: j=8000.0, g=0.25, "
+                       f"theta={math.pi / 6!r}"]
         assert not out.exists()
 
     @pytest.mark.parametrize(

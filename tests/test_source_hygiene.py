@@ -28,7 +28,9 @@ sums the population and coherence columns apart, and the kernel rows
 ``metrics.mean_weights``, and the kernel, so no probability is read another
 way.  The sums become I and F in one place, ``metrics._gain_and_fidelity``,
 which only ``metrics.branch_statistics`` and ``metrics.likelihood_info_gain``
-load.
+load.  The adjoint of a matrix or of a stack is taken in one place,
+``linalg.dagger``: no other library code calls ``swapaxes`` or takes
+``.conj().T``.
 """
 
 import ast
@@ -325,3 +327,22 @@ def test_no_positive_part_from_an_eigensolve():
     # the SVD's positive part is taken in one place, so F_opt has one derivation
     readers = [c for c in loads_of("polar_decompose") if not c.startswith("linalg.")]
     assert readers == ["metrics.optimal_fidelity"]
+
+
+def takes_an_adjoint(node) -> bool:
+    """A ``swapaxes`` call, or ``.T`` of a ``conj`` call (``x.conj().T``, ``np.conj(x).T``)."""
+    return calls_named(node, "swapaxes") or (
+        isinstance(node, ast.Attribute) and node.attr == "T" and calls_named(node.value, "conj")
+    )
+
+
+def test_one_adjoint():
+    found = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in LIBRARY
+        for stmt in parse(path).body
+        if f"{path.stem}.{getattr(stmt, 'name', '')}" != "linalg.dagger"
+        for node in ast.walk(stmt)
+        if takes_an_adjoint(node)
+    ]
+    assert found == []

@@ -65,6 +65,15 @@ class TestConfig:
             with pytest.raises(ValueError, match="s must be a positive half-integer"):
                 SpinProbeConfig(s=s, j=1, g=0.1, theta=1.0)
 
+    def test_table_past_numpy_size_limit_rejected(self):
+        # (2j+1)(2s+1) complex amplitudes against np.iinfo(np.intp).max = 2**63 - 1
+        # bytes, checked on the configuration alone: no table is built here
+        assert np.iinfo(np.intp).max == 2**63 - 1
+        SpinProbeConfig(s=0.5, j=2.0**56, g=0.1, theta=1.0)
+        for s, j in ((0.5, 2.0**57), (2.0**58, 0), (1e300, 7), (0.5, 1e20)):
+            with pytest.raises(ValueError, match=r"s=.*, j=.*: probe table over numpy's"):
+                SpinProbeConfig(s=s, j=j, g=0.1, theta=1.0)
+
 
 def reference_amplitude(cfg, theta, m, sigma) -> complex:
     """a_{m sigma}(theta), one entry at a time: the formula the tables must match bit for bit."""
@@ -246,6 +255,67 @@ class TestForwardSet:
             assert len(build_forward(SpinProbeConfig(0.5, 6000, 0.25, math.pi / 6)).labels) == 12001
             with pytest.raises(ValueError, match=r"overflow: j=8000\.0, g=0\.25, theta=0\.523"):
                 build_forward(SpinProbeConfig(0.5, 8000, 0.25, math.pi / 6))
+
+def probe_spin(j):
+    """Eigenvalues m = j, j-1, ..., -j of J_z, and J_x in that basis, from the ladder elements."""
+    m = j - np.arange(round(2 * j) + 1)
+    raising = np.diag(np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1)), k=1)  # <m+1|J+|m>
+    return m, (raising + raising.T) / 2
+
+
+def hamiltonian_table(cfg, theta) -> np.ndarray:
+    """(2j+1, 2s+1) Kraus amplitudes of the probe model, simulated on the probe's space.
+
+    The probe starts in e^{-i theta J_x}|j, j> and couples to the system by
+    exp(-i 2g S_z ⊗ J_z), which on the system state sigma is exp(-i 2g sigma J_z);
+    it is then read out in the J_x eigenbasis, outcome m at J_x = m.  Entry
+    (m, sigma) is <J_x = m| e^{-i 2g sigma J_z} e^{-i theta J_x} |j, j>, each
+    exponential from ``np.linalg.eigh``, with m and sigma ascending.
+    """
+    m, jx = probe_spin(cfg.j)
+    w, X = np.linalg.eigh(jx)  # column k: J_x = -j + k, the k-th outcome label
+    probe = (X * np.exp(-1j * theta * w)) @ X[0].conj()
+    coupled = np.exp(-2j * cfg.g * np.outer(m, cfg.sigma_values)) * probe[:, None]
+    return X.conj().T @ coupled
+
+
+def assert_equal_up_to_outcome_phases(table, kraus):
+    """Each row of ``table`` is the diagonal of its outcome's operator, up to one phase."""
+    diagonals = np.diagonal(kraus.operators, axis1=1, axis2=2)
+    overlap = np.sum(table * diagonals.conj(), axis=1, keepdims=True)
+    aligned = table * np.exp(-1j * np.angle(overlap))
+    np.testing.assert_allclose(aligned, diagonals, rtol=0, atol=1e-12)
+
+
+class TestProbeFromHamiltonian:
+    """The closed-form amplitudes are the probe model's, to one phase per outcome.
+
+    A phase per outcome changes no statistic.  The conjugate set is the same
+    model at pi - theta.
+    """
+
+    @pytest.mark.parametrize(
+        "s, j, g, theta",
+        [
+            (0.5, 0.5, 0.3, 1.0),
+            (0.5, 1, 0.3, 1.0),
+            (0.5, 7, 0.25, math.pi / 6),
+            (1.5, 3, 0.4, 1.0),
+            (7.5, 7, 0.25, math.pi / 2),
+            (7.5, 25, 0.1, 0.3),
+        ],
+    )
+    def test_matches_the_closed_form(self, s, j, g, theta):
+        cfg = SpinProbeConfig(s=s, j=j, g=g, theta=theta)
+        assert_equal_up_to_outcome_phases(hamiltonian_table(cfg, theta), build_forward(cfg))
+        flipped = hamiltonian_table(cfg, math.pi - theta)
+        assert_equal_up_to_outcome_phases(flipped, conjugate_probe_set(cfg))
+
+    @settings(max_examples=40, deadline=None)
+    @given(cfg=CONFIGS)
+    def test_matches_the_closed_form_property(self, cfg):
+        assert_equal_up_to_outcome_phases(hamiltonian_table(cfg, cfg.theta), build_forward(cfg))
+
 
 class TestAdjointIdentity:
     def test_tipped_complement_equals_adjoint(self):
