@@ -59,8 +59,14 @@ no bit.  A branch's p
 therefore depends on its own operator and the ensemble alone, its F on
 its ray (diagonal) or operator (otherwise) and N, and its I on its
 direction or operator and N: not on the other branches of the call,
-whether they share its key or not, nor on the BLAS thread count.  An
-operator whose dimension is not the ensemble's is rejected there.  The
+whether they share its key or not, nor on the BLAS thread count, nor on
+how the rays are split over threads.  When every block is full (N >=
+2^15), the call has 4 rays or more and the process may run on two CPUs,
+the rays are cut into two contiguous runs of about equal cost, one run in
+the calling thread and one in a worker thread: numpy releases the GIL in
+the BLAS products and ufuncs that are nearly all of a pass.  Any other
+call runs in the calling thread alone.  An operator whose dimension is
+not the ensemble's is rejected there.  The
 dense O(N·d²) :func:`branch_weights_and_amplitudes` is the reference the
 tests compare against.
 
@@ -98,6 +104,8 @@ product.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -372,6 +380,11 @@ def _ray_keys(a, w, p):
     return u, e
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def _pass_sums(rows, logs, columns, diagonal):
     """``(root, x_log_x)`` of K rays' rows over the states: the kernel's one pass.
 
@@ -383,45 +396,87 @@ def _pass_sums(rows, logs, columns, diagonal):
     on a block stay in cache: one BLAS product of the same shape in every
     call on the ensemble, whose rows numpy sums along their contiguous
     axis, and the block sums are added in order.  A ray's sums depend on
-    its own rows and N alone, not on the other branches or the BLAS thread
-    count.  A real ray, whose Im amp row is all ±0 (every ray at s = 1/2
-    on the conjugate grid), squares its Re amp row alone: the Im amp values
-    it skips are ±0, whose squares add +0 to |amp|² and change no bit.
+    its own rows and N alone, not on the other branches, the BLAS thread
+    count or how the rays are split over threads.  A real ray, whose Im amp
+    row is all ±0 (every ray at s = 1/2 on the conjugate grid), squares its
+    Re amp row alone: the Im amp values it skips are ±0, whose squares add
+    +0 to |amp|² and change no bit.
+
+    The rays are independent, and numpy releases the GIL in its BLAS
+    products and ufuncs.  So when every block is full (N >= ``_BLOCK``),
+    the call has at least 4 rays and the process may run on two CPUs or
+    more, the rays are cut into two contiguous runs of about equal cost (2
+    for a flagged ray, which takes both passes, 1 for any other): this
+    thread takes the first and one worker thread the second.  Shorter
+    blocks lose more to handing the GIL over than the second CPU gains.
+    Both runs' block buffers are allocated here, an exception in either
+    run is raised here after the join, and the carried x_log_x are filled
+    in after it.
     """
     n = columns.shape[1]
     width = min(n, _BLOCK)
-    work = np.empty(3 * width)
     sums = np.zeros((len(rows), 2))
-    real = ~rows[:, 2].any(axis=1)
-    # log2(0) = -inf and 0·-inf = NaN: a block with x = 0 is summed again below
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for k, (r, log) in enumerate(zip(rows, logs)):
-            if not log:
-                sums[k, 1] = sums[k - 1, 1]
-            for b0 in range(0, n, width):
-                cols = columns[:, b0 : b0 + width]
-                block = work[: 3 * cols.shape[1]].reshape(3, -1)
-                np.matmul(r, cols, out=block)
-                x, amp2, im = block
-                if not diagonal:
-                    # x = ||A psi||² >= 0; a form on the features can land a few ulps below
-                    np.maximum(x, 0.0, out=x)
-                if real[k]:
-                    np.multiply(amp2, amp2, out=amp2)
-                else:
-                    np.multiply(block[1:], block[1:], out=block[1:])
-                    amp2 += im
-                amp2 *= x
-                sums[k, 0] += np.sqrt(amp2, out=amp2).sum()
-                if log:
-                    x_log_x = np.log2(x, out=im)
-                    x_log_x *= x
-                    s = x_log_x.sum()
-                    if np.isnan(s):
-                        x_log_x[x == 0.0] = 0.0  # 0 log 0 = 0
-                        s = x_log_x.sum()
-                    sums[k, 1] += s
+    cuts = [0, len(rows)]
+    if n >= _BLOCK and len(rows) >= 4 and _cpus() > 1:
+        cost = np.cumsum(np.where(logs, 2, 1))
+        cuts.insert(1, int(np.argmin(np.abs(cost - cost[-1] / 2))) + 1)
+    work = np.empty((len(cuts) - 1, 3 * width))
+    failed = []
+    runs = [
+        (rows[a:b], logs[a:b], sums[a:b], buf, columns, diagonal, failed)
+        for a, b, buf in zip(cuts, cuts[1:], work)
+    ]
+    workers = [threading.Thread(target=_run_rays, args=run) for run in runs[1:]]
+    for worker in workers:
+        worker.start()
+    _run_rays(*runs[0])
+    for worker in workers:
+        worker.join()
+    if failed:
+        raise failed[0]
+    for k in np.flatnonzero(~logs):
+        sums[k, 1] = sums[k - 1, 1]
     return sums.T
+
+
+def _run_rays(rows, logs, sums, work, columns, diagonal, failed):
+    """The root and flagged log sums of a run of rays into ``sums``, in blocks in ``work``.
+
+    numpy's error state is per thread, so each run sets its own, and an
+    exception is appended to ``failed`` for the caller to raise.
+    """
+    n = columns.shape[1]
+    width = len(work) // 3
+    real = ~rows[:, 2].any(axis=1)
+    try:
+        # log2(0) = -inf and 0·-inf = NaN: a block with x = 0 is summed again below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for k, (r, log) in enumerate(zip(rows, logs)):
+                for b0 in range(0, n, width):
+                    cols = columns[:, b0 : b0 + width]
+                    block = work[: 3 * cols.shape[1]].reshape(3, -1)
+                    np.matmul(r, cols, out=block)
+                    x, amp2, im = block
+                    if not diagonal:
+                        # x = ||A psi||² >= 0; a form on the features can land a few ulps below
+                        np.maximum(x, 0.0, out=x)
+                    if real[k]:
+                        np.multiply(amp2, amp2, out=amp2)
+                    else:
+                        np.multiply(block[1:], block[1:], out=block[1:])
+                        amp2 += im
+                    amp2 *= x
+                    sums[k, 0] += np.sqrt(amp2, out=amp2).sum()
+                    if log:
+                        x_log_x = np.log2(x, out=im)
+                        x_log_x *= x
+                        s = x_log_x.sum()
+                        if np.isnan(s):
+                            x_log_x[x == 0.0] = 0.0  # 0 log 0 = 0
+                            s = x_log_x.sum()
+                        sums[k, 1] += s
+    except BaseException as exc:
+        failed.append(exc)
 
 
 def branch_statistics(composed_ops, ens: PureStateEnsemble, p_given=1.0):

@@ -228,13 +228,18 @@ def run_variances(s_list, samples: int, seed: int) -> Table:
     """Monte Carlo spin moments against their closed forms, with z-scores.
 
     Every spin's closed form is built first, so a spin that is not a
-    positive half-integer, a sample count below ``MIN_FIGURE_SAMPLES`` or a
-    seed whose last key, seed + len(s_list) - 1, is outside [0, 2**128)
-    fails before any ensemble is sampled.
+    positive half-integer, a sample count below ``MIN_FIGURE_SAMPLES``, a
+    seed whose last key, seed + len(s_list) - 1, is outside [0, 2**128) or
+    a spin whose samples·(2s+1) complex amplitudes numpy cannot hold fails
+    before any ensemble is sampled.
     """
     _check_run(samples, seed, len(s_list))
+    spins = [spin_moments_closed_form(s) for s in s_list]
+    for moments in spins:
+        if int(samples) * (int(2 * moments.s) + 1) * 16 > np.iinfo(np.intp).max:
+            raise ValueError(f"spin={float(moments.s)}, samples={samples}: over numpy's size limit")
     t = Table(("s", "quantity", "estimate", "target", "stderr", "z"))
-    for k, moments in enumerate([spin_moments_closed_form(s) for s in s_list]):
+    for k, moments in enumerate(spins):
         dim = int(2 * moments.s) + 1
         ens = sample_haar(dim, samples, seed + k)
         sz = spin_z(moments.s)

@@ -352,8 +352,12 @@ class TestCriterion9PerturbativeAgreement:
 
 class TestCriterion10Determinism:
     def test_byte_identical_across_thread_counts(self, tmp_path):
+        # 1 and 4 BLAS threads, and a child pinned to one CPU, whose branch
+        # kernel keeps its rays in one thread: 40000 states fill the first
+        # block, so an unpinned child on two CPUs splits them over two
+        cpu = min(os.sched_getaffinity(0))
         outs = []
-        for threads, name in (("1", "a"), ("4", "b")):
+        for threads, name, pin in (("1", "a", None), ("4", "b", None), ("1", "c", {cpu})):
             out = tmp_path / name
             env = dict(os.environ)
             env["OMP_NUM_THREADS"] = threads
@@ -368,7 +372,7 @@ class TestCriterion10Determinism:
                     "--j",
                     "3",
                     "--samples",
-                    "2000",
+                    "40000",
                     "--seed",
                     "77",
                     "--out",
@@ -376,9 +380,9 @@ class TestCriterion10Determinism:
                 ],
                 check=True,
                 env=env,
+                preexec_fn=(lambda: os.sched_setaffinity(0, pin)) if pin else None,
             )
             outs.append(out)
         for name in ("fig1", "fig2", "fig3", "fig4"):
-            a = (outs[0] / f"{name}.csv").read_bytes()
-            b = (outs[1] / f"{name}.csv").read_bytes()
-            assert a == b
+            a, b, c = ((out / f"{name}.csv").read_bytes() for out in outs)
+            assert a == b == c

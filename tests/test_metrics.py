@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -969,11 +970,10 @@ def reference_pass_sums(rows, logs, columns, diagonal):
     return sums.T
 
 
-def test_real_rays_keep_the_bits_of_the_full_pass(monkeypatch):
-    # a real ray squares its Re amp row alone; every sum keeps the bits of
-    # the pass that also squares and adds the ±0 Im amp row, on the headline
-    # rays over two blocks of states and on a non-diagonal set with a
-    # Hermitian (real-form) operator among its branches
+def two_block_passes(monkeypatch):
+    """``(kernel, passes)``: the unpatched pass and the arguments of each of its calls on
+    the headline rays and on a non-diagonal set with a Hermitian (real-form) operator
+    among its branches, both over two blocks of states."""
     passes = []
     real = metrics._pass_sums
 
@@ -987,11 +987,98 @@ def test_real_rays_keep_the_bits_of_the_full_pass(monkeypatch):
     hermitian = haar_unitary(np.random.default_rng(40), 3)
     hermitian = hermitian + hermitian.conj().T
     metrics.branch_statistics([*kraus.operators, hermitian], sample_haar(3, 33_037, 41))
+    monkeypatch.setattr(metrics, "_pass_sums", real)
+    return real, passes
+
+
+def test_real_rays_keep_the_bits_of_the_full_pass(monkeypatch):
+    # a real ray squares its Re amp row alone; every sum keeps the bits of
+    # the pass that also squares and adds the ±0 Im amp row
+    real, passes = two_block_passes(monkeypatch)
     headline, general = passes
     assert np.sum(~headline[0][0][:, 2].any(axis=1)) >= 29
     assert np.sum(~general[0][0][:, 2].any(axis=1)) == 1
     for args, kwargs in passes:
         assert real(*args, **kwargs).tobytes() == reference_pass_sums(*args, **kwargs).tobytes()
+
+
+def ray_threads(monkeypatch, cpus):
+    """Let the kernel see ``cpus`` CPUs; returns the set of threads that run its rays."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    threads = set()
+    run = metrics._run_rays
+
+    def recorded(*args):
+        threads.add(threading.get_ident())
+        run(*args)
+
+    monkeypatch.setattr(metrics, "_run_rays", recorded)
+    return threads
+
+
+def test_split_and_serial_passes_keep_their_bits(monkeypatch):
+    # with two CPUs, full blocks and 4 rays or more (45 headline rays, as
+    # m + mu = 5 splits on this sample, and 5 general ones) the rays are split
+    # over two threads; with one CPU they run in this one; every sum keeps its
+    # bits, also when the threads hand the interpreter over every microsecond
+    real, passes = two_block_passes(monkeypatch)
+    assert [len(args[0]) for args, _ in passes] == [45, 5]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for args, kwargs in passes:
+            sums = []
+            for cpus in (1, 2):
+                threads = ray_threads(monkeypatch, cpus)
+                sums.append(real(*args, **kwargs).tobytes())
+                assert len(threads) == cpus
+            assert sums[0] == sums[1] == reference_pass_sums(*args, **kwargs).tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_short_blocks_or_few_rays_stay_serial(monkeypatch):
+    # a block shorter than _BLOCK, or fewer than 4 rays, stays in this thread
+    ens = sample_haar(2, metrics._BLOCK, 43)
+    rows = np.random.default_rng(44).random((4, 3, 2))
+    threads = ray_threads(monkeypatch, 2)
+    for k, n in ((3, metrics._BLOCK), (4, metrics._BLOCK - 1)):
+        metrics._pass_sums(rows[:k], np.ones(k, bool), ens.populations.T[:, :n], diagonal=True)
+        assert len(threads) == 1
+    metrics._pass_sums(rows, np.ones(4, bool), ens.populations.T, diagonal=True)
+    assert len(threads) == 2
+
+
+def test_zero_ray_in_the_worker_raises_no_warning(monkeypatch):
+    # numpy's error state is per thread: the worker, which takes the last
+    # two rays, ignores log2(0) = -inf and 0·-inf = NaN of an x = 0 ray
+    # itself (any warning is an error in this suite)
+    threads = ray_threads(monkeypatch, 2)
+    ens = sample_haar(2, metrics._BLOCK + 100, 45)
+    rows = np.random.default_rng(46).random((4, 3, 2))
+    rows[3, 0] = 0.0
+    args = rows, np.ones(4, bool), ens.populations.T
+    sums = metrics._pass_sums(*args, diagonal=True)
+    assert len(threads) == 2
+    assert sums[:, 3].tolist() == [0.0, 0.0]
+    assert sums.tobytes() == reference_pass_sums(*args, diagonal=True).tobytes()
+
+
+def test_failure_in_the_worker_raises_in_the_caller(monkeypatch):
+    ray_threads(monkeypatch, 2)
+    caller = threading.get_ident()
+    matmul = np.matmul
+
+    def failing(*args, **kwargs):
+        if threading.get_ident() != caller:
+            raise FloatingPointError("product failed in the worker")
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", failing)
+    ens = sample_haar(2, metrics._BLOCK, 47)
+    rows = np.random.default_rng(48).random((4, 3, 2))
+    with pytest.raises(FloatingPointError, match="product failed in the worker"):
+        metrics._pass_sums(rows, np.ones(4, bool), ens.populations.T, diagonal=True)
 
 
 def test_weight_only_means_pass_over_no_state(monkeypatch):

@@ -185,6 +185,11 @@ class TestVariances:
         # s = 0.3 is no half-integer; the valid s = 1/2 before it is not sampled
         with pytest.raises(ValueError):
             run_variances([0.5, 0.3], samples=1000, seed=5)
+        # samples·(2s+1) complex entries past 2**63 - 1 bytes, as ExperimentConfig checks
+        with pytest.raises(ValueError, match=r"spin=1e\+19, samples=1000: over numpy"):
+            run_variances([0.5, 1e19], samples=1000, seed=5)
+        with pytest.raises(ValueError, match="spin=0.5, samples=288230376151711744: over numpy"):
+            run_variances([0.5], samples=2**58, seed=5)
         assert calls == []
 
     def test_targets_are_closed_form(self):
@@ -449,6 +454,7 @@ class TestCli:
             ["summary", "--j", "1e18"],
             ["summary", "--s", "1e300"],
             ["summary", "--s", "1e19"],
+            ["variances", "--spins", "1e19"],
         ],
     )
     def test_invalid_spin_exit_code_2(self, tmp_path, capsys, args):
