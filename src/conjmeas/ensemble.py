@@ -35,7 +35,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatchError
-from .tolerances import doubled_half_integer
+from .tolerances import doubled_spin, ladder
 
 _GAUSS_SCALE = np.sqrt(0.5)
 # Doubles of Gaussian draws per chunk of states: a chunk is drawn, scaled
@@ -218,11 +218,7 @@ def expectation_values(ens: PureStateEnsemble, A) -> np.ndarray:
 
 def spin_z(s) -> np.ndarray:
     """Diagonal S_z on the (2s+1)-dimensional spin space, entries -s..s."""
-    two_s = doubled_half_integer(s)
-    if two_s is None or two_s < 0:
-        raise ValueError(f"spin must be a nonnegative half-integer, got {s}")
-    sigma = np.arange(-two_s, two_s + 1, 2) / 2.0
-    return np.diag(sigma.astype(complex))
+    return np.diag(ladder(doubled_spin(s, "spin", 0)).astype(complex))
 
 
 @dataclass(frozen=True)
@@ -243,10 +239,7 @@ def spin_moments_closed_form(s) -> SpinMoments:
     The mean of <S_z> is 0, so v_i = mean <S_z>^2 = Σσ²·(D - E) and
     v_f = mean <S_z^2> - v_i = Σσ²·(C - D + E).
     """
-    two_s = doubled_half_integer(s)
-    if two_s is None or two_s <= 0:
-        raise ValueError(f"spin must be a positive half-integer, got {s}")
-    s = Fraction(two_s, 2)
+    s = Fraction(doubled_spin(s, "spin", 0.5), 2)
     C = 1 / (2 * s + 1)
     D = 1 / ((s + 1) * (2 * s + 1))
     E = 1 / (2 * (s + 1) * (2 * s + 1))

@@ -16,7 +16,6 @@ uniform double each.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,8 +32,6 @@ from .tolerances import TOL, doubled_half_integer
 
 
 def _label_key(label: float) -> int:
-    if not math.isfinite(2 * float(label)):
-        raise UnknownLabelError(f"label {label!r} is not finite")
     key = doubled_half_integer(label)
     if key is None:
         raise UnknownLabelError(f"label {label!r} is not a half-integer")

@@ -1,9 +1,11 @@
 """Information gain and fidelity statistics over a pure-state ensemble.
 
-All information quantities are in bits (base-2 logarithms).  The same
-likelihood formula serves every stage, :func:`likelihood_info_gain` for a
-list of weights: the per-outcome weights are ``<A†A>_a`` for whichever
-operator A maps the initial state to the (unnormalized) branch state.
+All information quantities are in bits (base-2 logarithms).  Every stage
+reads one likelihood formula, ``_gain_and_fidelity``, through
+:func:`branch_statistics`: the per-outcome weights are ``<A†A>_a`` for
+whichever operator A maps the initial state to the (unnormalized) branch
+state.  :func:`likelihood_info_gain` applies the same formula to a list of
+weights given directly; no stage calls it.
 
 Every per-branch quantity comes from one private kernel, ``_branch_sums``,
 which takes all of a call's operators at once and returns four numbers per

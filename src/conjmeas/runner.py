@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -34,14 +35,17 @@ from .spin_probe import (
     build_forward,
     regime_diagnostics,
 )
-from .tolerances import TOL
+from .tolerances import TOL, check_array_size
 
 MIN_FIGURE_SAMPLES = 1000
 
 
 def _check_run(samples: int, seed: int, streams: int = 1) -> None:
-    """Reject fewer than ``MIN_FIGURE_SAMPLES`` samples, or a run whose
-    ``streams`` Philox keys seed, seed + 1, ... leave the key range [0, 2**128)."""
+    """Reject a sample count or seed that is not an integer, fewer than
+    ``MIN_FIGURE_SAMPLES`` samples, or a run whose ``streams`` Philox keys
+    seed, seed + 1, ... leave the key range [0, 2**128)."""
+    if not all(isinstance(v, numbers.Integral) for v in (samples, seed)):
+        raise ValueError(f"samples and seed must be integers, got {samples} and {seed}")
     if samples < MIN_FIGURE_SAMPLES:
         raise ValueError(f"need at least {MIN_FIGURE_SAMPLES} samples")
     top = "2**128" if streams == 1 else f"2**128 - {streams - 1}"
@@ -67,8 +71,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _check_run(self.samples, self.seed)
-        if int(self.samples) * self.spin.dim * 16 > np.iinfo(np.intp).max:
-            raise ValueError(f"samples={self.samples}, s={self.spin.s}: over numpy's size limit")
+        check_array_size(f"samples={self.samples}, s={self.spin.s}:", self.samples, self.spin.dim)
 
     def metadata(self) -> dict:
         return {
@@ -235,17 +238,15 @@ def run_variances(s_list, samples: int, seed: int) -> Table:
     """
     _check_run(samples, seed, len(s_list))
     spins = [spin_moments_closed_form(s) for s in s_list]
-    for moments in spins:
-        if int(samples) * (int(2 * moments.s) + 1) * 16 > np.iinfo(np.intp).max:
-            raise ValueError(f"spin={float(moments.s)}, samples={samples}: over numpy's size limit")
+    for m in spins:
+        check_array_size(f"spin={float(m.s)}, samples={samples}:", samples, 2 * m.s + 1)
     t = Table(("s", "quantity", "estimate", "target", "stderr", "z"))
     for k, moments in enumerate(spins):
-        dim = int(2 * moments.s) + 1
-        ens = sample_haar(dim, samples, seed + k)
         sz = spin_z(moments.s)
+        ens = sample_haar(len(sz), samples, seed + k)
         ev = expectation_values(ens, sz)
         ev2 = expectation_values(ens, sz @ sz)
-        p0, p1 = (expectation_values(ens, np.diag(np.eye(dim)[i])) for i in (0, 1))
+        p0, p1 = (expectation_values(ens, np.diag(np.eye(ens.dim)[i])) for i in (0, 1))
         quantities = {
             "V_I": ((ev - ev.mean()) ** 2, float(moments.v_i)),
             "V_F": (ev2 - ev**2, float(moments.v_f)),

@@ -23,15 +23,7 @@ import numpy as np
 from .errors import LabelOutOfRangeError
 from .measurement import KrausSet
 from .reversal import SecondStageSpec
-from .tolerances import doubled_half_integer
-
-
-def _half_int(x, name: str) -> int:
-    """Return 2x as an exact integer."""
-    doubled = doubled_half_integer(x)
-    if doubled is None:
-        raise ValueError(f"{name} must be a half-integer, got {x}")
-    return doubled
+from .tolerances import check_array_size, doubled_spin, ladder
 
 
 @dataclass(frozen=True)
@@ -42,14 +34,8 @@ class SpinProbeConfig:
     theta: float      # probe tipping angle, radians in [0, pi]
 
     def __post_init__(self):
-        two_s = _half_int(self.s, "s")
-        two_j = _half_int(self.j, "j")
-        if two_s < 1:
-            raise ValueError(f"s must be a positive half-integer, got {self.s}")
-        if two_j < 0:
-            raise ValueError("j must be nonnegative")
-        if (two_j + 1) * (two_s + 1) * 16 > np.iinfo(np.intp).max:
-            raise ValueError(f"s={self.s}, j={self.j}: probe table over numpy's size limit")
+        two_s, two_j = doubled_spin(self.s, "s", 0.5), doubled_spin(self.j, "j", 0)
+        check_array_size(f"s={self.s}, j={self.j}: probe table", two_j + 1, two_s + 1)
         # a spin within TOL.half_integer of a half-integer is stored as it, so
         # the probe table, the diagnostics and the metadata read one value
         object.__setattr__(self, "s", two_s / 2)
@@ -61,17 +47,15 @@ class SpinProbeConfig:
 
     @property
     def dim(self) -> int:
-        return _half_int(self.s, "s") + 1
+        return int(2 * self.s) + 1
 
     @property
     def outcome_labels(self) -> tuple:
-        two_j = _half_int(self.j, "j")
-        return tuple((k - two_j) / 2.0 for k in range(0, 2 * two_j + 1, 2))
+        return tuple(ladder(int(2 * self.j)).tolist())
 
     @property
     def sigma_values(self) -> tuple:
-        two_s = _half_int(self.s, "s")
-        return tuple((k - two_s) / 2.0 for k in range(0, 2 * two_s + 1, 2))
+        return tuple(ladder(int(2 * self.s)).tolist())
 
 
 def _diagonals(cfg: SpinProbeConfig, theta: float) -> np.ndarray:
@@ -84,7 +68,7 @@ def _diagonals(cfg: SpinProbeConfig, theta: float) -> np.ndarray:
     before the product with the small q_m; that raises a ValueError naming
     the configuration's j, g and theta.
     """
-    two_j = _half_int(cfg.j, "j")
+    two_j = int(2 * cfg.j)
     half = theta / 2.0
     phase = np.exp(-1j * cfg.j * math.pi / 2.0)
     ends = []
@@ -106,14 +90,22 @@ def _diagonals(cfg: SpinProbeConfig, theta: float) -> np.ndarray:
 
 
 def coefficient(cfg: SpinProbeConfig, m, sigma) -> complex:
-    """Probe amplitude a_{m sigma}(theta) multiplying |sigma><sigma| in T_m."""
-    if float(sigma) not in cfg.sigma_values:
-        raise LabelOutOfRangeError(f"sigma={sigma} invalid for s={cfg.s}")
-    two_j, two_m = _half_int(cfg.j, "j"), _half_int(m, "m")
-    if abs(two_m) > two_j or (two_j + two_m) % 2 != 0:
-        raise LabelOutOfRangeError(f"m={m} invalid for j={cfg.j}")
-    table = _diagonals(cfg, cfg.theta)
-    return complex(table[(two_j + two_m) // 2, cfg.sigma_values.index(float(sigma))])
+    """Probe amplitude a_{m sigma}(theta) multiplying |sigma><sigma| in T_m.
+
+    m and sigma are read as the spins are: within ``TOL.half_integer`` of a
+    half-integer, or a ValueError; a half-integer off the ladder -j..j or
+    -s..s raises ``LabelOutOfRangeError``.
+    """
+    col = _position(sigma, "sigma", cfg.sigma_values, f"s={cfg.s}")
+    row = _position(m, "m", cfg.outcome_labels, f"j={cfg.j}")
+    return complex(_diagonals(cfg, cfg.theta)[row, col])
+
+
+def _position(x, name: str, labels: tuple, spin: str) -> int:
+    value = doubled_spin(x, name) / 2
+    if value not in labels:
+        raise LabelOutOfRangeError(f"{name}={x} invalid for {spin}")
+    return labels.index(value)
 
 
 def _probe_set(cfg: SpinProbeConfig, table: np.ndarray) -> KrausSet:
@@ -167,7 +159,7 @@ def regime_diagnostics(cfg: SpinProbeConfig) -> RegimeReport:
     it is :func:`conjmeas.runner.disturbance_outcomes` of the forward set
     and that ensemble.
     """
-    s, j, g = float(cfg.s), float(cfg.j), cfg.g
+    s, j, g = cfg.s, cfg.j, cfg.g
     weakness = (2.0 / 3.0) * g * g * s * (s + 1.0) * j * math.sin(cfg.theta) ** 2
     phase = abs(2.0 * g * j * math.cos(cfg.theta))
     return RegimeReport(weakness=weakness, phase=phase)

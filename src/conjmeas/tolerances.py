@@ -1,12 +1,15 @@
 """Numerical tolerances shared by the library and its test suite.
 
 Every threshold used in a runtime check lives here so that library code and
-tests cannot drift apart, and so does the one half-integer rule that spins
-and outcome labels share.
+tests cannot drift apart.  So do the rules that read against them: the one
+half-integer rule that spins and outcome labels share, the -x..x ladder of
+a spin's projections, and numpy's array size limit.
 """
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -35,3 +38,27 @@ def doubled_half_integer(x) -> int | None:
     if not math.isfinite(doubled) or abs(doubled - round(doubled)) > TOL.half_integer:
         return None
     return round(doubled)
+
+
+def doubled_spin(x, name: str, least: float = -math.inf) -> int:
+    """2x for a half-integer x at or above ``least``, else a ValueError naming ``name``."""
+    doubled = doubled_half_integer(x)
+    if doubled is None or doubled < 2 * least:
+        kind = "positive " if least > 0 else "nonnegative " if least == 0 else ""
+        raise ValueError(f"{name} must be a {kind}half-integer, got {x}")
+    return doubled
+
+
+def ladder(two_x: int) -> np.ndarray:
+    """The projections -x, -x + 1, ..., x of the half-integer x = two_x / 2."""
+    return np.arange(-two_x, two_x + 1, 2) / 2.0
+
+
+def check_array_size(what: str, *counts) -> None:
+    """Reject complex arrays of ``counts`` entries per axis past numpy's size limit.
+
+    The counts are multiplied as Python integers, so a numpy integer count
+    cannot wrap; the message is led by ``what``.
+    """
+    if math.prod(map(int, counts)) * 16 > np.iinfo(np.intp).max:
+        raise ValueError(f"{what} over numpy's size limit")

@@ -157,9 +157,10 @@ class TestClosedFormMoments:
     @pytest.mark.parametrize("function", [spin_moments_closed_form, spin_z])
     def test_rejects_non_half_integer_spin(self, function):
         # 0.7 is not within TOL.half_integer of a half-integer, so it must not
-        # be rounded to 1/2 and reported under that spin
-        with pytest.raises(ValueError):
-            function(0.7)
+        # be rounded to 1/2 and reported under that spin; nor is any non-finite value
+        for s in (0.7, math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"spin must be a .*half-integer, got {s}"):
+                function(s)
 
     def test_moment_identity(self):
         # normalization forces D + 2s*E = C

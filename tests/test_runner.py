@@ -67,6 +67,22 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="samples=1000, s=1e"):
             ExperimentConfig(wide, samples=1000, seed=1)
 
+    def test_rejects_non_integer_samples_and_seed(self):
+        # seed 1.5 would run on Philox key 1 and write seed=1.5, and a float
+        # sample count would fail in np.empty: both are rejected before a run
+        for samples, seed in ((1500.0, 1), (1500, 1.5)):
+            with pytest.raises(ValueError, match="samples and seed must be integers"):
+                ExperimentConfig(SMALL.spin, samples=samples, seed=seed)
+            with pytest.raises(ValueError, match="samples and seed must be integers"):
+                run_variances([0.5], samples=samples, seed=seed)
+        ExperimentConfig(SMALL.spin, samples=np.int64(1500), seed=np.uint64(1))
+        # a numpy integer count is sized as a Python integer, so it cannot wrap
+        # past the size limit
+        with pytest.raises(ValueError, match="over numpy's size limit"):
+            ExperimentConfig(SMALL.spin, samples=np.int64(2**62), seed=1)
+        with pytest.raises(ValueError, match="over numpy's size limit"):
+            run_variances([0.5], samples=np.int64(2**62), seed=1)
+
     def test_metadata_roundtrip(self):
         meta = SMALL.metadata()
         assert meta["j"] == 3.0

@@ -30,7 +30,11 @@ way.  The sums become I and F in one place, ``metrics._gain_and_fidelity``,
 which only ``metrics.branch_statistics`` and ``metrics.likelihood_info_gain``
 load.  The adjoint of a matrix or of a stack is taken in one place,
 ``linalg.dagger``: no other library code calls ``swapaxes`` or takes
-``.conj().T``.
+``.conj().T``.  numpy's array size limit (``np.iinfo`` or ``sys.maxsize``)
+is read in one function, ``tolerances.check_array_size``, and the bare
+half-integer rule ``doubled_half_integer`` is loaded only by ``tolerances``
+and by ``measurement._label_key``: every spin and probe label is read
+through ``tolerances.doubled_spin``, so no module keeps a copy of either.
 """
 
 import ast
@@ -346,3 +350,9 @@ def test_one_adjoint():
         if takes_an_adjoint(node)
     ]
     assert found == []
+
+
+def test_one_size_limit_and_one_half_integer_rule():
+    assert loads_of("iinfo") + loads_of("maxsize") == ["tolerances.check_array_size"]
+    readers = [r for r in loads_of("doubled_half_integer") if not r.startswith("tolerances.")]
+    assert readers == ["measurement._label_key"]

@@ -59,7 +59,7 @@ class TestConfig:
             SpinProbeConfig(s=0.3, j=1, g=0.1, theta=1.0)
         with pytest.raises(ValueError):
             SpinProbeConfig(s=0.5, j=1, g=0.1, theta=4.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="j must be a nonnegative half-integer, got -1"):
             SpinProbeConfig(s=0.5, j=-1, g=0.1, theta=1.0)
         for s in (0, -0.5):
             with pytest.raises(ValueError, match="s must be a positive half-integer"):
@@ -213,6 +213,15 @@ class TestCoefficient:
     def test_rejects_bad_sigma(self):
         with pytest.raises(LabelOutOfRangeError):
             coefficient(REF, 0.0, 1.5)
+        with pytest.raises(ValueError, match="sigma must be a half-integer, got 0.3"):
+            coefficient(REF, 0.0, 0.3)
+
+    def test_labels_within_tolerance_read_as_half_integers(self):
+        # m and sigma are read by one rule, the spins' own: within
+        # TOL.half_integer of a half-integer is that half-integer
+        exact = coefficient(REF, 0.0, 0.5)
+        assert coefficient(REF, 1e-12, 0.5) == exact
+        assert coefficient(REF, 0.0, 0.5 + 1e-12) == exact
 
 
 class TestForwardSet:
