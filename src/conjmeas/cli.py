@@ -61,48 +61,33 @@ def parse_number(text: str) -> float:
     return value
 
 
-def _add_probe(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--s", type=parse_number, default=0.5, help="system spin")
-    sub.add_argument("--j", type=parse_number, default=7.0, help="probe spin")
-    sub.add_argument("--g", type=parse_number, default=0.25, help="coupling angle (e.g. pi/8)")
-    sub.add_argument(
-        "--theta", type=parse_number, default=math.pi / 6, help="probe angle (e.g. pi/6)"
-    )
-
-
-def _add_run(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--samples", type=int, default=100_000)
-    sub.add_argument("--seed", type=int, default=202408)
-    sub.add_argument("--out", type=Path, default=Path("."), help="output directory")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="conjmeas",
         description="Simulate Kraus measurements and their conjugate/reversing second stages.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("figures", "outcome-resolved probability/fidelity/information tables"),
-        ("summary", "headline scalars and regime diagnostics"),
-        ("variances", "Monte Carlo spin moments vs closed forms"),
-        ("sweep", "summary metrics along one parameter axis"),
-    ):
-        sub = subs.add_parser(name, help=help_text)
-        if name != "variances":
-            _add_probe(sub)
-        _add_run(sub)
-        if name == "variances":
-            sub.add_argument(
-                "--spins",
-                type=parse_number,
-                nargs="+",
-                default=[0.5, 1.0, 1.5],
-            )
-        if name == "sweep":
-            sub.add_argument("--axis", choices=SWEEP_AXES, required=True)
-            sub.add_argument("--values", type=parse_number, nargs="+", required=True)
+    figures = subs.add_parser(
+        "figures", help="outcome-resolved probability/fidelity/information tables"
+    )
+    summary = subs.add_parser("summary", help="headline scalars and regime diagnostics")
+    variances = subs.add_parser("variances", help="Monte Carlo spin moments vs closed forms")
+    sweep = subs.add_parser("sweep", help="summary metrics along one parameter axis")
+    for sub in (figures, summary, sweep):
+        sub.add_argument("--s", type=parse_number, default=0.5, help="system spin")
+        sub.add_argument("--j", type=parse_number, default=7.0, help="probe spin")
+        sub.add_argument("--g", type=parse_number, default=0.25, help="coupling angle (e.g. pi/8)")
+        sub.add_argument(
+            "--theta", type=parse_number, default=math.pi / 6, help="probe angle (e.g. pi/6)"
+        )
+    for sub in (figures, summary, variances, sweep):
+        sub.add_argument("--samples", type=int, default=ExperimentConfig.samples)
+        sub.add_argument("--seed", type=int, default=ExperimentConfig.seed)
+        sub.add_argument("--out", type=Path, default=Path("."), help="output directory")
+        sub.add_argument("--format", choices=("csv", "json"), default="csv")
+    variances.add_argument("--spins", type=parse_number, nargs="+", default=[0.5, 1.0, 1.5])
+    sweep.add_argument("--axis", choices=SWEEP_AXES, required=True)
+    sweep.add_argument("--values", type=parse_number, nargs="+", required=True)
     return parser
 
 

@@ -117,6 +117,7 @@ from .ensemble import PureStateEnsemble, form_coefficients
 from .errors import (
     DimensionMismatchError,
     InvalidWeightsError,
+    NumericContractError,
     UnknownLabelError,
     ValidationError,
     ZeroProbabilityOutcomeError,
@@ -163,11 +164,11 @@ def _gain_and_fidelity(mean, x_log_x, root, n):
     mean, clipped at zero, and F = Σ sqrt(x |amp|²) / n / mean, neither of
     which changes when the operator is scaled.  An I below
     ``TOL.info_roundoff`` is a failure of the kernel, not roundoff, and
-    raises.
+    raises :class:`NumericContractError`.
     """
     gain = (x_log_x / n - mean * np.log2(mean)) / mean
     if np.any(gain < TOL.info_roundoff):
-        raise InvalidWeightsError(f"information kernel returned {gain.min():.3e}")
+        raise NumericContractError(f"information kernel returned {gain.min():.3e}")
     return np.maximum(gain, 0.0), root / n / mean
 
 

@@ -1175,6 +1175,87 @@ class TestRankOneExactValues:
         assert (np.abs(error) <= 5 * stderr).all(), np.max(np.abs(error) / stderr)
 
 
+@st.composite
+def complete_sets(draw):
+    """The operators of a complete set: random diagonal, s = 3/2 probe or random non-diagonal."""
+    kind = draw(st.sampled_from(["diagonal", "probe", "general"]))
+    if kind == "probe":
+        # every outcome's p stays far above the floor at these j and theta
+        cfg = SpinProbeConfig(
+            s=1.5,
+            j=draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0])),
+            g=draw(st.floats(0.05, 1.0)),
+            theta=draw(st.floats(0.5, 2.6)),
+        )
+        return list(build_forward(cfg).operators)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(2, 4))
+    if kind == "diagonal":
+        return list(random_diagonal_kraus(rng, dim, draw(st.integers(2, 4))).operators)
+    return list(random_general_kraus(rng, dim, draw(st.integers(3, 5))).operators)
+
+
+class TestDeterministicRelations:
+    """Relations the estimator obeys on one ensemble, with no Monte Carlo noise.
+
+    Every operator's w = ||A psi||² and amp = <psi|A|psi> enter state by
+    state, so these hold on each sample, here of N = 200 states, on the
+    diagonal path (random diagonals and the s = 3/2 probe) and the
+    non-diagonal one.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(ops=complete_sets(), t=st.floats(0.05, 0.95))
+    def test_refinement(self, ops, t):
+        # sqrt(t)·A and sqrt(1 - t)·A have A's I and F, and split its p
+        ens = PROPERTY_ENSEMBLES[len(ops[0])]
+        p, info, fid = metrics.branch_statistics(ops, ens)
+        n = len(ops)
+        parts = [c * A for c in (math.sqrt(t), math.sqrt(1.0 - t)) for A in ops]
+        p_parts, info_parts, fid_parts = metrics.branch_statistics(parts, ens)
+        np.testing.assert_allclose(p_parts[:n] + p_parts[n:], p, rtol=1e-14, atol=0)
+        for half in (slice(None, n), slice(n, None)):
+            np.testing.assert_allclose(info_parts[half], info, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(fid_parts[half], fid, rtol=0, atol=1e-13)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ops=complete_sets())
+    def test_coarse_graining(self, ops):
+        # p·I(A) <= Σ_k p_k·I(A_k) for A_k = s_k|k><v_k|, the rank-1 pieces
+        # of A's SVD, whose A_k†A_k sum to A†A: the log-sum inequality
+        dim = len(ops[0])
+        ens = PROPERTY_ENSEMBLES[dim]
+        p, info, _ = metrics.branch_statistics(ops, ens)
+        pieces = []
+        for A in ops:
+            _, sv, vh = np.linalg.svd(A)
+            pieces += [sv[k] * np.outer(np.eye(dim)[k], vh[k]) for k in range(dim)]
+        p_k, info_k, _ = metrics.branch_statistics(pieces, ens)
+        finer = metrics.weighted_sum(p_k.reshape(-1, dim), info_k.reshape(-1, dim))
+        assert np.all(p * info <= finer + 1e-12), np.min(finer - p * info)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ops=complete_sets(), seed=st.integers(0, 2**32 - 1))
+    def test_left_unitary(self, ops, seed):
+        # U·A has A's weights ||U A psi||² = ||A psi||², so A's p and I
+        ens = PROPERTY_ENSEMBLES[len(ops[0])]
+        U = haar_unitary(np.random.default_rng(seed), len(ops[0]))
+        p, info, _ = metrics.branch_statistics(ops, ens)
+        p_u, info_u, _ = metrics.branch_statistics([U @ A for A in ops], ens)
+        np.testing.assert_allclose(p_u, p, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(info_u, info, rtol=0, atol=1e-13)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ops=complete_sets(), data=st.data())
+    def test_relabelling(self, ops, data):
+        # permuting a call's operators permutes p, I and F bit for bit
+        ens = PROPERTY_ENSEMBLES[len(ops[0])]
+        order = data.draw(st.permutations(range(len(ops))))
+        before = np.array(metrics.branch_statistics(ops, ens))
+        after = np.array(metrics.branch_statistics([ops[k] for k in order], ens))
+        assert after.tobytes() == before[:, order].tobytes()
+
+
 @pytest.mark.parametrize("dim", [2, 3, 4, 16])
 def test_mean_weights_match_dense_mean(dim):
     # a weight is positive, so its mean has no cancellation and the bound is

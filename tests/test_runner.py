@@ -379,12 +379,32 @@ class TestCli:
         ]
         assert header == ["# samples=1000", "# seed=4", f"# version={conjmeas.__version__}"]
 
-    @pytest.mark.parametrize("option", ["--s", "--j", "--g", "--theta"])
-    def test_variances_takes_no_probe_option(self, tmp_path, capsys, option):
+    # each subcommand takes only the options it reads, and sweep needs both
+    # --axis and --values; the variances cases keep their ids ([--s], ...)
+    @pytest.mark.parametrize(
+        "args, option",
+        [pytest.param(["variances", o, "1"], o, id=o) for o in ("--s", "--j", "--g", "--theta")]
+        + [
+            pytest.param([command, o, "1"], o, id=f"{command}-{o}")
+            for command in ("figures", "summary")
+            for o in ("--spins", "--axis", "--values")
+        ]
+        + [
+            pytest.param(
+                ["sweep", "--axis", "j", "--values", "1", "--spins", "1"],
+                "--spins",
+                id="sweep---spins",
+            ),
+            pytest.param(["sweep", "--values", "1"], "--axis", id="sweep-without---axis"),
+            pytest.param(["sweep", "--axis", "j"], "--values", id="sweep-without---values"),
+        ],
+    )
+    def test_variances_takes_no_probe_option(self, tmp_path, capsys, args, option):
         with pytest.raises(SystemExit) as exc:
-            main(["variances", option, "1", "--out", str(tmp_path)])
+            main(args + ["--out", str(tmp_path)])
         assert exc.value.code == 2
-        # "unrecognized arguments", or for --s "ambiguous option" (--samples, --seed, --spins)
+        # "unrecognized arguments", "the following arguments are required", or
+        # for variances --s "ambiguous option" (--samples, --seed, --spins)
         assert option in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
@@ -862,3 +882,21 @@ def test_cli_maps_model_errors_to_exit_code_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_summary", failing)
     assert main(["summary", "--j", "3", "--samples", "1000", "--out", str(tmp_path)]) == 3
     assert "outcome 1 has probability 0" in capsys.readouterr().err
+
+
+def test_cli_maps_a_kernel_failure_to_exit_code_3(tmp_path, capsys, monkeypatch):
+    # sums whose x log2 x reads one bit low per state give I near -1: a
+    # failure of the information kernel, not an invalid configuration
+    branch_sums = metrics._branch_sums
+
+    def failing(ops, ens):
+        p, mean, x_log_x, root = branch_sums(ops, ens)
+        return p, mean, x_log_x - ens.n, root
+
+    monkeypatch.setattr(metrics, "_branch_sums", failing)
+    out = tmp_path / "out"
+    assert main(["summary", "--samples", "1000", "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("numeric contract violated: information kernel returned -")
+    assert not out.exists()
